@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -19,14 +18,6 @@ import numpy as np
 EXIT_OK = 0
 EXIT_ASSERTION = 2
 EXIT_CONFIG = 3
-
-
-def _apply_thread_cap(threads):
-    cap = threads or os.environ.get("ISOFLEX_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(cap))
-    return cap
 
 
 def _json_default(obj):
@@ -68,7 +59,7 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else scenario.seed
 
     resolved = dict(scenario.resolved)
-    resolved.update({"depth": depth, "seed": seed, "threads": args.threads})
+    resolved.update({"depth": depth, "seed": seed})
     print(json.dumps({"scenario": resolved}, default=_json_default))
 
     if args.dry_run:
@@ -270,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True)
     run.add_argument("--out", required=True)
     run.add_argument("--depth", type=int, default=None)
-    run.add_argument("--threads", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=int, default=None,
+                     help="recorded in the reports; nothing in a run is random")
     run.add_argument("--dry-run", action="store_true")
     run.set_defaults(func=cmd_run)
 
@@ -279,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--lambdas", type=float, nargs="+", default=[64.0, 128.0, 256.0])
     sb.add_argument("--resolution", type=int, default=1024)
     sb.add_argument("--eps", type=float, default=0.01)
-    sb.add_argument("--threads", type=int, default=None)
     sb.set_defaults(func=cmd_step_bench)
 
     gb = sub.add_parser("stage-bench", help="two-term stage growth sweep")
@@ -287,14 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     gb.add_argument("--resolution", type=int, default=1024)
     gb.add_argument("--eps", type=float, default=0.1)
     gb.add_argument("--base-waves", type=int, default=5)
-    gb.add_argument("--threads", type=int, default=None)
     gb.set_defaults(func=cmd_stage_bench)
 
     cc = sub.add_parser("conformal-check", help="random SPD Beltrami solve")
     cc.add_argument("--resolution", type=int, default=256)
     cc.add_argument("--amplitude", type=float, default=0.2)
     cc.add_argument("--seed", type=int, default=0)
-    cc.add_argument("--threads", type=int, default=None)
     cc.set_defaults(func=cmd_conformal_check)
 
     cd = sub.add_parser("corrugation-dump", help="dump corrugation profiles as CSV")
@@ -307,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_thread_cap(getattr(args, "threads", None))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -27,7 +27,7 @@ J0_FIRST_ZERO = 2.404825557695773
 _SERIES_TERMS = 40
 _SERIES_DOMAIN = 12.0
 
-_WHICH = ("g1", "g2", "dt_g1", "dt_g2", "ds_g1", "ds_g2", "dtt_g1", "dtt_g2")
+_WHICH = ("g1", "g2", "dt_g1", "dt_g2")
 
 
 class CorrugationDomainError(ValueError):
@@ -108,15 +108,17 @@ def _catmull_rom_weights(u):
 class CorrugationTable:
     """Sampled corrugation pair with analytic t-derivatives.
 
-    Arrays carry one hidden guard row above s_max so cubic interpolation
-    keeps full order on the whole certified range [0, s_max]; below s = 0
-    the even/odd symmetry of the construction supplies exact ghost rows.
+    Only Gamma_1 and Gamma_2 are tabulated; their t-derivatives are closed
+    forms in the amplitude profile.  Arrays carry one hidden guard row above
+    s_max so cubic interpolation keeps full order on the whole certified
+    range [0, s_max]; below s = 0 the even/odd symmetry of the construction
+    supplies exact ghost rows.
     """
 
     s_max: float
     s_vals: np.ndarray          # (S+1,), last row is the hidden guard
     t_vals: np.ndarray          # (T,), [0, 2pi) uniform
-    tables: dict                # name -> (S+1, T) array
+    tables: dict                # "g1", "g2" -> (S+1, T) array
     amplitude_profile: np.ndarray  # alpha(s), (S+1,), last row is the guard
     metadata: dict = field(default_factory=dict)
 
@@ -132,7 +134,7 @@ class CorrugationTable:
         """Cubic interpolation of the (odd) amplitude profile."""
         hs = self.s_vals[1] - self.s_vals[0]
         ps = np.asarray(s, dtype=float) / hs
-        i0 = np.minimum(ps.astype(int), self.s_samples - 1)
+        i0 = np.minimum(ps.astype(int), self.s_samples - 2)
         ws = _catmull_rom_weights(ps - i0)
         out = np.zeros_like(ps)
         for a in range(4):
@@ -171,11 +173,13 @@ class CorrugationTable:
         tab = self.tables[which]
         # alpha(s) continues smoothly through 0 as an odd function, fixing
         # the parity of every table in s
-        odd_in_s = which in ("g2", "dt_g2", "ds_g1", "dtt_g2")
+        odd_in_s = which == "g2"
 
         hs = self.s_vals[1] - self.s_vals[0]
         ps = s / hs
-        i0 = np.minimum(ps.astype(int), self.s_samples - 1)
+        # s = s_max sits on the last certified row: step back one interval
+        # (weight 1 on that row) so the stencil stops at the guard row
+        i0 = np.minimum(ps.astype(int), self.s_samples - 2)
         fs = ps - i0
         ws = _catmull_rom_weights(fs)
 
@@ -233,42 +237,22 @@ def build_corrugation(s_max: float = 1.0, s_samples: int = 256,
     g1 = cumulative_simpson(f1, x=t_ext, axis=1, initial=0.0)
     g2 = cumulative_simpson(f2, x=t_ext, axis=1, initial=0.0)
 
-    # s-derivative integrands, integrated the same way
-    sr = (s_all / root)[:, None]
-    ap = aprime[:, None]
-    e1 = sr * cosc - rt * sinc * ap * ct
-    e2 = sr * sinc + rt * cosc * ap * ct
-    ds1 = cumulative_simpson(e1, x=t_ext, axis=1, initial=0.0)
-    ds2 = cumulative_simpson(e2, x=t_ext, axis=1, initial=0.0)
-
-    st = np.sin(t_ext)[None, :]
-    dtt1 = rt * sinc * a * st
-    dtt2 = -rt * cosc * a * st
-
     period_defect = float(max(np.max(np.abs(g1[:, -1])), np.max(np.abs(g2[:, -1]))))
-    tables = {
-        "g1": g1[:, :-1], "g2": g2[:, :-1],
-        "dt_g1": f1[:, :-1], "dt_g2": f2[:, :-1],
-        "ds_g1": ds1[:, :-1], "ds_g2": ds2[:, :-1],
-        "dtt_g1": dtt1[:, :-1], "dtt_g2": dtt2[:, :-1],
-    }
+    tables = {"g1": g1[:, :-1], "g2": g2[:, :-1]}
     # the s=0 row vanishes identically in exact arithmetic; pin it
-    for name in ("g1", "g2", "dt_g1", "dt_g2", "dtt_g1", "dtt_g2"):
-        tables[name][0, :] = 0.0
+    for tab in tables.values():
+        tab[0, :] = 0.0
 
     vis = slice(1, s_samples)  # rows with s > 0, excluding the guard
     svis = s_all[vis, None]
+    # ds dt Gamma_1, the integrand of the s-derivative of Gamma_1
+    dsdt1 = (s_all / root)[:, None] * cosc - rt * sinc * aprime[:, None] * ct
     metadata = {
         "period_defect": period_defect,
         "identity_residual": float(np.max(np.abs(
             (1.0 + f1) ** 2 + f2 ** 2 - (1.0 + s_all[:, None] ** 2)))),
-        "C_dt_g1": float(np.max(np.abs(tables["dt_g1"][vis]) / svis ** 2)),
-        "C_dt_g2": float(np.max(np.abs(tables["dt_g2"][vis]) / svis)),
-        "C_dsdt_g1": float(np.max(np.abs(
-            (sr * cosc - rt * sinc * ap * ct)[vis, :-1]) / svis)),
+        "C_dt_g1": float(np.max(np.abs(f1[vis, :-1]) / svis ** 2)),
+        "C_dt_g2": float(np.max(np.abs(f2[vis, :-1]) / svis)),
+        "C_dsdt_g1": float(np.max(np.abs(dsdt1[vis, :-1]) / svis)),
     }
     return CorrugationTable(s_max, s_all, t, tables, alpha, metadata)
-
-
-def eval_corrugation(table: CorrugationTable, s, t, which: str):
-    return table.eval(s, t, which)

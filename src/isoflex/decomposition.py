@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CLAMPED, PERIODIC, GridChart, MetricField, ScalarField
+from .grid import GridChart, MetricField, ScalarField
 
 
 class FrameError(ValueError):
@@ -104,8 +104,7 @@ class PrimitiveFrame:
     """Directions xi_i and the linear coefficient maps L_i.
 
     L_i(G) >= radius is certified for all symmetric G with |G - base_point|
-    <= radius (spectral norm); radius_quarter = radius / 4 is the value the
-    staged scheme budgets against.
+    <= radius (spectral norm).
     """
 
     n: int
@@ -118,10 +117,6 @@ class PrimitiveFrame:
     @property
     def n_star(self) -> int:
         return self.directions.shape[0]
-
-    @property
-    def radius_quarter(self) -> float:
-        return 0.25 * self.radius
 
     def coefficients(self, g) -> np.ndarray:
         """L_i(G) for a single matrix or an (..., n, n) stack; (..., n_star)."""
@@ -269,14 +264,6 @@ class PhaseField:
         g = ScalarField(self.chart, self.periodic_values).gradient()
         return g + np.asarray(self.linear)
 
-    def scaled(self, factor: float) -> "PhaseField":
-        return PhaseField(self.chart, (factor * self.linear[0], factor * self.linear[1]),
-                          factor * self.periodic_values)
-
-    @classmethod
-    def from_scalar(cls, f: ScalarField) -> "PhaseField":
-        return cls(f.chart, (0.0, 0.0), f.values)
-
     @classmethod
     def linear_phase(cls, chart: GridChart, w) -> "PhaseField":
         return cls(chart, (float(w[0]), float(w[1])), np.zeros(chart.resolution))
@@ -305,34 +292,6 @@ class ConformalFactorization:
 
     def min_det(self) -> float:
         return float(self.det_jacobian.min())
-
-    def normalized(self, z0=(0.0, 0.0), z1=(1.0, 0.0)):
-        """Affine renormalization sending Phi(z0) -> 0 with unit scale at z1.
-
-        The factorization is invariant under complex-affine maps when theta
-        is rescaled accordingly; this reproduces the principal-solution
-        normalization on request.
-        """
-        def sample(pf, pt):
-            i = int(round(pt[0] / pf.chart.spacing[0]))
-            j = int(round(pt[1] / pf.chart.spacing[1]))
-            return pf.values()[i % pf.chart.resolution[0], j % pf.chart.resolution[1]]
-
-        p0 = complex(sample(self.phi1, z0), sample(self.phi2, z0))
-        p1 = complex(sample(self.phi1, z1), sample(self.phi2, z1))
-        a = 1.0 / (p1 - p0)
-        phi1 = PhaseField(self.phi1.chart,
-                          (a.real * self.phi1.linear[0] - a.imag * self.phi2.linear[0],
-                           a.real * self.phi1.linear[1] - a.imag * self.phi2.linear[1]),
-                          a.real * self.phi1.periodic_values
-                          - a.imag * self.phi2.periodic_values - (a * p0).real)
-        phi2 = PhaseField(self.phi2.chart,
-                          (a.real * self.phi2.linear[0] + a.imag * self.phi1.linear[0],
-                           a.real * self.phi2.linear[1] + a.imag * self.phi1.linear[1]),
-                          a.real * self.phi2.periodic_values
-                          + a.imag * self.phi1.periodic_values - (a * p0).imag)
-        theta = ScalarField(self.theta.chart, self.theta.values / abs(a))
-        return phi1, phi2, theta
 
 
 def _taper_window(n_core, pad):

@@ -184,16 +184,10 @@ class MetricField:
                 f"metric eigenvalues [{lo:.6g}, {hi:.6g}] leave the band "
                 f"[{1.0 / gamma:.6g}, {gamma:.6g}]")
 
-    def apply(self, vec2) -> np.ndarray:
-        """Matrix-vector product per node; vec2 broadcastable to (..., 2)."""
-        a, b, c = self.values[..., 0], self.values[..., 1], self.values[..., 2]
-        vx, vy = vec2[..., 0], vec2[..., 1]
-        return np.stack([a * vx + b * vy, b * vx + c * vy], axis=-1)
-
 
 @dataclass(frozen=True)
 class ImmersionField:
-    """Map samples into R^3 with a configurable derivative stencil order.
+    """Map samples into R^3.
 
     On periodic charts a map like the flat chart map is not periodic in its
     values; its linear part (a 3x2 matrix) is carried separately so that
@@ -203,7 +197,6 @@ class ImmersionField:
 
     chart: GridChart
     values: np.ndarray  # (nx, ny, 3), the (periodic) sample part
-    stencil_order: int = 4
     linear: np.ndarray | None = None  # (3, 2) or None
 
     def __post_init__(self):
@@ -211,8 +204,6 @@ class ImmersionField:
         object.__setattr__(self, "values", v)
         if v.shape != (*self.chart.resolution, 3):
             raise ChartError(f"immersion values {v.shape} do not match chart {self.chart.resolution}")
-        if self.stencil_order not in (2, 4):
-            raise ValueError("stencil order must be 2 or 4")
         if self.linear is not None:
             lin = np.asarray(self.linear, dtype=float)
             if lin.shape != (3, 2):
@@ -223,20 +214,20 @@ class ImmersionField:
         _check_finite(v, "immersion field")
 
     @classmethod
-    def from_function(cls, chart, fn, stencil_order=4):
+    def from_function(cls, chart, fn):
         x, y = chart.mesh()
         comps = fn(x, y)
-        return cls(chart, np.stack(comps, axis=-1), stencil_order)
+        return cls(chart, np.stack(comps, axis=-1))
 
     @classmethod
-    def flat(cls, chart, scale=1.0, stencil_order=4):
+    def flat(cls, chart, scale=1.0):
         """(s*x, s*y, 0): the scaled planar chart map."""
         if chart.periodic:
             lin = np.array([[scale, 0.0], [0.0, scale], [0.0, 0.0]])
-            return cls(chart, np.zeros((*chart.resolution, 3)), stencil_order, lin)
+            return cls(chart, np.zeros((*chart.resolution, 3)), lin)
         x, y = chart.mesh()
         z = np.zeros_like(x)
-        return cls(chart, np.stack([scale * x, scale * y, z], axis=-1), stencil_order)
+        return cls(chart, np.stack([scale * x, scale * y, z], axis=-1))
 
     def positions(self) -> np.ndarray:
         """Actual map values, including any linear part."""
@@ -247,15 +238,14 @@ class ImmersionField:
 
     def displaced(self, offset: np.ndarray) -> "ImmersionField":
         """New immersion moved by a (periodic) displacement field."""
-        return ImmersionField(self.chart, self.values + offset, self.stencil_order, self.linear)
+        return ImmersionField(self.chart, self.values + offset, self.linear)
 
     def jacobian(self) -> np.ndarray:
         """Per-node Jacobian, shape (nx, ny, 3, 2): J[..., k, i] = d_i u^k."""
         hx, hy = self.chart.spacing
         p = self.chart.periodic
-        o = self.stencil_order
-        jx = _diff1(self.values, 0, hx, p, order=o)
-        jy = _diff1(self.values, 1, hy, p, order=o)
+        jx = _diff1(self.values, 0, hx, p)
+        jy = _diff1(self.values, 1, hy, p)
         jac = np.stack([jx, jy], axis=-1)
         if self.linear is not None:
             jac = jac + self.linear
@@ -274,21 +264,15 @@ class ImmersionField:
 # ---------------------------------------------------------------------------
 # finite-difference stencils
 
-def _diff1(values, axis, h, periodic, order=4):
+def _diff1(values, axis, h, periodic):
     """First derivative along axis 0 or 1 of a (nx, ny, ...) array."""
     f = np.moveaxis(values, axis, 0)
     out = np.empty_like(f)
     if periodic:
-        if order == 4:
-            out[:] = (-np.roll(f, -2, 0) + 8 * np.roll(f, -1, 0)
-                      - 8 * np.roll(f, 1, 0) + np.roll(f, 2, 0)) / (12 * h)
-        else:
-            out[:] = (np.roll(f, -1, 0) - np.roll(f, 1, 0)) / (2 * h)
+        out[:] = (-np.roll(f, -2, 0) + 8 * np.roll(f, -1, 0)
+                  - 8 * np.roll(f, 1, 0) + np.roll(f, 2, 0)) / (12 * h)
     else:
-        if order == 4:
-            out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
-        else:
-            out[2:-2] = (f[3:-1] - f[1:-3]) / (2 * h)
+        out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
         # one-sided / short centered rows near the frame, 2nd order
         out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
         out[1] = (f[2] - f[0]) / (2 * h)
@@ -297,22 +281,16 @@ def _diff1(values, axis, h, periodic, order=4):
     return np.moveaxis(out, 0, axis)
 
 
-def _diff2(values, axis, h, periodic, order=4):
+def _diff2(values, axis, h, periodic):
     """Pure second derivative along one axis."""
     f = np.moveaxis(values, axis, 0)
     out = np.empty_like(f)
     h2 = h * h
     if periodic:
-        if order == 4:
-            out[:] = (-np.roll(f, -2, 0) + 16 * np.roll(f, -1, 0) - 30 * f
-                      + 16 * np.roll(f, 1, 0) - np.roll(f, 2, 0)) / (12 * h2)
-        else:
-            out[:] = (np.roll(f, -1, 0) - 2 * f + np.roll(f, 1, 0)) / h2
+        out[:] = (-np.roll(f, -2, 0) + 16 * np.roll(f, -1, 0) - 30 * f
+                  + 16 * np.roll(f, 1, 0) - np.roll(f, 2, 0)) / (12 * h2)
     else:
-        if order == 4:
-            out[2:-2] = (-f[4:] + 16 * f[3:-1] - 30 * f[2:-2] + 16 * f[1:-3] - f[:-4]) / (12 * h2)
-        else:
-            out[2:-2] = (f[3:-1] - 2 * f[2:-2] + f[1:-3]) / h2
+        out[2:-2] = (-f[4:] + 16 * f[3:-1] - 30 * f[2:-2] + 16 * f[1:-3] - f[:-4]) / (12 * h2)
         out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
         out[1] = (f[2] - 2 * f[1] + f[0]) / h2
         out[-2] = (f[-1] - 2 * f[-2] + f[-3]) / h2
@@ -320,13 +298,13 @@ def _diff2(values, axis, h, periodic, order=4):
     return np.moveaxis(out, 0, axis)
 
 
-def second_derivatives(values, chart, order=4):
+def second_derivatives(values, chart):
     """(d_xx, d_xy, d_yy) of a (nx, ny, ...) sample array."""
     hx, hy = chart.spacing
     p = chart.periodic
-    fxx = _diff2(values, 0, hx, p, order)
-    fyy = _diff2(values, 1, hy, p, order)
-    fxy = _diff1(_diff1(values, 0, hx, p, order), 1, hy, p, order)
+    fxx = _diff2(values, 0, hx, p)
+    fyy = _diff2(values, 1, hy, p)
+    fxy = _diff1(_diff1(values, 0, hx, p), 1, hy, p)
     return fxx, fxy, fyy
 
 
@@ -413,7 +391,7 @@ def mollify(f, ell: float, clamped_mode: str = "renormalize"):
     if isinstance(f, MetricField):
         return MetricField(chart, out)
     # a linear part survives mollification exactly (symmetric unit-mass kernel)
-    return ImmersionField(chart, out, f.stencil_order, f.linear)
+    return ImmersionField(chart, out, f.linear)
 
 
 # ---------------------------------------------------------------------------

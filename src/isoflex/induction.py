@@ -12,7 +12,7 @@ aliasing when frequencies outrun the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +29,6 @@ from .grid import (
     holder_seminorm,
     pullback_metric,
     second_derivatives,
-    sup_norm,
 )
 from .nash_step import (
     NODES_PER_WAVELENGTH,
@@ -38,6 +37,9 @@ from .nash_step import (
     add_metric_2d,
     bootstrap_strong,
 )
+
+RHO_FLOOR = 1e-6               # rho-power bounds skip nodes with rho below this
+DISPLACEMENT_CONSTANT = 12.0   # C-bar in the displacement budget (5)_q
 
 
 class ScheduleError(ValueError):
@@ -64,7 +66,7 @@ class Schedule:
     """The asymptotic parameter ladder, with exact exponent algebra.
 
     Exponent relations are kept as exact rationals (theta' b^2 = theta,
-    2 b^2 alpha' = alpha, A' = A^(b^2) via the exponent of A); the frequency
+    2 b^2 alpha' = alpha; the next pass runs at A' = A^(b^2)); the frequency
     and amplitude ladders lam_(q+1) = lam_q^b, lam_q = A delta_q^(-1/(2
     theta)) are float evaluations of those exact relations.
     """
@@ -76,7 +78,6 @@ class Schedule:
     b: Fraction
     delta: tuple      # delta_1 .. delta_(depth)
     lam: tuple        # lam_1 .. lam_(depth)
-    a_exponent: Fraction = Fraction(1)  # this pass's A = A_base^(a_exponent)
 
     @property
     def theta_prime(self) -> Fraction:
@@ -85,14 +86,6 @@ class Schedule:
     @property
     def alpha_prime(self) -> Fraction:
         return self.alpha / (2 * self.b ** 2)
-
-    @property
-    def a_prime_exponent(self) -> Fraction:
-        return self.a_exponent * self.b ** 2
-
-    @property
-    def a_prime(self) -> float:
-        return self.A ** float(self.b ** 2)
 
     def delta_q(self, q: int) -> float:
         """1-indexed; extends the ladder beyond the generated depth."""
@@ -108,21 +101,6 @@ class Schedule:
         ll = math.log(self.lam[-1]) * float(self.b) ** (q - len(self.lam))
         return math.inf if ll > 700.0 else math.exp(ll)
 
-    def successor(self) -> "Schedule":
-        """Exponents for the next skeleton pass.
-
-        The exponent algebra (theta', alpha', the A-power) is exact; the
-        ladder base is raised to the next pass's own adequate value when
-        A^(b^2) alone cannot keep the ordering ("A sufficiently large" is a
-        per-pass requirement).
-        """
-        a_min = minimal_adequate_a(self.theta_prime, self.alpha_prime,
-                                   self.delta[0], self.n)
-        return build_schedule(max(self.a_prime, 1.01 * a_min), self.theta_prime,
-                              self.alpha_prime, self.delta[0], n=self.n,
-                              depth=len(self.delta),
-                              a_exponent=self.a_prime_exponent)
-
 
 def minimal_adequate_a(theta: Fraction, alpha: Fraction, delta1: float, n: int = 2) -> float:
     """Smallest A making the ordering delta_(q+1) <= delta_q / 4 and
@@ -137,8 +115,7 @@ def minimal_adequate_a(theta: Fraction, alpha: Fraction, delta1: float, n: int =
 
 
 def build_schedule(A: float, theta, alpha, delta1: float, n: int = 2,
-                   depth: int = 6, a_exponent=Fraction(1),
-                   a_base_known: bool = False) -> Schedule:
+                   depth: int = 6) -> Schedule:
     """Generate the ladder to the requested depth, checking the ordering
     delta_(q+1) <= delta_q/4, lam_(q+1) >= 2 lam_q eagerly."""
     theta = Fraction(theta).limit_denominator(10 ** 12) if not isinstance(theta, Fraction) else theta
@@ -161,8 +138,6 @@ def build_schedule(A: float, theta, alpha, delta1: float, n: int = 2,
         ll = bf * log_lam[-1]
         ld = -2.0 * tf * (ll - log_a)
         if ld > log_delta[-1] - math.log(4.0) + 1e-12 or ll < log_lam[-1] + math.log(2.0) - 1e-12:
-            if a_base_known:
-                raise ScheduleError(f"ordering failed at q={q + 1} for derived pass")
             raise ScheduleError(
                 f"ordering failed at q={q + 1}: delta ratio "
                 f"{math.exp(ld - log_delta[-1]):.4g}, lam ratio "
@@ -176,7 +151,7 @@ def build_schedule(A: float, theta, alpha, delta1: float, n: int = 2,
 
     deltas = tuple(_exp(v) for v in log_delta)
     lams = tuple(_exp(v) for v in log_lam)
-    return Schedule(A, theta, alpha, n, b, deltas, lams, a_exponent)
+    return Schedule(A, theta, alpha, n, b, deltas, lams)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +193,15 @@ class DeskLadder:
 
 def desk_ladder(schedule: Schedule, delta1: float, chart: GridChart, depth: int,
                 base_frequency: float | None = None,
-                stage_growth: float | None = None,
                 tube_radius: float | None = None) -> DeskLadder:
     deltas = tuple(delta1 * 0.25 ** q for q in range(depth + 3))
     ceiling = 2.0 * np.pi / (NODES_PER_WAVELENGTH * max(chart.spacing))
     if base_frequency is None:
         base_frequency = 2.0 * np.pi / max(chart.extent)
-    if stage_growth is None:
-        # greedy: the first stage takes the whole resolvable band (the
-        # cross-step coupling makes each stage cost a ~30-50x frequency
-        # ratio, so no split of a desk grid's band buys a second stage)
-        stage_growth = max(2.0, ceiling / base_frequency)
+    # greedy: the first stage takes the whole resolvable band (the
+    # cross-step coupling makes each stage cost a ~30-50x frequency
+    # ratio, so no split of a desk grid's band buys a second stage)
+    stage_growth = max(2.0, ceiling / base_frequency)
     lams = tuple(base_frequency * stage_growth ** q for q in range(depth + 3))
     kappa = 1.0 + (2.0 * float(schedule.theta) / float(schedule.b)) * (
         float(schedule.b) - 1.0 + float(schedule.alpha))
@@ -469,7 +442,7 @@ class AdaptedState:
 
 
 def certify_adapted(state: AdaptedState, g: MetricField,
-                    rho_floor: float = 1e-6) -> dict:
+                    rho_floor: float = RHO_FLOOR) -> dict:
     """Node-wise checks of the adapted-state invariants.
 
     The factorization residual and shortness are hard facts; the strong
@@ -509,42 +482,9 @@ def certify_adapted(state: AdaptedState, g: MetricField,
     return out
 
 
-def _flood_components(mask: np.ndarray, periodic: bool):
-    from scipy.ndimage import label
-
-    lab, n = label(mask)
-    if not periodic or n <= 1:
-        return lab, n, (0, 0)
-    # merge labels that touch across the seam by rolling until no component
-    # splits over an edge (desk scenarios keep supports simply placed)
-    for shift_x in (0, mask.shape[0] // 2):
-        for shift_y in (0, mask.shape[1] // 2):
-            rolled = np.roll(mask, (shift_x, shift_y), axis=(0, 1))
-            lab, n = label(rolled)
-            touches = (lab[0, :].any() and lab[-1, :].any()) or \
-                      (lab[:, 0].any() and lab[:, -1].any())
-            if not touches:
-                return lab, n, (shift_x, shift_y)
-    return lab, n, (0, 0)
-
-
-def _crop_slices(component_mask: np.ndarray, margin: int, shape):
-    ix, iy = np.nonzero(component_mask)
-    x0, x1 = max(ix.min() - margin, 0), min(ix.max() + margin + 1, shape[0])
-    y0, y1 = max(iy.min() - margin, 0), min(iy.max() + margin + 1, shape[1])
-    return slice(x0, x1), slice(y0, y1)
-
-
 @dataclass
 class PassConfig:
     table: CorrugationTable
-    c0: float = 1.0
-    c1: float = 1.0
-    stage_growth_cap: float | None = None   # cap on K per stage
-    displacement_constant: float = 12.0     # C-bar budget for (5)_q
-    conformal_tol: float | None = None
-    rho_floor: float = 1e-6
-    min_component_cells: int = 24
 
 
 def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
@@ -629,8 +569,6 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         base = max(ladder.lam_q(q + 1), 1.3 * incoming_top,
                    1.05 * lam_nom ** ladder.kappa)
         growth = 0.999 * ceiling / base
-        if config.stage_growth_cap:
-            growth = min(growth, config.stage_growth_cap)
         if growth < 2.0:
             truncation = {"q": q, "reason": "frequency ceiling",
                           "detail": f"base {base:.1f} x growth {growth:.2f} "
@@ -644,12 +582,9 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
             out = add_metric_2d(
                 u, rho_t, g, h_t, delta_eff, lam_nom, kappa_eff, config.table,
                 c0=base / lam_nom ** kappa_eff, c1=growth / lam_nom ** (kappa_eff - 1.0),
-                conformal_tol=config.conformal_tol, strict_hypotheses=False)
+                strict_hypotheses=False)
         except (StepPreconditionError, ShortnessLostError, UnderResolvedError) as exc:
             truncation = {"q": q, "reason": "stage failed", "detail": str(exc)}
-            rec["active"] = False
-            rec["truncated"] = True
-            history.append(rec)
             break
 
         v = out.v
@@ -661,20 +596,14 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                 "detail": f"min eig(g - v#e) = {short_lo.min():.4g} at stage "
                           f"defect {out.defect_sup:.4g}; a larger frequency "
                           f"ratio than {growth:.1f} is needed"}
-            rec["active"] = False
-            rec["truncated"] = True
-            history.append(rec)
             break
 
         disp = out.diff_norms.sup_norm
-        disp_budget = config.displacement_constant * math.sqrt(d1) / ladder.lam_q(q + 1)
+        disp_budget = DISPLACEMENT_CONSTANT * math.sqrt(d1) / ladder.lam_q(q + 1)
         if disp > disp_budget:
             truncation = {"q": q, "reason": "displacement budget",
                           "detail": f"|u_(q+1) - u_q| = {disp:.4g} over "
                                     f"C delta^(1/2)/lam = {disp_budget:.4g}"}
-            rec["active"] = False
-            rec["truncated"] = True
-            history.append(rec)
             break
 
         rho_next = update_rho(rho, chi, d2)
@@ -729,7 +658,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         # compared in log space, the bounds blow up rapidly as rho drops
         b2 = ladder.b ** 2
         theta = ladder.theta
-        live_pow = rho_next.values > config.rho_floor
+        live_pow = rho_next.values > RHO_FLOOR
         if live_pow.any() and theta > 0:
             log_bound = b2 * math.log(ladder.A) + (1.0 - b2 / theta) * np.log(
                 rho_next.values[live_pow])
@@ -757,6 +686,10 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         rho_seq.append(rho)
         history.append(rec)
 
+    if truncation is not None:
+        # the stage that truncated is recorded, rolled back
+        rec.update(active=False, truncated=True)
+        history.append(rec)
     lemma = check_rho_lemma(rho_seq, chi_seq, chit_seq, ladder, state.rho,
                             inner_seq=inner_seq) if chi_seq else []
     new_state = AdaptedState(
@@ -796,9 +729,7 @@ def rho_recursion_audit(rho0: ScalarField, sigma: SkeletonSet, s_set: SkeletonSe
 def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
                depth: int, table: CorrugationTable,
                skeleta: list[SkeletonSet] | None = None,
-               config: PassConfig | None = None,
-               bootstrap_delta_star: float | None = None,
-               holder_probe: bool = True):
+               bootstrap_delta_star: float | None = None):
     """Bootstrap, then a pass per skeleton level, with full reporting.
 
     Returns (final immersion, report).  The report carries the exact
@@ -806,7 +737,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
     defect accounting, the Hoelder probes, and any truncation certificates.
     """
     chart = u0.chart
-    config = config or PassConfig(table=table)
+    config = PassConfig(table=table)
     skeleta = skeleta if skeleta is not None else [
         SkeletonSet.empty(), SkeletonSet.empty(),
         SkeletonSet(dimension_level=2, whole=True)]
@@ -822,7 +753,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
     alpha = Fraction(alpha0).limit_denominator(10 ** 9)
     state = AdaptedState(u_t, rho0, h_t, SkeletonSet.empty(),
                          A=a0, theta=float(theta), alpha=float(alpha))
-    report["initial_certificate"] = certify_adapted(state, g, config.rho_floor)
+    report["initial_certificate"] = certify_adapted(state, g)
 
     # exact exponent chain across the planned passes
     theta_j, alpha_j = theta, alpha
@@ -835,9 +766,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
     report["theta_final"] = float(theta_final)
     probe_theta = 0.9 * float(theta_final)
 
-    probes = []
-    if holder_probe:
-        probes.append(holder_seminorm(state.u, probe_theta, deriv_order=1))
+    probes = [holder_seminorm(state.u, probe_theta, deriv_order=1)]
 
     total_disp = float(boot.get("u_moved", 0.0))
     current_top = float(boot.get("top_frequency", 0.0))
@@ -868,8 +797,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
                                   * s_rec["stage_meta"].get("K", 1.0))
         pass_disp = float(np.max(np.linalg.norm(state.u.values - prev_u.values, axis=-1)))
         total_disp += pass_disp
-        if holder_probe:
-            probes.append(holder_seminorm(state.u, probe_theta, deriv_order=1))
+        probes.append(holder_seminorm(state.u, probe_theta, deriv_order=1))
         report["passes"].append({
             "level": level, "stages": history, "truncation": truncation,
             "displacement": pass_disp,
@@ -891,43 +819,6 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
         "holder_probe_theta": probe_theta,
         "holder_probes": probes,
     }
-    report["final"]["certificate"] = certify_adapted(state, g, config.rho_floor)
+    report["final"]["certificate"] = certify_adapted(state, g)
     return state, report
 
-
-def calibrate_amplitude_base(g: MetricField, u0: ImmersionField, theta0, alpha0,
-                             table: CorrugationTable, depth: int = 3,
-                             candidates=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-                             bootstrap_delta_star: float | None = None) -> dict:
-    """Sweep amplitude bases and return twice the smallest passing one.
-
-    A base passes when every executed stage of a depth-limited run keeps its
-    assertions (factorization exactness, shortness, the rho-power bounds,
-    locality) and the total displacement stays within A^(-1/2).  The sweep
-    mirrors the role "A sufficiently large" plays in the estimates; at desk
-    amplitudes the rho-power bounds are slack for any A >= 1, so the
-    displacement budget is normally the binding constraint.
-    """
-    results = []
-    chosen = None
-    for a0 in candidates:
-        try:
-            _, rep = run_global(g, u0, theta0, alpha0, a0, depth, table,
-                                bootstrap_delta_star=bootstrap_delta_star,
-                                holder_probe=False)
-        except (StepPreconditionError, ShortnessLostError, ScheduleError) as exc:
-            results.append({"A": a0, "ok": False, "reason": str(exc)})
-            continue
-        stage_ok = all(
-            s.get("assertions_passed", True)
-            for p in rep["passes"] for s in p.get("stages", []) if s.get("active"))
-        disp_ok = rep["final"]["displacement_total"] <= a0 ** -0.5
-        ok = stage_ok and disp_ok and rep["final"]["short_min_eig"] > 0
-        results.append({"A": a0, "ok": ok, "stage_ok": stage_ok,
-                        "displacement": rep["final"]["displacement_total"],
-                        "budget": a0 ** -0.5})
-        if ok and chosen is None:
-            chosen = a0
-            break
-    return {"sweep": results, "smallest_passing": chosen,
-            "recommended": 2.0 * chosen if chosen else None}

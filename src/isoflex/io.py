@@ -20,7 +20,8 @@ def write_field(f, path) -> None:
     nx, ny = f.chart.resolution
     vals = f.values if f.values.ndim == 3 else f.values[..., None]
     ncomp = vals.shape[-1]
-    stencil = getattr(f, "stencil_order", 0)
+    # the stencil byte records the derivative order of immersions (always 4)
+    stencil = 4 if kind == 2 else 0
     linear = getattr(f, "linear", None)
     header = _HEADER.pack(_MAGIC, kind, 1 if f.chart.periodic else 0, stencil,
                           1 if linear is not None else 0,
@@ -35,7 +36,7 @@ def write_field(f, path) -> None:
 def read_field(path):
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
-        magic, kind, boundary, stencil, has_linear, ncomp, nx, ny, lx, ly = _HEADER.unpack(head)
+        magic, kind, boundary, _, has_linear, ncomp, nx, ny, lx, ly = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a field container")
         linear = None
@@ -48,7 +49,7 @@ def read_field(path):
         return ScalarField(chart, vals[..., 0])
     if kind == 1:
         return MetricField(chart, vals)
-    return ImmersionField(chart, vals, stencil or 4, linear)
+    return ImmersionField(chart, vals, linear)
 
 
 def write_csv(f, path) -> None:
@@ -137,91 +138,3 @@ def edge_face_counts(faces: np.ndarray) -> dict[tuple[int, int], int]:
             key = (min(a, b), max(a, b))
             counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-# ---------------------------------------------------------------------------
-# additional container kinds: raw component stacks and corrugation tables
-
-def write_components(chart, values: np.ndarray, path) -> None:
-    """Raw (nx, ny, k) float components on a chart (container kind 3)."""
-    nx, ny = chart.resolution
-    vals = values if values.ndim == 3 else values[..., None]
-    header = _HEADER.pack(_MAGIC, 3, 1 if chart.periodic else 0, 0, 0,
-                          vals.shape[-1], nx, ny, *chart.extent)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
-
-
-def read_components(path):
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        magic, kind, boundary, _, _, ncomp, nx, ny, lx, ly = _HEADER.unpack(head)
-        if magic != _MAGIC or kind != 3:
-            raise ValueError(f"{path}: not a component container")
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    chart = GridChart((lx, ly), (nx, ny), PERIODIC if boundary else CLAMPED)
-    return chart, body.reshape(nx, ny, ncomp)
-
-
-def write_conformal(fac, directory) -> None:
-    """Serialize a conformal factorization into a directory of containers."""
-    from pathlib import Path
-
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    write_field(fac.theta, d / "theta.cif")
-    write_field(fac.residual, d / "residual.cif")
-    chart = fac.theta.chart
-    write_components(chart, np.stack([fac.mu.real, fac.mu.imag], axis=-1),
-                     d / "mu.cif")
-    for name, phase in (("phi1", fac.phi1), ("phi2", fac.phi2)):
-        write_components(chart, phase.periodic_values[..., None], d / f"{name}.cif")
-        (d / f"{name}.linear").write_text(f"{phase.linear[0]!r} {phase.linear[1]!r}\n")
-
-
-_TABLE_NAMES = ("g1", "g2", "dt_g1", "dt_g2", "ds_g1", "ds_g2", "dtt_g1", "dtt_g2")
-
-
-def write_corrugation_table(table, path) -> None:
-    """Corrugation tables in the columnar container layout (kind 4).
-
-    Header resolution covers the (s, t) grid including the guard row; the
-    body carries the eight sampled tables, the amplitude profile and the
-    metadata scalars, all row-major float64 columns.
-    """
-    s_rows = len(table.s_vals)
-    t_cols = table.t_samples
-    meta = np.array([table.metadata.get(k, np.nan) for k in
-                     ("period_defect", "identity_residual", "C_dt_g1",
-                      "C_dt_g2", "C_dsdt_g1")])
-    header = _HEADER.pack(_MAGIC, 4, 1, 0, 0, len(_TABLE_NAMES), s_rows, t_cols,
-                          table.s_max, 2.0 * np.pi)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(table.amplitude_profile, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(meta, dtype="<f8").tobytes())
-        for name in _TABLE_NAMES:
-            fh.write(np.ascontiguousarray(table.tables[name], dtype="<f8").tobytes())
-
-
-def read_corrugation_table(path):
-    from .corrugation import CorrugationTable
-
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        magic, kind, _, _, _, ntab, s_rows, t_cols, s_max, _ = _HEADER.unpack(head)
-        if magic != _MAGIC or kind != 4:
-            raise ValueError(f"{path}: not a corrugation container")
-        alpha = np.frombuffer(fh.read(8 * s_rows), dtype="<f8").copy()
-        meta_vals = np.frombuffer(fh.read(8 * 5), dtype="<f8")
-        tables = {}
-        for name in _TABLE_NAMES[:ntab]:
-            raw = np.frombuffer(fh.read(8 * s_rows * t_cols), dtype="<f8")
-            tables[name] = raw.reshape(s_rows, t_cols).copy()
-    hs = s_max / (s_rows - 2)
-    s_vals = np.arange(s_rows) * hs
-    t_vals = np.linspace(0.0, 2.0 * np.pi, t_cols, endpoint=False)
-    metadata = dict(zip(("period_defect", "identity_residual", "C_dt_g1",
-                         "C_dt_g2", "C_dsdt_g1"), meta_vals.tolist()))
-    return CorrugationTable(s_max, s_vals, t_vals, tables, alpha, metadata)

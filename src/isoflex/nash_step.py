@@ -34,6 +34,7 @@ from .grid import (
     NormReport,
     ScalarField,
     UnderResolvedError,
+    _diff1,
     mollify,
     norm_report,
     pullback_metric,
@@ -132,6 +133,24 @@ def _band(metric: MetricField):
     return max(hi, 1.0 / lo), lo, hi
 
 
+def _measure_defect(defect: MetricField, ell: float, collar: int | None):
+    """(collar, sup, C1) of a defect field away from the boundary collar.
+
+    The default collar on clamped charts covers the mollifier's reach ell
+    plus the one-sided stencil rows; the C1 part adds first differences.
+    """
+    chart = defect.chart
+    hx, hy = chart.spacing
+    if collar is None:
+        collar = 0 if chart.periodic else int(np.ceil(ell / max(hx, hy))) + 2
+    inner = _interior(chart, collar)
+    vals = defect.values
+    sup = float(np.max(np.abs(vals[inner])))
+    dc1 = max(float(np.max(np.abs(_diff1(vals, 0, hx, chart.periodic)[inner]))),
+              float(np.max(np.abs(_diff1(vals, 1, hy, chart.periodic)[inner]))))
+    return collar, sup, sup + dc1
+
+
 def commensurate_phase(phi: PhaseField, lam: float, max_shift_fraction: float = 0.25):
     """Round the linear part so lam * Phi wraps by multiples of 2 pi.
 
@@ -169,8 +188,7 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
          norm_thetas=()) -> StepOutcome:
     """One corrugation step adding rho^2 grad(Phi) (x) grad(Phi)."""
     chart = u.chart
-    hx, hy = chart.spacing
-    h = max(hx, hy)
+    h = max(chart.spacing)
     problems = []
 
     wavelength_nodes = 2.0 * np.pi / (p.lam * h)
@@ -179,7 +197,8 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
             f"corrugation at lam={p.lam:.6g} has {wavelength_nodes:.1f} nodes per "
             f"wavelength; need >= {NODES_PER_WAVELENGTH}")
 
-    gb, lo, hi = _band(pullback_metric(u))
+    pb_u = pullback_metric(u)
+    gb, lo, hi = _band(pb_u)
     if lo <= 0:
         problems.append(f"input pullback degenerate (min eigenvalue {lo:.3g})")
     elif gb > p.gamma * (1 + 1e-9):
@@ -239,19 +258,12 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
     v = u.displaced((g1[..., None] * xi + g2[..., None] * zeta) / p.lam)
     v_vals = v.values
 
-    target = pullback_metric(u).values + (rho.values ** 2)[..., None] * np.stack(
+    target = pb_u.values  # built in place: pb_u is not read again
+    target += (rho.values ** 2)[..., None] * np.stack(
         [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
     pb_v = pullback_metric(v)
     defect = MetricField(chart, pb_v.values - target)
-
-    if collar is None:
-        collar = 0 if chart.periodic else int(np.ceil(ell / h)) + 2
-    inner = _interior(chart, collar)
-    dv = defect.values[inner]
-    defect_sup = float(np.max(np.abs(dv)))
-    from .grid import _diff1  # first differences for the C1 part of the defect
-    dc1 = max(float(np.max(np.abs(_diff1(defect.values, 0, hx, chart.periodic)[inner]))),
-              float(np.max(np.abs(_diff1(defect.values, 1, hy, chart.periodic)[inner]))))
+    collar, defect_sup, defect_c1 = _measure_defect(defect, ell, collar)
 
     outside = rho.values == 0.0
     if outside.any():
@@ -261,14 +273,14 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
         moved = 0.0
         support_ok = True
 
-    diff = ImmersionField(chart, v_vals - u.values, u.stencil_order)
+    diff = ImmersionField(chart, v_vals - u.values)
     gb_v, lo_v, hi_v = _band(pb_v)
     if lo_v <= 0:
         raise ShortnessLostError(
             f"corrugated immersion degenerate (pullback min eigenvalue {lo_v:.3g})")
 
     return StepOutcome(
-        v=v, defect=defect, defect_sup=defect_sup, defect_c1=defect_sup + dc1,
+        v=v, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
         diff_norms=norm_report(diff, norm_thetas), v_norms=norm_report(v),
         support_ok=support_ok, gamma_bar=gb_v,
         meta={"collar": collar, "amplitude_max": float(amplitude.max()),
@@ -293,8 +305,9 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
         rep = norm_report(ImmersionField(chart, np.zeros_like(u.values)))
         return StepOutcome(u, zero, 0.0, 0.0, rep, norm_report(u), True, _band(pullback_metric(u))[0])
 
-    base_pb = pullback_metric(u).values
-    target = base_pb.copy()
+    base_pb = pullback_metric(u)
+    gb_in = _band(base_pb)[0]  # band of the current map's pullback
+    target = base_pb.values  # built in place: base_pb is not read again
     current = u
     history = []
     # zero-amplitude terms corrugate nothing (Gamma(0, .) = 0) and are
@@ -304,13 +317,12 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
     for k, (rho_k, phi_k) in enumerate(live_terms):
         lam_k = p.lam * s.K ** k
         phi_used, shift = commensurate_phase(phi_k, lam_k)
-        gb_in = _band(pullback_metric(current))[0]
         p_k = replace(p, lam=lam_k, gamma=max(p.gamma, gb_in * 1.02))
         try:
             out = step(current, rho_k, phi_used, p_k, table, collar=collar)
         except ShortnessLostError as exc:
             raise ShortnessLostError(f"term {k}: {exc}", term_index=k) from exc
-        current = out.v
+        current, gb_in = out.v, out.gamma_bar
         history.append({"lam": lam_k, "defect_sup": out.defect_sup,
                         "gamma_bar": out.gamma_bar, "phase_shift": shift,
                         "amplitude_max": out.meta["amplitude_max"]})
@@ -318,14 +330,9 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
         target += (rho_k.values ** 2)[..., None] * np.stack(
             [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
 
-    defect = MetricField(chart, pullback_metric(current).values - target)
-    if collar is None:
-        collar = 0 if chart.periodic else int(np.ceil(1.0 / (p.lam * max(chart.spacing)))) + 2
-    inner = _interior(chart, collar)
-    from .grid import _diff1
-    hx, hy = chart.spacing
-    dc1 = max(float(np.max(np.abs(_diff1(defect.values, 0, hx, chart.periodic)[inner]))),
-              float(np.max(np.abs(_diff1(defect.values, 1, hy, chart.periodic)[inner]))))
+    pb_v = pullback_metric(current)
+    defect = MetricField(chart, pb_v.values - target)
+    collar, defect_sup, defect_c1 = _measure_defect(defect, 1.0 / p.lam, collar)
 
     outside = np.ones(chart.resolution, dtype=bool)
     for rho_k, _ in terms:
@@ -336,13 +343,11 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
     else:
         moved, support_ok = 0.0, True
 
-    diff = ImmersionField(chart, current.values - u.values, u.stencil_order)
+    diff = ImmersionField(chart, current.values - u.values)
     return StepOutcome(
-        v=current, defect=defect,
-        defect_sup=float(np.max(np.abs(defect.values[inner]))),
-        defect_c1=float(np.max(np.abs(defect.values[inner]))) + dc1,
+        v=current, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
         diff_norms=norm_report(diff), v_norms=norm_report(current),
-        support_ok=support_ok, gamma_bar=_band(pullback_metric(current))[0],
+        support_ok=support_ok, gamma_bar=_band(pb_v)[0],
         meta={"steps": history, "moved_outside_support": moved, "collar": collar,
               "skipped_zero_terms": skipped})
 
@@ -388,8 +393,7 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     from .grid import c1_seminorm, c2_seminorm, sup_norm
 
     chart = u.chart
-    hx, hy = chart.spacing
-    hmax = max(hx, hy)
+    hmax = max(chart.spacing)
     problems = []
     if not (0.0 < delta < 1.0):
         problems.append(f"need 0 < delta < 1, got {delta}")
@@ -401,7 +405,8 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     g_lo, g_hi = g.spd_band()
     if g_lo <= 0:
         problems.append("target metric g is not SPD")
-    gamma = max(g_hi, 1.0 / max(g_lo, 1e-300), _band(pullback_metric(u))[0])
+    pb_u = pullback_metric(u)
+    gamma = max(g_hi, 1.0 / max(g_lo, 1e-300), _band(pb_u)[0])
 
     if alpha is None:
         alpha = math.log(2.0 * gamma) / math.log(lam) if lam > 1 else 1.0
@@ -470,18 +475,10 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
 
     out = stage(u, terms, p, sp, table, collar=collar)
 
-    target = pullback_metric(u).values + (rho.values ** 2)[..., None] * (
-        g.values + h.values)
+    target = pb_u.values  # built in place: pb_u is not read again
+    target += (rho.values ** 2)[..., None] * (g.values + h.values)
     defect = MetricField(chart, pullback_metric(out.v).values - target)
-
-    if collar is None:
-        collar = 0 if chart.periodic else int(np.ceil(ell / hmax)) + 2
-    inner = _interior(chart, collar)
-    from .grid import _diff1
-    dsup = float(np.max(np.abs(defect.values[inner])))
-    dc1 = dsup + max(
-        float(np.max(np.abs(_diff1(defect.values, 0, hx, chart.periodic)[inner]))),
-        float(np.max(np.abs(_diff1(defect.values, 1, hy, chart.periodic)[inner]))))
+    collar, dsup, dc1 = _measure_defect(defect, ell, collar)
 
     moved = np.abs(out.v.values - u.values).max(axis=-1) > 1e-14
     inflation = _support_inflation(moved, rho.values != 0.0, chart)
@@ -632,10 +629,10 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
     out = stage(u, terms, p, sp, table, collar=collar)
     u_t = out.v
 
-    err = MetricField(chart, pullback_metric(u_t).values - pb.values - m0.values)
+    pb_t = pullback_metric(u_t)
+    err = MetricField(chart, pb_t.values - pb.values - m0.values)
     h_t = MetricField(chart, -err.values / delta_star)
 
-    pb_t = pullback_metric(u_t)
     lower = MetricField(chart, pb_t.values - 0.5 * g.values)
     upper = MetricField(chart, g.values - pb_t.values)
     half_band_ok = bool(lower.eigenvalues()[0].min() >= -1e-9

@@ -8,15 +8,15 @@ in a single error.
 
 from __future__ import annotations
 
+import ast
 import configparser
-import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import CLAMPED, PERIODIC, GridChart, ImmersionField, MetricField
 from .induction import SkeletonSet
-from .nash_step import NODES_PER_WAVELENGTH
 
 
 class ScenarioError(ValueError):
@@ -32,13 +32,44 @@ _KNOWN = {
     "chart": {"extent", "resolution", "boundary"},
     "metric": {"kind", "matrix", "factor"},
     "map": {"kind", "scale"},
-    "schedule": {"theta", "alpha", "a", "depth", "lambda_budget", "delta_star"},
+    "schedule": {"theta", "alpha", "a", "depth", "delta_star"},
     "skeleton": {"kind", "vertices", "edges"},
 }
 
 _SAFE_FUNCS = {name: getattr(np, name) for name in
                ("sin", "cos", "tan", "exp", "sqrt", "abs", "minimum", "maximum")}
-_SAFE_FUNCS["pi"] = np.pi
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+
+
+def _eval_factor(expr: str, x, y):
+    """Evaluate a conformal-factor expression in x, y.
+
+    The grammar is whitelisted: numbers, x, y, pi, + - * / **, unary minus
+    and calls of the numpy functions in _SAFE_FUNCS; anything else (names,
+    attributes, subscripts, keywords) raises ValueError.
+    """
+    names = {"x": x, "y": y, "pi": np.pi}
+
+    def ev(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return _BINOPS[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -ev(node.operand)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _SAFE_FUNCS and not node.keywords):
+            return _SAFE_FUNCS[node.func.id](*[ev(arg) for arg in node.args])
+        raise ValueError(f"{ast.unparse(node)!r} is not allowed in a factor expression")
+
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"syntax error: {exc.msg}") from None
+    return ev(tree.body)
 
 
 @dataclass(frozen=True)
@@ -51,13 +82,11 @@ class Scenario:
     metric_kind: str
     metric_matrix: tuple[float, float, float]
     metric_factor: str | None
-    map_kind: str
     map_scale: float
     theta: float
     alpha: float
     a_base: float
     depth: int
-    lambda_budget: float | None
     delta_star: float | None
     vertices: tuple = ()
     edges: tuple = ()
@@ -72,8 +101,7 @@ class Scenario:
             a11, a12, a22 = self.metric_matrix
             return MetricField.constant(chart, np.array([[a11, a12], [a12, a22]]))
         x, y = chart.mesh()
-        factor = eval(self.metric_factor, {"__builtins__": {}},
-                      {**_SAFE_FUNCS, "x": x, "y": y})
+        factor = _eval_factor(self.metric_factor, x, y)
         factor = np.broadcast_to(np.asarray(factor, dtype=float), x.shape)
         return MetricField.from_components(chart, factor ** 2,
                                            np.zeros_like(x), factor ** 2)
@@ -162,8 +190,7 @@ def parse_scenario(path) -> Scenario:
             problems.append("conformal metric needs a factor expression")
         else:
             try:
-                probe = eval(factor, {"__builtins__": {}},
-                             {**_SAFE_FUNCS, "x": np.zeros((2, 2)), "y": np.zeros((2, 2))})
+                probe = _eval_factor(factor, np.zeros((2, 2)), np.zeros((2, 2)))
                 if np.min(probe) <= 0:
                     problems.append("conformal factor must be positive")
             except Exception as exc:
@@ -172,8 +199,8 @@ def parse_scenario(path) -> Scenario:
         problems.append(f"unknown metric kind {metric_kind!r}")
 
     map_kind = get("map", "kind", "flat")
-    if map_kind not in ("flat", "scaled"):
-        problems.append(f"unknown map kind {map_kind!r}")
+    if map_kind != "flat":
+        problems.append(f"unknown map kind {map_kind!r}; the initial map is flat")
     try:
         map_scale = float(get("map", "scale", "1.0"))
     except ValueError:
@@ -206,17 +233,6 @@ def parse_scenario(path) -> Scenario:
     if delta_star is not None and not 0.0 < delta_star <= 0.125:
         problems.append(f"delta_star = {delta_star} outside (0, 1/8]")
 
-    budget = get("schedule", "lambda_budget")
-    lambda_budget = float(budget) if budget is not None else None
-    if lambda_budget is not None:
-        h = max(extent[0] / max(resolution[0] - 1, 1), extent[1] / max(resolution[1] - 1, 1))
-        ceiling = 2.0 * math.pi / (NODES_PER_WAVELENGTH * h)
-        if lambda_budget > ceiling:
-            problems.append(
-                f"wavelength rule: lambda budget {lambda_budget:.1f} exceeds the "
-                f"{NODES_PER_WAVELENGTH}-nodes-per-wavelength ceiling {ceiling:.1f} "
-                f"at resolution {resolution}")
-
     vertices, edges = (), ()
     skel_kind = get("skeleton", "kind", "none")
     if skel_kind == "triangulation":
@@ -240,7 +256,7 @@ def parse_scenario(path) -> Scenario:
     elif skel_kind != "none":
         problems.append(f"unknown skeleton kind {skel_kind!r}")
 
-    if boundary == PERIODIC and map_kind == "flat" and map_scale <= 0:
+    if boundary == PERIODIC and map_scale <= 0:
         problems.append("flat map scale must be positive")
 
     if problems:
@@ -249,11 +265,10 @@ def parse_scenario(path) -> Scenario:
     resolved = {
         "name": name, "seed": seed, "extent": extent, "resolution": resolution,
         "boundary": boundary, "metric_kind": metric_kind, "theta": theta,
-        "alpha": alpha, "A": a_base, "depth": depth,
-        "lambda_budget": lambda_budget, "delta_star": delta_star,
+        "alpha": alpha, "A": a_base, "depth": depth, "delta_star": delta_star,
         "skeleton": skel_kind,
     }
     return Scenario(name, seed, extent, resolution, boundary, metric_kind,
-                    tuple(matrix), factor, map_kind, map_scale, theta, alpha,
-                    a_base, depth, lambda_budget, delta_star, vertices, edges,
+                    tuple(matrix), factor, map_scale, theta, alpha,
+                    a_base, depth, delta_star, vertices, edges,
                     resolved)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isoflex.corrugation import (
     J0_FIRST_ZERO,
     CorrugationDomainError,
     CorrugationTable,
+    _alpha_prime,
     bessel_j0,
     bessel_j1,
     build_corrugation,
-    eval_corrugation,
     invert_j0,
 )
 
@@ -123,13 +125,42 @@ class TestEval:
         assert table.eval(s, t, "dt_g1") == pytest.approx(exact, abs=1e-9)
 
     def test_ds_consistent_with_difference_quotient(self, table):
+        # the s-derivative of dt Gamma_1 behind the recorded C_dsdt_g1
         s, t = 0.5, 2.2
         ds = 1e-5
-        fd = (table.eval(s + ds, t, "g1") - table.eval(s - ds, t, "g1")) / (2 * ds)
-        assert table.eval(s, t, "ds_g1") == pytest.approx(fd, abs=1e-6)
+        fd = (table.eval(s + ds, t, "dt_g1") - table.eval(s - ds, t, "dt_g1")) / (2 * ds)
+        root = np.sqrt(1 + s * s)
+        a = invert_j0(np.array([1.0 / root]))
+        ap = float(_alpha_prime(np.array([s]), a)[0])
+        c, sn = np.cos(a[0] * np.cos(t)), np.sin(a[0] * np.cos(t))
+        assert fd == pytest.approx(s / root * c - root * sn * ap * np.cos(t), abs=1e-6)
 
-    def test_module_level_wrapper(self, table):
-        assert eval_corrugation(table, 0.5, 1.0, "g2") == table.eval(0.5, 1.0, "g2")
+    def test_dt_consistent_with_difference_quotient(self, table):
+        # the closed-form t-derivatives agree with the tabulated Gamma
+        s, t = 0.5, 2.2
+        dt = 1e-5
+        for name in ("g1", "g2"):
+            fd = (table.eval(s, t + dt, name) - table.eval(s, t - dt, name)) / (2 * dt)
+            assert table.eval(s, t, "dt_" + name) == pytest.approx(fd, abs=1e-6)
+
+    @settings(deadline=None, max_examples=60)
+    @given(s=st.floats(0.0, 1.0), t=st.floats(-10.0, 10.0))
+    @example(s=1.0, t=0.3)
+    @example(s=1.0, t=0.0)
+    def test_whole_certified_range(self, table, s, t):
+        # s = s_max is certified: the stencil must stop at the guard row
+        for name in ("g1", "g2", "dt_g1"):
+            assert np.isfinite(table.eval(s, t, name))
+        alpha = float(table._interp_alpha(s))
+        assert alpha == pytest.approx(float(invert_j0(1.0 / np.sqrt(1 + s * s))), abs=1e-7)
+        assert table.identity_residual(s, t) < 1e-9
+        if s == table.s_max:
+            row = table.s_samples - 1
+            j = int(np.argmin(np.abs(table.t_vals - np.mod(t, 2 * np.pi))))
+            t_node = table.t_vals[j]
+            assert table.eval(s, t_node, "g1") == pytest.approx(
+                table.tables["g1"][row, j], abs=1e-15)
+            assert alpha == pytest.approx(table.amplitude_profile[row], abs=1e-15)
 
 
 class TestScalings:
@@ -155,8 +186,10 @@ class TestScalings:
 
     def test_zero_mean_in_t(self, table):
         # periodicity of Gamma in integral form: t-averages of dt rows vanish
+        s = table.s_vals[:-1, None]
+        t = table.t_vals[None, :]
         for name in ("dt_g1", "dt_g2"):
-            means = np.abs(np.mean(table.tables[name], axis=1))
+            means = np.abs(np.mean(table.eval(s, t, name), axis=1))
             assert np.max(means) < 1e-10
 
     def test_recorded_constants(self, table):

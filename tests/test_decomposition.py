@@ -82,10 +82,6 @@ class TestBuildFrame:
         c = frame.coefficients(g)
         assert c.min() >= frame.radius - 1e-12
 
-    def test_quarter_radius(self):
-        frame = build_frame(2)
-        assert frame.radius_quarter == pytest.approx(frame.radius / 4)
-
     @pytest.mark.parametrize("n", [3, 4])
     def test_higher_dimensions(self, n):
         frame = build_frame(n)
@@ -189,13 +185,18 @@ class TestSolveConformal:
         c = GridChart((1.0, 1.0), (64, 64), PERIODIC)
         h = smooth_spd_metric(c, amplitude=0.1, seed=6)
         fac = solve_conformal(h)
-        p1, p2, th = fac.normalized(z0=(0.0, 0.0), z1=(0.5, 0.0))
-        assert abs(p1.values()[0, 0]) < 1e-12
-        assert abs(p2.values()[0, 0]) < 1e-12
-        i = 32  # node at x = 0.5
-        assert abs(p1.values()[i, 0] - 1.0) < 1e-12
-        assert abs(p2.values()[i, 0]) < 1e-12
-        # identity is preserved under the affine renormalization
+        # principal normalization: Phi = z + b conj(z) + a zero-mean
+        # periodic part, so dz Phi averages to 1
+        b = complex(*fac.stats["b"])
+        p1, p2, th = fac.phi1, fac.phi2, fac.theta
+        assert p1.linear == (1.0 + b.real, b.imag)
+        assert p2.linear == (b.imag, 1.0 - b.real)
+        assert abs(np.mean(p1.periodic_values)) < 1e-12
+        assert abs(np.mean(p2.periodic_values)) < 1e-12
+        dx = fac.grad_phi1[..., 0] + 1j * fac.grad_phi2[..., 0]
+        dy = fac.grad_phi1[..., 1] + 1j * fac.grad_phi2[..., 1]
+        assert abs(np.mean(0.5 * (dx - 1j * dy)) - 1.0) < 1e-12
+        # the identity holds with the stencil gradients of the phases
         g1 = p1.gradient()
         g2 = p2.gradient()
         fac_vals = th.values[..., None] ** 2 * np.stack([
@@ -216,9 +217,3 @@ class TestPhaseField:
         assert np.allclose(g[..., 0], 2.0)
         assert np.allclose(g[..., 1], 3.0)
 
-    def test_scaled(self):
-        c = GridChart((1.0, 1.0), (16, 16), CLAMPED)
-        f = ScalarField.from_function(c, lambda x, y: x * y)
-        p = PhaseField.from_scalar(f)
-        q = p.scaled(2.0)
-        assert np.allclose(q.values(), 2 * f.values)

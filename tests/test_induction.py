@@ -72,7 +72,6 @@ class TestScheduleAlgebra:
         sched = build_schedule(1e9, Fraction(3, 20), Fraction(1, 10), 0.125)
         assert sched.theta_prime * sched.b ** 2 == sched.theta
         assert sched.alpha_prime * 2 * sched.b ** 2 == sched.alpha
-        assert sched.a_prime_exponent == sched.b ** 2
 
     def test_ordering_violation_names_minimal_a(self):
         with pytest.raises(ScheduleError, match="minimal adequate A"):
@@ -84,14 +83,17 @@ class TestScheduleAlgebra:
             assert sched.lam_q(q + 1) >= 2 * sched.lam_q(q) * (1 - 1e-9)
 
     def test_successor_degrades_exponents(self):
+        # the next pass's ladder, built the way run_global builds it: at the
+        # degraded exponents, with the base raised to its own adequate value
         sched = build_schedule(1e9, Fraction(3, 20), Fraction(1, 10), 0.125)
-        nxt = sched.successor()
-        assert nxt.theta == sched.theta_prime
-        assert nxt.alpha == sched.alpha_prime
+        theta_p, alpha_p = sched.theta_prime, sched.alpha_prime
+        a_min = minimal_adequate_a(theta_p, alpha_p, 0.125)
+        nxt = build_schedule(max(sched.A, a_min), theta_p, alpha_p, 0.125)
+        assert nxt.theta == theta_p
+        assert nxt.alpha == alpha_p
         assert nxt.theta < sched.theta
-        # the A-power bookkeeping stays exact even when the ladder base has
-        # to exceed A^(b^2) for the ordering
-        assert nxt.a_exponent == sched.b ** 2
+        assert nxt.b == growth_exponent(theta_p, alpha_p)
+        assert 1 < nxt.b < sched.b
 
 
 class TestRhoRecursion:
@@ -301,16 +303,3 @@ class TestPipeline:
         for i, j in ix:
             assert np.max(np.abs(new_state.u.values[i, j] - u0.values[i, j])) < 1e-12
 
-
-class TestCalibration:
-    def test_sweep_returns_doubled_smallest(self, table):
-        c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
-        g = MetricField.constant(c, 1.44 * np.eye(2))
-        u0 = ImmersionField.flat(c, scale=np.sqrt(1.44 * 0.875))
-        from isoflex.induction import calibrate_amplitude_base
-
-        out = calibrate_amplitude_base(g, u0, 0.15, 0.1, table, depth=1,
-                                       bootstrap_delta_star=0.125)
-        assert out["smallest_passing"] is not None
-        assert out["recommended"] == 2.0 * out["smallest_passing"]
-        assert out["sweep"][0]["A"] == 1.0

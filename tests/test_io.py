@@ -35,13 +35,16 @@ class TestContainer:
         assert np.array_equal(back.values, m.values)
 
     def test_immersion_roundtrip_keeps_stencil(self, tmp_path):
-        c = GridChart((1.0, 1.0), (12, 12))
-        u = ImmersionField.flat(c, stencil_order=2)
+        c = GridChart((1.0, 1.0), (12, 12), PERIODIC)
+        u = ImmersionField.flat(c, scale=1.5)
         p = tmp_path / "u.cif"
         write_field(u, p)
+        # header byte 6 records the 4th-order stencil immersions use
+        assert p.read_bytes()[6] == 4
         back = read_field(p)
         assert isinstance(back, ImmersionField)
-        assert back.stencil_order == 2
+        assert np.array_equal(back.linear, u.linear)
+        assert np.array_equal(back.values, u.values)
 
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "junk.bin"
@@ -116,43 +119,3 @@ class TestMesh:
         counts = edge_face_counts(weld_vertices(verts, faces))
         # a disc has boundary: some edges belong to one face only
         assert set(counts.values()) == {1, 2}
-
-
-class TestExtendedContainers:
-    def test_components_roundtrip(self, tmp_path):
-        from isoflex.io import read_components, write_components
-
-        c = GridChart((1.0, 1.0), (16, 16), PERIODIC)
-        vals = np.random.default_rng(0).standard_normal((16, 16, 5))
-        p = tmp_path / "c.cif"
-        write_components(c, vals, p)
-        chart, back = read_components(p)
-        assert chart.same_grid(c)
-        assert np.array_equal(back, vals)
-
-    def test_corrugation_table_roundtrip(self, tmp_path):
-        from isoflex.corrugation import build_corrugation
-        from isoflex.io import read_corrugation_table, write_corrugation_table
-
-        table = build_corrugation(s_samples=64, t_samples=128)
-        p = tmp_path / "t.cif"
-        write_corrugation_table(table, p)
-        back = read_corrugation_table(p)
-        assert back.s_max == table.s_max
-        assert np.array_equal(back.amplitude_profile, table.amplitude_profile)
-        for name in table.tables:
-            assert np.array_equal(back.tables[name], table.tables[name])
-        s, t = 0.4, 1.3
-        assert back.eval(s, t, "g1") == table.eval(s, t, "g1")
-
-    def test_conformal_serialization(self, tmp_path):
-        from isoflex.decomposition import solve_conformal
-        from isoflex.io import read_components, read_field, write_conformal
-
-        c = GridChart((1.0, 1.0), (32, 32), PERIODIC)
-        fac = solve_conformal(MetricField.constant(c, np.diag([2.0, 1.0])))
-        write_conformal(fac, tmp_path / "fac")
-        theta = read_field(tmp_path / "fac" / "theta.cif")
-        assert np.array_equal(theta.values, fac.theta.values)
-        _, mu = read_components(tmp_path / "fac" / "mu.cif")
-        assert np.allclose(mu[..., 0] + 1j * mu[..., 1], fac.mu)

@@ -251,6 +251,27 @@ class TestAddMetric2d:
         assert out.defect_sup < 6.0 * delta * 8.0 ** (1.0 - 1.5)
         assert out.support_ok
 
+    def test_one_pullback_per_immersion(self, table, monkeypatch):
+        # add_metric_2d pulls back u once, each step's output once, the
+        # stage's input and output once each, and the final map once
+        import isoflex.nash_step as nash_step
+
+        calls = []
+
+        def counting(u, *args, **kwargs):
+            calls.append(u)
+            return pullback_metric(u, *args, **kwargs)
+
+        monkeypatch.setattr(nash_step, "pullback_metric", counting)
+        c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
+        u = ImmersionField.flat(c, scale=0.9)
+        g = MetricField.constant(c, np.eye(2))
+        h = MetricField.constant(c, np.zeros((2, 2)))
+        rho = ScalarField.constant(c, 0.9 * np.sqrt(0.05))
+        out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table)
+        assert len(out.meta["steps"]) == 2
+        assert len(calls) == 8
+
     def test_support_inflation_bounded(self, table):
         c = GridChart((1.0, 1.0), (768, 768), CLAMPED)
         u = ImmersionField.flat(c, scale=0.9)

@@ -39,10 +39,41 @@ class TestParse:
         with pytest.raises(ScenarioError, match="1/5"):
             parse_scenario(write(tmp_path, bad))
 
-    def test_wavelength_rule(self, tmp_path):
+    def test_lambda_budget_is_unknown_key(self, tmp_path):
         bad = MINIMAL_TORUS + "\n[schedule]\nlambda_budget = 128\n"
-        with pytest.raises(ScenarioError, match="wavelength rule"):
+        with pytest.raises(ScenarioError, match="unknown key 'lambda_budget'"):
             parse_scenario(write(tmp_path, bad))
+
+    def test_only_flat_map_kind(self, tmp_path):
+        bad = MINIMAL_TORUS + "\n[map]\nkind = scaled\n"
+        with pytest.raises(ScenarioError, match="unknown map kind 'scaled'"):
+            parse_scenario(write(tmp_path, bad))
+
+    @pytest.mark.parametrize("factor", [
+        "().__class__.__base__.__subclasses__()",
+        "x.__class__",
+        "__import__('os').getcwd()",
+        "open('/dev/null')",
+        "sin(x=1)",
+        "[1][0]",
+        "1 if x else 2",
+        "True + 1",
+    ])
+    def test_factor_outside_grammar_rejected(self, tmp_path, factor):
+        text = MINIMAL_TORUS.replace(
+            "kind = constant\nmatrix = 1.44 0.0 1.44",
+            f"kind = conformal\nfactor = {factor}")
+        with pytest.raises(ScenarioError, match="conformal factor does not evaluate"):
+            parse_scenario(write(tmp_path, text))
+
+    def test_factor_grammar_matches_numpy(self, tmp_path):
+        expr = "1.2 + 0.05 * sin(2 * pi * x) * cos(2*pi*y) - -0.01 * x**2 / 3"
+        text = MINIMAL_TORUS.replace(
+            "kind = constant\nmatrix = 1.44 0.0 1.44", f"kind = conformal\nfactor = {expr}")
+        g = parse_scenario(write(tmp_path, text)).metric()
+        x, y = g.chart.mesh()
+        ref = 1.2 + 0.05 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) - -0.01 * x ** 2 / 3
+        assert np.array_equal(g.values[..., 0], ref ** 2)
 
     def test_all_problems_reported_at_once(self, tmp_path):
         bad = """
@@ -118,6 +149,29 @@ class TestCli:
         rc = main(["run", "--scenario", str(tmp_path / "absent.ini"),
                    "--out", str(tmp_path / "out")])
         assert rc == 3
+
+    def test_factor_escape_is_config_error(self, tmp_path, capsys):
+        p = write(tmp_path, MINIMAL_TORUS.replace(
+            "kind = constant\nmatrix = 1.44 0.0 1.44",
+            "kind = conformal\nfactor = ().__class__.__base__.__subclasses__()"))
+        rc = main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "not allowed" in capsys.readouterr().err
+
+    def test_truncated_pass_leaves_its_record(self, tmp_path):
+        # the flat map on a 256^2 torus: the bootstrap takes the whole band,
+        # so the pass truncates at q = 0 on the frequency ceiling
+        p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "256 256")
+                  + "\n[schedule]\ndepth = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(p), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passes"][-1]["truncation"]["reason"] == "frequency ceiling"
+        records = [json.loads(line) for line in
+                   (out / "history.jsonl").read_text().splitlines()]
+        assert len(records) == 1
+        assert records[0]["q"] == 0 and records[0]["level"] == 2
+        assert records[0]["truncated"] and not records[0]["active"]
 
     def test_dry_run_writes_summary(self, tmp_path):
         p = write(tmp_path, MINIMAL_TORUS)
