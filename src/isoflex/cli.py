@@ -1,8 +1,11 @@
 """Command-line entry point: scenario runs, benchmarks, and dumps.
 
-Exit codes: 0 success, 2 assertion failure inside a run, 3 configuration
-error.  Reports are JSON (summaries), JSON lines (per-stage history) and
-CSV (field slices); meshes are Wavefront-style text.
+Exit codes: 0 success; 2 assertion failure inside a run, or the engine
+refusing its input (a precondition, shortness, resolution, domain, chart,
+frame, Beltrami or schedule error); 3 configuration error; 4 internal
+error, with its traceback in summary.json.  Reports are JSON (summaries),
+JSON lines (per-stage history) and CSV (field slices); meshes are
+Wavefront-style text.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,7 @@ import numpy as np
 EXIT_OK = 0
 EXIT_ASSERTION = 2
 EXIT_CONFIG = 3
+EXIT_INTERNAL = 4
 
 
 def _json_default(obj):
@@ -34,18 +39,30 @@ def _dump_json(payload, path):
     Path(path).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
-def _memory_estimate(resolution, depth):
-    nodes = resolution[0] * resolution[1]
-    # immersion + metric + scalars + scratch, float64, roughly 24 field copies
-    return 24 * 8 * nodes
+# Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy, scipy, the
+# corrugation table) plus a cost per grid node.  Both are fitted to the
+# ru_maxrss of runs on the flat 256^2 and 512^2 tori with g = 1.44 I:
+# 182.05 and 383.09 MiB, the same at depth 1 and 4 (Linux x86-64, numpy 2.4).
+RSS_FIXED_BYTES = 120_600_000
+RSS_BYTES_PER_NODE = 1072
+
+
+def _memory_estimate(resolution):
+    return RSS_FIXED_BYTES + RSS_BYTES_PER_NODE * resolution[0] * resolution[1]
 
 
 def cmd_run(args) -> int:
-    from .corrugation import build_corrugation
-    from .grid import check_short
-    from .induction import run_global
+    from .corrugation import CorrugationDomainError, build_corrugation
+    from .decomposition import BeltramiError, FrameError
+    from .grid import ChartError, UnderResolvedError, check_short
+    from .induction import ScheduleError, run_global
     from .io import export_mesh
+    from .nash_step import ShortnessLostError, StepPreconditionError
     from .scenario import ScenarioError, parse_scenario
+
+    refusals = (StepPreconditionError, ShortnessLostError, UnderResolvedError,
+                CorrugationDomainError, ChartError, FrameError, BeltramiError,
+                ScheduleError)
 
     try:
         scenario = parse_scenario(args.scenario)
@@ -70,7 +87,7 @@ def cmd_run(args) -> int:
                                scenario.alpha, 0.125, depth=depth + 2)
         _dump_json({
             "dry_run": True, "scenario": resolved,
-            "memory_bytes_estimate": _memory_estimate(scenario.resolution, depth),
+            "memory_bytes_estimate": _memory_estimate(scenario.resolution),
             "exact_ladder": {"A": sched.A, "b": str(sched.b),
                              "lam": list(sched.lam), "delta": list(sched.delta)},
         }, out_dir / "summary.json")
@@ -88,10 +105,17 @@ def cmd_run(args) -> int:
             table, skeleta=scenario.skeleta(),
             bootstrap_delta_star=scenario.delta_star)
     except Exception as exc:
-        _dump_json({"scenario": resolved, "error": str(exc),
-                    "wall_time": time.time() - t0}, out_dir / "summary.json")
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
+        refused = isinstance(exc, refusals)
+        record = {"scenario": resolved, "error": str(exc),
+                  "wall_time": time.time() - t0}
+        if not refused:
+            record["traceback"] = traceback.format_exc()
+        _dump_json(record, out_dir / "summary.json")
+        if refused:
+            print(f"run failed: {exc}", file=sys.stderr)
+            return EXIT_ASSERTION
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     export_mesh(state.u, out_dir / "final.obj")
     shortness = check_short(state.u, g, state.rho, state.h)

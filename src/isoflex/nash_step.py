@@ -35,6 +35,7 @@ from .grid import (
     ScalarField,
     UnderResolvedError,
     _diff1,
+    _gram,
     mollify,
     norm_report,
     pullback_metric,
@@ -220,14 +221,7 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
     ell = 1.0 / p.lam
     u_smooth = mollify(u, ell, clamped_mode="extrapolate") if ell >= 2 * h else u
     jac = u_smooth.jacobian()
-
-    g11 = np.einsum("...k,...k->...", jac[..., 0], jac[..., 0])
-    g12 = np.einsum("...k,...k->...", jac[..., 0], jac[..., 1])
-    g22 = np.einsum("...k,...k->...", jac[..., 1], jac[..., 1])
-    det = g11 * g22 - g12 * g12
-    tr = g11 + g22
-    rad = np.sqrt(np.maximum((0.5 * tr) ** 2 - det, 0.0))
-    eig_lo, eig_hi = 0.5 * tr - rad, 0.5 * tr + rad
+    g11, g12, g22, det, eig_lo, eig_hi = _gram(jac)
     cond = eig_hi.max() / max(eig_lo.min(), 1e-300)
     if eig_lo.min() <= 0 or cond > 1e6:
         raise StepPreconditionError(

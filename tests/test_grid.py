@@ -13,12 +13,15 @@ from isoflex.grid import (
     NormReport,
     ScalarField,
     UnderResolvedError,
+    _diff1,
+    _diff2,
     c1_seminorm,
     check_short,
     holder_seminorm,
     mollify,
     norm_report,
     pullback_metric,
+    second_derivatives,
     sup_norm,
 )
 
@@ -85,6 +88,141 @@ class TestPullback:
         u = ImmersionField.from_function(square(32), lambda x, y: (x * 0, y * 0, x * 0))
         g = pullback_metric(u)
         assert g.meta["degenerate_count"] == 32 * 32
+
+
+# The derivative kernel against reference formulas: np.roll / moveaxis
+# stencils and the einsum Gram.  The kernel evaluates the same floating-point
+# operations in the same order, so the results must agree bit for bit.
+
+def _ref_diff1(values, axis, h, periodic):
+    f = np.moveaxis(values, axis, 0)
+    out = np.empty_like(f)
+    if periodic:
+        out[:] = (-np.roll(f, -2, 0) + 8 * np.roll(f, -1, 0)
+                  - 8 * np.roll(f, 1, 0) + np.roll(f, 2, 0)) / (12 * h)
+    else:
+        out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
+        out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
+        out[1] = (f[2] - f[0]) / (2 * h)
+        out[-2] = (f[-1] - f[-3]) / (2 * h)
+        out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_diff2(values, axis, h, periodic):
+    f = np.moveaxis(values, axis, 0)
+    out = np.empty_like(f)
+    h2 = h * h
+    if periodic:
+        out[:] = (-np.roll(f, -2, 0) + 16 * np.roll(f, -1, 0) - 30 * f
+                  + 16 * np.roll(f, 1, 0) - np.roll(f, 2, 0)) / (12 * h2)
+    else:
+        out[2:-2] = (-f[4:] + 16 * f[3:-1] - 30 * f[2:-2] + 16 * f[1:-3] - f[:-4]) / (12 * h2)
+        out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
+        out[1] = (f[2] - 2 * f[1] + f[0]) / h2
+        out[-2] = (f[-1] - 2 * f[-2] + f[-3]) / h2
+        out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_jacobian(u):
+    hx, hy = u.chart.spacing
+    p = u.chart.periodic
+    jac = np.stack([_ref_diff1(u.values, 0, hx, p), _ref_diff1(u.values, 1, hy, p)], axis=-1)
+    return jac if u.linear is None else jac + u.linear
+
+
+def _ref_pullback(u):
+    j = _ref_jacobian(u)
+    g11 = np.einsum("...k,...k->...", j[..., 0], j[..., 0])
+    g12 = np.einsum("...k,...k->...", j[..., 0], j[..., 1])
+    g22 = np.einsum("...k,...k->...", j[..., 1], j[..., 1])
+    return np.stack([g11, g12, g22], axis=-1)
+
+
+def _ref_min_singular_value(u):
+    j = _ref_jacobian(u)
+    gram = np.einsum("...ki,...kj->...ij", j, j)
+    tr = gram[..., 0, 0] + gram[..., 1, 1]
+    det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] ** 2
+    rad = np.sqrt(np.maximum((0.5 * tr) ** 2 - det, 0.0))
+    return np.sqrt(np.maximum(0.5 * tr - rad, 0.0))
+
+
+def _oblong(boundary):
+    return GridChart((1.0, 1.7), (24, 40), boundary)
+
+
+def _wavy_map(chart):
+    x, y = chart.mesh()
+    wave = 0.05 * np.stack([np.sin(2 * np.pi * (x + 2 * y / 1.7)),
+                            np.cos(2 * np.pi * (3 * x - y / 1.7)),
+                            np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y / 1.7)], axis=-1)
+    return ImmersionField.flat(chart, scale=1.1).displaced(wave)
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("components", [(), (3,)])
+    def test_stencils_bit_identical(self, boundary, axis, components):
+        chart = _oblong(boundary)
+        values = np.random.default_rng(7).standard_normal((*chart.resolution, *components))
+        h = chart.spacing[axis]
+        p = chart.periodic
+        assert np.array_equal(_diff1(values, axis, h, p), _ref_diff1(values, axis, h, p))
+        assert np.array_equal(_diff2(values, axis, h, p), _ref_diff2(values, axis, h, p))
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("components", [(), (3,)])
+    def test_second_derivatives_bit_identical(self, boundary, components):
+        chart = _oblong(boundary)
+        values = np.random.default_rng(8).standard_normal((*chart.resolution, *components))
+        hx, hy = chart.spacing
+        p = chart.periodic
+        ref = (_ref_diff2(values, 0, hx, p),
+               _ref_diff1(_ref_diff1(values, 0, hx, p), 1, hy, p),
+               _ref_diff2(values, 1, hy, p))
+        for got, want in zip(second_derivatives(values, chart), ref):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_pullback_bit_identical(self, boundary):
+        u = _wavy_map(_oblong(boundary))
+        if boundary == PERIODIC:
+            assert u.linear is not None
+        g = pullback_metric(u)
+        assert np.array_equal(g.values, _ref_pullback(u))
+        assert "degenerate_count" not in g.meta
+
+    def test_rank_one_map_degenerate_count(self):
+        chart = GridChart((1.0, 1.0), (32, 48), CLAMPED)
+        u = ImmersionField.from_function(chart, lambda x, y: (x + y, 2 * (x + y), 0 * x))
+        g = pullback_metric(u)
+        assert np.array_equal(g.values, _ref_pullback(u))
+        count = int(np.count_nonzero(_ref_min_singular_value(u) <= 1e-10))
+        assert count > 0
+        assert g.meta["degenerate_count"] == count
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_min_singular_value_against_svd(self, boundary):
+        u = _wavy_map(_oblong(boundary))
+        svd = np.linalg.svd(_ref_jacobian(u), compute_uv=False)[..., -1]
+        sigma = u.min_singular_value()
+        assert np.array_equal(sigma, _ref_min_singular_value(u))
+        np.testing.assert_allclose(sigma, svd, rtol=1e-10)
+
+    def test_one_jacobian_per_pullback(self, monkeypatch):
+        calls = []
+        jacobian = ImmersionField.jacobian
+
+        def counted(self):
+            calls.append(1)
+            return jacobian(self)
+
+        monkeypatch.setattr(ImmersionField, "jacobian", counted)
+        pullback_metric(_wavy_map(_oblong(PERIODIC)))
+        assert len(calls) == 1
 
 
 class TestMetricField:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isoflex
+import isoflex.induction
 from isoflex.cli import main
 from isoflex.scenario import ScenarioError, parse_scenario
 
@@ -172,6 +178,54 @@ class TestCli:
         assert len(records) == 1
         assert records[0]["q"] == 0 and records[0]["level"] == 2
         assert records[0]["truncated"] and not records[0]["active"]
+
+    def test_internal_error_is_exit_4_with_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise IndexError("index 9 is out of bounds")
+
+        monkeypatch.setattr(isoflex.induction, "run_global", broken)
+        out = tmp_path / "out"
+        rc = main(["run", "--scenario", str(write(tmp_path, MINIMAL_TORUS)), "--out", str(out)])
+        assert rc == 4
+        assert "internal error" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert "IndexError: index 9 is out of bounds" in summary["traceback"]
+
+    def test_engine_refusal_stays_exit_2(self, tmp_path):
+        # the flat map on a 128^2 torus: the bootstrap's error term leaves
+        # the strong-short band, a refusal of the engine, not a bug
+        p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "128 128"))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(p), "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert "|h~| reaches 1.126" in summary["error"]
+        assert "traceback" not in summary
+
+    def test_dry_run_memory_estimate_matches_run(self, tmp_path):
+        p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "256 256")
+                  + "\n[schedule]\ndepth = 1\n")
+        assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "dry"),
+                     "--dry-run"]) == 0
+        estimate = json.loads((tmp_path / "dry" / "summary.json").read_text())[
+            "memory_bytes_estimate"]
+        # the run in a child process, which reports its own peak RSS in KiB;
+        # VmHWM and not ru_maxrss, because Linux carries the high-water mark
+        # of the process that spawned it (here, this test run) into a
+        # child's ru_maxrss across exec
+        child = ("import sys\n"
+                 "from isoflex.cli import main\n"
+                 "rc = main(sys.argv[1:])\n"
+                 "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+                 "print(rc, status.split()[0])\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(isoflex.__file__).parents[1]),
+                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", child, "run", "--scenario", str(p),
+                               "--out", str(tmp_path / "run")], env=env,
+                              capture_output=True, text=True, timeout=300)
+        rc, hwm_kib = proc.stdout.split()[-2:]
+        assert rc == "0"
+        peak = int(hwm_kib) * 1024
+        assert estimate / 1.5 <= peak <= 1.5 * estimate
 
     def test_dry_run_writes_summary(self, tmp_path):
         p = write(tmp_path, MINIMAL_TORUS)
