@@ -4,7 +4,7 @@ Exit codes: 0 success; 2 assertion failure inside a run, or the engine
 refusing its input (a precondition, shortness, resolution, domain, chart,
 frame, Beltrami or schedule error); 3 configuration error; 4 internal
 error, with its traceback in summary.json.  Reports are JSON (summaries),
-JSON lines (per-stage history) and CSV (field slices); meshes are
+JSON lines (per-stage history) and CSV (corrugation profiles); meshes are
 Wavefront-style text.
 """
 
@@ -39,12 +39,12 @@ def _dump_json(payload, path):
     Path(path).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
-# Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy, scipy, the
-# corrugation table) plus a cost per grid node.  Both are fitted to the
-# ru_maxrss of runs on the flat 256^2 and 512^2 tori with g = 1.44 I:
-# 182.05 and 383.09 MiB, the same at depth 1 and 4 (Linux x86-64, numpy 2.4).
-RSS_FIXED_BYTES = 120_600_000
-RSS_BYTES_PER_NODE = 1072
+# Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy, scipy) plus
+# a cost per grid node.  Both are fitted to the VmHWM of runs on the flat
+# 256^2 and 512^2 tori with g = 1.44 I: 170.8 and 363.2 MiB, the same at
+# depth 1 and 4 to 0.1% (Linux x86-64, numpy 2.4).
+RSS_FIXED_BYTES = 111_800_000
+RSS_BYTES_PER_NODE = 1026
 
 
 def _memory_estimate(resolution):
@@ -199,31 +199,6 @@ def cmd_step_bench(args) -> int:
     return EXIT_OK
 
 
-def cmd_stage_bench(args) -> int:
-    from .corrugation import build_corrugation
-    from .decomposition import solve_conformal
-    from .grid import PERIODIC, GridChart, ImmersionField, MetricField, ScalarField
-    from .nash_step import StageParams, StepParams, stage
-
-    table = build_corrugation()
-    n = args.resolution
-    chart = GridChart((1.0, 1.0), (n, n), PERIODIC)
-    u = ImmersionField.flat(chart)
-    fac = solve_conformal(MetricField.constant(chart, args.eps * np.eye(2)))
-    amp = ScalarField(chart, fac.theta.values)
-    terms = [(amp, fac.phi1), (amp, fac.phi2)]
-    lam1 = 2 * np.pi * args.base_waves
-    for K in args.growth:
-        p = StepParams(lam=lam1, eps=args.eps, delta=args.eps, nu=1.0,
-                       nu_tilde=1.0, M=2.0, gamma=2.0, c0=1.0)
-        t0 = time.time()
-        out = stage(u, terms, p, StageParams(K=K, kappa=1.0, c1=1.0), table)
-        print(json.dumps({"K": K, "sup_E": out.defect_sup,
-                          "c1_E": out.defect_c1, "gamma_bar": out.gamma_bar,
-                          "wall_time": time.time() - t0}, default=_json_default))
-    return EXIT_OK
-
-
 def cmd_conformal_check(args) -> int:
     from .decomposition import solve_conformal
     from .grid import PERIODIC, GridChart, MetricField
@@ -257,7 +232,7 @@ def cmd_corrugation_dump(args) -> int:
     from .corrugation import build_corrugation
 
     table = build_corrugation(s_max=args.s_max)
-    t = table.t_vals
+    t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
     rows = [t]
     header = ["t"]
     for s in args.amplitudes:
@@ -295,13 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--resolution", type=int, default=1024)
     sb.add_argument("--eps", type=float, default=0.01)
     sb.set_defaults(func=cmd_step_bench)
-
-    gb = sub.add_parser("stage-bench", help="two-term stage growth sweep")
-    gb.add_argument("--growth", type=float, nargs="+", default=[4.0, 8.0])
-    gb.add_argument("--resolution", type=int, default=1024)
-    gb.add_argument("--eps", type=float, default=0.1)
-    gb.add_argument("--base-waves", type=int, default=5)
-    gb.set_defaults(func=cmd_stage_bench)
 
     cc = sub.add_parser("conformal-check", help="random SPD Beltrami solve")
     cc.add_argument("--resolution", type=int, default=256)

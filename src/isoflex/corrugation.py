@@ -7,13 +7,21 @@ a(s) solves J0(a) = (1+s^2)^(-1/2) (J0 the order-zero Bessel function), and
     Gamma_2(s,t) = int_0^t  sqrt(1+s^2) sin(a(s) cos r)      dr
 
 Then (1 + dt Gamma_1)^2 + (dt Gamma_2)^2 = 1 + s^2 holds pointwise by
-construction, Gamma_2 is 2pi-periodic in t because sin(a cos r) integrates
-to zero over a period by symmetry, and Gamma_1 is periodic by the J0
-normalization (the t-average of its integrand vanishes).
+construction.  By Jacobi-Anger both integrals are sine series in t with
+Bessel coefficients J_k(a):
 
-Bessel functions are evaluated by their power series; only arguments below
-the first J0 zero (~2.405) ever occur, where the series is exact to machine
-precision in float64.
+    Gamma_1 = sqrt(1+s^2) sum_{k even >= 2} 2 (-1)^(k/2)     J_k(a) sin(kt)/k
+    Gamma_2 = sqrt(1+s^2) sum_{k odd}       2 (-1)^((k-1)/2) J_k(a) sin(kt)/k
+
+so both are 2pi-periodic in t.  The series for Gamma_1 leaves out its
+secular term (sqrt(1+s^2) J0(a) - 1) t, which the J0 normalization makes
+vanish up to the rounding of the root-solve (the recorded period defect).
+
+Only a(s) is sampled, as a 1-D profile read back by cubic interpolation.
+At each query point the J_k(a) come from a downward ratio recurrence
+normalized by J0 + 2 sum J_2m = 1, and sin(kt) from the Chebyshev
+recurrence.  For s <= 1, a < 1.13, where J_k decays faster than
+geometrically, so a fixed top order of 16 is exact in float64.
 """
 
 from __future__ import annotations
@@ -21,45 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from scipy.special import j0
 
 J0_FIRST_ZERO = 2.404825557695773
-_SERIES_TERMS = 40
-_SERIES_DOMAIN = 12.0
+_TOP_ORDER = 16      # J_16(a) < 1e-17 for every a(s) with s <= 1 (a < 1.13)
+_BLOCK = 1 << 15     # points per block of the series evaluation
 
 _WHICH = ("g1", "g2", "dt_g1", "dt_g2")
 
 
 class CorrugationDomainError(ValueError):
     """Amplitude argument outside the table's certified s-range."""
-
-
-def bessel_j0(x):
-    """Power-series J0; valid to machine precision for |x| <= 12."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > _SERIES_DOMAIN):
-        raise ValueError("bessel_j0 series evaluated outside |x| <= 12")
-    q = -0.25 * x * x
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, _SERIES_TERMS):
-        term = term * q / (k * k)
-        acc = acc + term
-    return acc
-
-
-def bessel_j1(x):
-    """Power-series J1; valid to machine precision for |x| <= 12."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > _SERIES_DOMAIN):
-        raise ValueError("bessel_j1 series evaluated outside |x| <= 12")
-    q = -0.25 * x * x
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, _SERIES_TERMS):
-        term = term * q / (k * (k + 1))
-        acc = acc + term
-    return 0.5 * x * acc
 
 
 def invert_j0(target, tol: float = 1e-13):
@@ -75,7 +55,7 @@ def invert_j0(target, tol: float = 1e-13):
     # ~46 halvings push the bracket width below 1e-13
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        high_side = bessel_j0(mid) > t
+        high_side = j0(mid) > t
         lo = np.where(high_side, mid, lo)
         hi = np.where(high_side, hi, mid)
         if np.max(hi - lo) < tol:
@@ -84,41 +64,53 @@ def invert_j0(target, tol: float = 1e-13):
     return np.where(t >= 1.0, 0.0, out)
 
 
-def _alpha_prime(s, alpha):
-    """da/ds from implicit differentiation of J0(a) = (1+s^2)^(-1/2)."""
-    s = np.asarray(s, dtype=float)
-    out = np.full_like(s, np.sqrt(2.0))
-    big = s > 1e-6
-    if np.any(big):
-        sb = s[big]
-        out[big] = sb * (1.0 + sb * sb) ** -1.5 / bessel_j1(alpha[big])
+def _bessel_coefficients(alpha):
+    """J_0(alpha), ..., J_top(alpha), stacked along a new first axis."""
+    # ratios J_k/J_{k-1} = a/(2k - a J_{k+1}/J_k), downward from J_{top+1} = 0;
+    # their running products are J_k/J_0, scaled by J_0 + 2 sum J_2m = 1
+    out = np.empty((_TOP_ORDER + 1,) + alpha.shape)
+    r = 0.0
+    for k in range(_TOP_ORDER, 0, -1):
+        r = np.divide(alpha, 2 * k - alpha * r, out=out[k])
+    out[0] = 1.0
+    for k in range(1, _TOP_ORDER + 1):
+        out[k] *= out[k - 1]
+    out *= 1.0 / (1.0 + 2.0 * out[2::2].sum(axis=0))
     return out
 
 
-def _catmull_rom_weights(u):
-    u2 = u * u
-    u3 = u2 * u
-    return (0.5 * (-u3 + 2 * u2 - u),
-            0.5 * (3 * u3 - 5 * u2 + 2),
-            0.5 * (-3 * u3 + 4 * u2 + u),
-            0.5 * (u3 - u2))
+def _sine_series(alpha, t, odd: bool):
+    """sum over odd (or even) k >= 1 of 2 (-1)^(k//2) J_k(alpha) sin(kt)/k."""
+    jk = _bessel_coefficients(alpha)
+    # sin(kt) of one parity by the Chebyshev recurrence in 2t,
+    # sin((k+2)t) = 2cos(2t) sin(kt) - sin((k-2)t), with sin t and cos t
+    # from one transcendental call through the half-angle tangent
+    tan_half = np.tan(0.5 * t)
+    inv = 1.0 / (1.0 + tan_half * tan_half)
+    sin_t = 2.0 * tan_half * inv
+    two_cos_2t = 2.0 - 4.0 * sin_t * sin_t
+    if odd:
+        sin_prev, sin_k = -sin_t, sin_t
+    else:
+        sin_prev, sin_k = np.zeros_like(t), 2.0 * sin_t * (1.0 - tan_half * tan_half) * inv
+    acc = np.zeros_like(alpha)
+    for k in range(2 - odd, _TOP_ORDER + 1, 2):
+        acc += (2.0 * (-1) ** (k // 2) / k) * jk[k] * sin_k
+        sin_prev, sin_k = sin_k, two_cos_2t * sin_k - sin_prev
+    return acc
 
 
 @dataclass(frozen=True)
 class CorrugationTable:
-    """Sampled corrugation pair with analytic t-derivatives.
+    """Corrugation pair from its sine series over a sampled amplitude profile.
 
-    Only Gamma_1 and Gamma_2 are tabulated; their t-derivatives are closed
-    forms in the amplitude profile.  Arrays carry one hidden guard row above
-    s_max so cubic interpolation keeps full order on the whole certified
-    range [0, s_max]; below s = 0 the even/odd symmetry of the construction
-    supplies exact ghost rows.
+    The profile carries one hidden guard row above s_max so cubic
+    interpolation keeps full order on the whole certified range [0, s_max];
+    below s = 0 the odd symmetry of a(s) supplies exact ghost rows.
     """
 
     s_max: float
     s_vals: np.ndarray          # (S+1,), last row is the hidden guard
-    t_vals: np.ndarray          # (T,), [0, 2pi) uniform
-    tables: dict                # "g1", "g2" -> (S+1, T) array
     amplitude_profile: np.ndarray  # alpha(s), (S+1,), last row is the guard
     metadata: dict = field(default_factory=dict)
 
@@ -126,25 +118,24 @@ class CorrugationTable:
     def s_samples(self) -> int:
         return len(self.s_vals) - 1
 
-    @property
-    def t_samples(self) -> int:
-        return len(self.t_vals)
-
     def _interp_alpha(self, s):
-        """Cubic interpolation of the (odd) amplitude profile."""
+        """Cubic (Catmull-Rom) interpolation of the (odd) amplitude profile."""
         hs = self.s_vals[1] - self.s_vals[0]
         ps = np.asarray(s, dtype=float) / hs
+        # s = s_max sits on the last certified row: step back one interval
+        # (u = 1 on that row) so the stencil stops at the guard row
         i0 = np.minimum(ps.astype(int), self.s_samples - 2)
-        ws = _catmull_rom_weights(ps - i0)
-        out = np.zeros_like(ps)
-        for a in range(4):
-            si = i0 + (a - 1)
-            sign = np.where(si < 0, -1.0, 1.0)
-            out = out + ws[a] * sign * self.amplitude_profile[np.abs(si)]
-        return out
+        u = ps - i0
+        # a(s) is odd, so the ghost node below s = 0 is -a(hs)
+        p = np.concatenate(([-self.amplitude_profile[1]], self.amplitude_profile))
+        p0, p1, p2, p3 = p[:-3], p[1:-2], p[2:-1], p[3:]
+        c1 = 0.5 * (p2 - p0)
+        c2 = p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3
+        c3 = 1.5 * (p1 - p2) + 0.5 * (p3 - p0)
+        return p1[i0] + u * (c1[i0] + u * (c2[i0] + u * c3[i0]))
 
     def eval(self, s, t, which: str):
-        """Bicubic (Catmull-Rom) interpolation; t wraps mod 2pi.
+        """Gamma or its t-derivative at (s, t), broadcast; t is any real.
 
         s must lie in [0, s_max] (tiny negative rounding is clamped);
         anything above s_max is outside the certified construction and is
@@ -170,36 +161,16 @@ class CorrugationTable:
             phase = alpha * np.cos(t)
             out = root * np.cos(phase) - 1.0 if which == "dt_g1" else root * np.sin(phase)
             return out if np.ndim(out) else float(out)
-        tab = self.tables[which]
-        # alpha(s) continues smoothly through 0 as an odd function, fixing
-        # the parity of every table in s
-        odd_in_s = which == "g2"
-
-        hs = self.s_vals[1] - self.s_vals[0]
-        ps = s / hs
-        # s = s_max sits on the last certified row: step back one interval
-        # (weight 1 on that row) so the stencil stops at the guard row
-        i0 = np.minimum(ps.astype(int), self.s_samples - 2)
-        fs = ps - i0
-        ws = _catmull_rom_weights(fs)
-
-        ht = self.t_vals[1] - self.t_vals[0]
-        pt = np.mod(t, 2.0 * np.pi) / ht
-        j0 = pt.astype(int) % self.t_samples
-        ft = pt - pt.astype(int)
-        wt = _catmull_rom_weights(ft)
-
-        out = np.zeros(np.broadcast(s, t).shape)
-        for a in range(4):
-            si = i0 + (a - 1)
-            sign = np.where(si < 0, -1.0, 1.0) if odd_in_s else 1.0
-            si = np.abs(si)  # even/odd reflection below s=0 is exact
-            row = np.zeros_like(out)
-            for b in range(4):
-                tj = (j0 + (b - 1)) % self.t_samples
-                row = row + wt[b] * tab[si, tj]
-            out = out + ws[a] * sign * row
-        return out if out.shape else float(out)
+        shape = np.broadcast(s, t).shape
+        s = np.broadcast_to(s, shape).ravel()
+        t = np.broadcast_to(t, shape).ravel()
+        out = np.empty(s.size)
+        for i in range(0, s.size, _BLOCK):
+            blk = slice(i, i + _BLOCK)
+            sb = s[blk]
+            out[blk] = np.sqrt(1.0 + sb * sb) * _sine_series(
+                self._interp_alpha(sb), t[blk], odd=which == "g2")
+        return out.reshape(shape) if shape else float(out[0])
 
     def identity_residual(self, s, t):
         """|(1 + dt G1)^2 + (dt G2)^2 - (1 + s^2)| at interpolated points."""
@@ -208,51 +179,18 @@ class CorrugationTable:
         return np.abs((1.0 + d1) ** 2 + d2 ** 2 - (1.0 + np.asarray(s) ** 2))
 
 
-def build_corrugation(s_max: float = 1.0, s_samples: int = 256,
-                      t_samples: int = 2048) -> CorrugationTable:
-    """Build the corrugation table on [0, s_max] x [0, 2pi)."""
+def build_corrugation(s_max: float = 1.0, s_samples: int = 256) -> CorrugationTable:
+    """Sample the amplitude profile a(s) on [0, s_max] plus one guard row."""
     if not (0.0 < s_max <= 1.0):
         raise ValueError("s_max must lie in (0, 1]")
-    if min(s_samples, t_samples) < 64:
-        raise ValueError("need at least 64 samples per axis")
+    if s_samples < 64:
+        raise ValueError("need at least 64 amplitude samples")
 
     hs = s_max / (s_samples - 1)
     s_all = np.arange(s_samples + 1) * hs  # one hidden guard row
-    t = np.linspace(0.0, 2.0 * np.pi, t_samples, endpoint=False)
-    t_ext = np.append(t, 2.0 * np.pi)  # quadrature runs over the closed period
-
     root = np.sqrt(1.0 + s_all ** 2)
     alpha = invert_j0(1.0 / root)
     alpha[0] = 0.0
-    aprime = _alpha_prime(s_all, alpha)
-
-    ct = np.cos(t_ext)[None, :]
-    a = alpha[:, None]
-    rt = root[:, None]
-    cosc = np.cos(a * ct)
-    sinc = np.sin(a * ct)
-
-    f1 = rt * cosc - 1.0          # dt Gamma_1
-    f2 = rt * sinc                # dt Gamma_2
-    g1 = cumulative_simpson(f1, x=t_ext, axis=1, initial=0.0)
-    g2 = cumulative_simpson(f2, x=t_ext, axis=1, initial=0.0)
-
-    period_defect = float(max(np.max(np.abs(g1[:, -1])), np.max(np.abs(g2[:, -1]))))
-    tables = {"g1": g1[:, :-1], "g2": g2[:, :-1]}
-    # the s=0 row vanishes identically in exact arithmetic; pin it
-    for tab in tables.values():
-        tab[0, :] = 0.0
-
-    vis = slice(1, s_samples)  # rows with s > 0, excluding the guard
-    svis = s_all[vis, None]
-    # ds dt Gamma_1, the integrand of the s-derivative of Gamma_1
-    dsdt1 = (s_all / root)[:, None] * cosc - rt * sinc * aprime[:, None] * ct
-    metadata = {
-        "period_defect": period_defect,
-        "identity_residual": float(np.max(np.abs(
-            (1.0 + f1) ** 2 + f2 ** 2 - (1.0 + s_all[:, None] ** 2)))),
-        "C_dt_g1": float(np.max(np.abs(f1[vis, :-1]) / svis ** 2)),
-        "C_dt_g2": float(np.max(np.abs(f2[vis, :-1]) / svis)),
-        "C_dsdt_g1": float(np.max(np.abs(dsdt1[vis, :-1]) / svis)),
-    }
-    return CorrugationTable(s_max, s_all, t, tables, alpha, metadata)
+    # the secular drift of Gamma_1 over one period, which the series omits
+    period_defect = float(2.0 * np.pi * np.max(np.abs(root * j0(alpha) - 1.0)))
+    return CorrugationTable(s_max, s_all, alpha, {"period_defect": period_defect})

@@ -40,14 +40,6 @@ def _sym_to_vec(m):
     return m[..., idx[0], idx[1]]
 
 
-def _vec_to_sym(v, n):
-    idx = np.triu_indices(n)
-    m = np.zeros((*np.shape(v)[:-1], n, n))
-    m[..., idx[0], idx[1]] = v
-    m[..., idx[1], idx[0]] = v
-    return m
-
-
 def _unit_tight_directions(n: int, n_star: int) -> np.ndarray:
     """A unit-norm tight frame of n_star directions in R^n.
 
@@ -125,11 +117,6 @@ class PrimitiveFrame:
     def reconstruct(self, coeffs) -> np.ndarray:
         outer = np.einsum("ik,il->ikl", self.directions, self.directions)
         return np.einsum("...i,ikl->...kl", coeffs, outer)
-
-
-def _offdiag_mask(n):
-    idx = np.triu_indices(n)
-    return idx[0] != idx[1]
 
 
 def build_frame(n: int, g0=None, gamma: float = 2.0,
