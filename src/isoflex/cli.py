@@ -41,10 +41,10 @@ def _dump_json(payload, path):
 
 # Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy, scipy) plus
 # a cost per grid node.  Both are fitted to the VmHWM of runs on the flat
-# 256^2 and 512^2 tori with g = 1.44 I: 170.8 and 363.2 MiB, the same at
+# 256^2 and 512^2 tori with g = 1.44 I: 160.1 and 318.0 MiB, the same at
 # depth 1 and 4 to 0.1% (Linux x86-64, numpy 2.4).
-RSS_FIXED_BYTES = 111_800_000
-RSS_BYTES_PER_NODE = 1026
+RSS_FIXED_BYTES = 112_600_000
+RSS_BYTES_PER_NODE = 842
 
 
 def _memory_estimate(resolution):

@@ -237,11 +237,11 @@ class SkeletonSet:
 
     def distance_field(self, chart: GridChart) -> np.ndarray:
         """Exact euclidean distance per node (inf for the empty set)."""
-        x, y = chart.mesh()
         if self.whole:
             return np.zeros(chart.resolution)
         if self.is_empty:
             return np.full(chart.resolution, np.inf)
+        x, y = chart.mesh()
         best = np.full(chart.resolution, np.inf)
         for px, py in self.points:
             best = np.minimum(best, np.hypot(x - px, y - py))
@@ -303,8 +303,14 @@ class CutoffPair:
     inner_tube: np.ndarray | None = None  # dist(., Sigma) < r* r_(q+1)
 
 
+def _skeleton_distances(sigma: SkeletonSet, s_set: SkeletonSet, chart: GridChart):
+    """(dist(., Sigma), dist(., S)) as cutoffs reads them; None where unread."""
+    return (None if sigma.whole else sigma.distance_field(chart),
+            None if s_set.is_empty else s_set.distance_field(chart))
+
+
 def cutoffs(rho: ScalarField, sigma: SkeletonSet, s_set: SkeletonSet, q: int,
-            ladder, r_star: float = 0.75) -> CutoffPair:
+            ladder, r_star: float = 0.75, distances=None) -> CutoffPair:
     """chi_q = phi(rho / delta_(q+2)^(1/2)) psi(dist(., Sigma) / r_(q+1)).
 
     psi falls from 1 inside r* r_(q+1) to 0 at r~* = r_(q+1).  The audit
@@ -312,12 +318,14 @@ def cutoffs(rho: ScalarField, sigma: SkeletonSet, s_set: SkeletonSet, q: int,
     largest S-tube radius r_** avoided by {rho > (3/2) delta^(1/2)}, the
     feature-separation constant, whether the used tube respects
     r~* <= r_bar r_**, the cut-off gradients, and the profile nesting.
-    Violated geometry raises; everything else is recorded.
+    Violated geometry raises; everything else is recorded.  `distances`
+    takes _skeleton_distances(sigma, s_set, chart) computed once by a caller
+    that cuts off repeatedly on one chart.
     """
     chart = rho.chart
     d2 = ladder.delta_q(q + 2)
     r_q1 = ladder.r_q(q + 1)
-    dist_sigma = sigma.distance_field(chart)
+    dist_sigma, dist_s = distances or _skeleton_distances(sigma, s_set, chart)
 
     ratio = rho.values / math.sqrt(d2)
     audit = {"q": q, "r_q1": r_q1}
@@ -331,7 +339,6 @@ def cutoffs(rho: ScalarField, sigma: SkeletonSet, s_set: SkeletonSet, q: int,
         inner = dist_sigma < r_star * r_q1
 
     if not (s_set.is_empty or sigma.whole):
-        dist_s = s_set.distance_field(chart)
         live = ratio > 1.5
         if live.any():
             r_starstar = 0.9 * float(dist_s[live].min()) / r_q1
@@ -507,6 +514,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
     rho_seq, chi_seq, chit_seq, inner_seq = [rho], [], [], []
     history = []
     truncation = None
+    distances = _skeleton_distances(sigma, state.s_set, chart)
 
     for q in range(depth):
         d1 = ladder.delta_q(q + 1)
@@ -520,7 +528,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                                     f"below 2 grid cells"}
             break
 
-        cut = cutoffs(rho, sigma, state.s_set, q, ladder)
+        cut = cutoffs(rho, sigma, state.s_set, q, ladder, distances=distances)
         chi, chit = cut.chi, cut.chi_tilde
         rec["cutoff_audit"] = cut.audit
         chi_seq.append(chi)
@@ -598,7 +606,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                           f"ratio than {growth:.1f} is needed"}
             break
 
-        disp = out.diff_norms.sup_norm
+        disp = out.displacement
         disp_budget = DISPLACEMENT_CONSTANT * math.sqrt(d1) / ladder.lam_q(q + 1)
         if disp > disp_budget:
             truncation = {"q": q, "reason": "displacement budget",
@@ -672,8 +680,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                     np.log(np.maximum(gr[live_pow], 1e-300)) <= log_bound + 1e-9))
 
         if not state.s_set.is_empty:
-            dist_s = state.s_set.distance_field(chart)
-            on_s = dist_s <= hmax
+            on_s = distances[1] <= hmax
             if on_s.any():
                 rec["moved_on_S"] = float(np.max(np.abs(v.values[on_s] - u.values[on_s])))
 
@@ -712,8 +719,9 @@ def rho_recursion_audit(rho0: ScalarField, sigma: SkeletonSet, s_set: SkeletonSe
     """
     rho = rho0
     rho_seq, chi_seq, chit_seq, inner_seq = [rho0], [], [], []
+    distances = _skeleton_distances(sigma, s_set, rho0.chart)
     for q in range(depth):
-        cut = cutoffs(rho, sigma, s_set, q, ladder)
+        cut = cutoffs(rho, sigma, s_set, q, ladder, distances=distances)
         chi_seq.append(cut.chi)
         chit_seq.append(cut.chi_tilde)
         inner_seq.append(cut.inner_tube)
@@ -797,7 +805,9 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
                                   * s_rec["stage_meta"].get("K", 1.0))
         pass_disp = float(np.max(np.linalg.norm(state.u.values - prev_u.values, axis=-1)))
         total_disp += pass_disp
-        probes.append(holder_seminorm(state.u, probe_theta, deriv_order=1))
+        # a pass that kept no stage hands back the same immersion object
+        probes.append(probes[-1] if state.u is prev_u
+                      else holder_seminorm(state.u, probe_theta, deriv_order=1))
         report["passes"].append({
             "level": level, "stages": history, "truncation": truncation,
             "displacement": pass_disp,

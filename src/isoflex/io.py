@@ -1,72 +1,24 @@
-"""Field serialization (columnar binary container, CSV) and mesh export."""
+"""Wavefront-style mesh export and the checks that read a mesh back."""
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
 
-from .grid import CLAMPED, PERIODIC, GridChart, ImmersionField, MetricField, ScalarField
+from .grid import ImmersionField
 
-_MAGIC = b"CIF1"
-_KINDS = {ScalarField: 0, MetricField: 1, ImmersionField: 2}
-_HEADER = struct.Struct("<4sBBBBIIIdd")  # magic, kind, boundary, stencil, pad, ncomp, nx, ny, lx, ly
-
-
-def write_field(f, path) -> None:
-    """Columnar binary container: header, then row-major float64 body."""
-    kind = _KINDS[type(f)]
-    nx, ny = f.chart.resolution
-    vals = f.values if f.values.ndim == 3 else f.values[..., None]
-    ncomp = vals.shape[-1]
-    # the stencil byte records the derivative order of immersions (always 4)
-    stencil = 4 if kind == 2 else 0
-    linear = getattr(f, "linear", None)
-    header = _HEADER.pack(_MAGIC, kind, 1 if f.chart.periodic else 0, stencil,
-                          1 if linear is not None else 0,
-                          ncomp, nx, ny, *f.chart.extent)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        if linear is not None:
-            fh.write(np.ascontiguousarray(linear, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
+# values per formatted block: whole-file format strings would set the
+# run's peak memory, per-line formatting its wall time
+_BLOCK = 1 << 15
 
 
-def read_field(path):
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        magic, kind, boundary, _, has_linear, ncomp, nx, ny, lx, ly = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a field container")
-        linear = None
-        if has_linear:
-            linear = np.frombuffer(fh.read(48), dtype="<f8").reshape(3, 2)
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    chart = GridChart((lx, ly), (nx, ny), PERIODIC if boundary else CLAMPED)
-    vals = body.reshape(nx, ny, ncomp)
-    if kind == 0:
-        return ScalarField(chart, vals[..., 0])
-    if kind == 1:
-        return MetricField(chart, vals)
-    return ImmersionField(chart, vals, linear)
-
-
-def write_csv(f, path) -> None:
-    """x, y, components as plain CSV for inspection."""
-    x, y = f.chart.mesh()
-    vals = f.values if f.values.ndim == 3 else f.values[..., None]
-    ncomp = vals.shape[-1]
-    cols = [x.ravel(), y.ravel()] + [vals[..., c].ravel() for c in range(ncomp)]
-    header = "x,y," + ",".join(f"c{c}" for c in range(ncomp))
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
-
-
-# ---------------------------------------------------------------------------
-# Wavefront-style mesh export
-
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
+def _write_blocks(fh, line: str, rows: np.ndarray) -> None:
+    """Write each row of `rows` through the %-format `line`, in blocks."""
+    step = _BLOCK // rows.shape[1]
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def export_mesh(u: ImmersionField, path) -> None:
@@ -77,7 +29,6 @@ def export_mesh(u: ImmersionField, path) -> None:
     for maps without a linear part), so faces close the torus; a welding
     pass on import recovers the watertight connectivity.
     """
-    nx, ny = u.chart.resolution
     vals = u.positions()
     if u.chart.periodic:
         extra_x = vals[:1] if u.linear is None else vals[:1] + u.linear[:, 0] * u.chart.extent[0]
@@ -85,21 +36,12 @@ def export_mesh(u: ImmersionField, path) -> None:
         extra_y = vals[:, :1] if u.linear is None else vals[:, :1] + u.linear[:, 1] * u.chart.extent[1]
         vals = np.concatenate([vals, extra_y], axis=1)
     mx, my = vals.shape[:2]
-    lines = []
-    for i in range(mx):
-        for j in range(my):
-            p = vals[i, j]
-            lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-
-    def vid(i, j):
-        return i * my + j + 1
-
-    for i in range(mx - 1):
-        for j in range(my - 1):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    ids = np.arange(1, mx * my + 1).reshape(mx, my)
+    a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    with open(path, "w") as fh:
+        _write_blocks(fh, "v %.9g %.9g %.9g\n", vals.reshape(-1, 3))
+        _write_blocks(fh, "f %d %d %d\n", faces)
 
 
 def import_mesh(path) -> tuple[np.ndarray, np.ndarray]:

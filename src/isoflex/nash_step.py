@@ -114,11 +114,19 @@ class StepOutcome:
     defect: MetricField            # pullback(v) - target, full field
     defect_sup: float              # measured away from the collar
     defect_c1: float
-    diff_norms: NormReport         # of v - u
-    v_norms: NormReport
+    displacement: float            # sup |v - u|, euclidean per node
     support_ok: bool
     gamma_bar: float               # pullback(v) eigenvalue band radius
     meta: dict = field(default_factory=dict)
+
+    @property
+    def v_norms(self) -> NormReport:
+        """Sup / C1 / C2 norms of v, computed on each read."""
+        return norm_report(self.v)
+
+
+def _displacement(v: ImmersionField, u: ImmersionField) -> float:
+    return float(np.max(np.linalg.norm(v.values - u.values, axis=-1)))
 
 
 def _interior(chart, collar: int):
@@ -185,8 +193,7 @@ def _phase_is_commensurate(phi: PhaseField, lam: float, tol=1e-9):
 
 
 def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
-         table: CorrugationTable, collar: int | None = None,
-         norm_thetas=()) -> StepOutcome:
+         table: CorrugationTable, collar: int | None = None) -> StepOutcome:
     """One corrugation step adding rho^2 grad(Phi) (x) grad(Phi)."""
     chart = u.chart
     h = max(chart.spacing)
@@ -267,7 +274,6 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
         moved = 0.0
         support_ok = True
 
-    diff = ImmersionField(chart, v_vals - u.values)
     gb_v, lo_v, hi_v = _band(pb_v)
     if lo_v <= 0:
         raise ShortnessLostError(
@@ -275,8 +281,7 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
 
     return StepOutcome(
         v=v, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
-        diff_norms=norm_report(diff, norm_thetas), v_norms=norm_report(v),
-        support_ok=support_ok, gamma_bar=gb_v,
+        displacement=_displacement(v, u), support_ok=support_ok, gamma_bar=gb_v,
         meta={"collar": collar, "amplitude_max": float(amplitude.max()),
               "moved_outside_support": float(moved),
               "pullback_band": (float(lo_v), float(hi_v)),
@@ -296,8 +301,7 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
     chart = u.chart
     if not terms:
         zero = MetricField(chart, np.zeros((*chart.resolution, 3)))
-        rep = norm_report(ImmersionField(chart, np.zeros_like(u.values)))
-        return StepOutcome(u, zero, 0.0, 0.0, rep, norm_report(u), True, _band(pullback_metric(u))[0])
+        return StepOutcome(u, zero, 0.0, 0.0, 0.0, True, _band(pullback_metric(u))[0])
 
     base_pb = pullback_metric(u)
     gb_in = _band(base_pb)[0]  # band of the current map's pullback
@@ -337,11 +341,10 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
     else:
         moved, support_ok = 0.0, True
 
-    diff = ImmersionField(chart, current.values - u.values)
     return StepOutcome(
         v=current, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
-        diff_norms=norm_report(diff), v_norms=norm_report(current),
-        support_ok=support_ok, gamma_bar=_band(pb_v)[0],
+        displacement=_displacement(current, u), support_ok=support_ok,
+        gamma_bar=_band(pb_v)[0],
         meta={"steps": history, "moved_outside_support": moved, "collar": collar,
               "skipped_zero_terms": skipped})
 
@@ -485,12 +488,12 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
         "ell": ell, "base_frequency": base, "K": K, "alpha": alpha,
         "support_inflation": inflation,
         "stage_constant": dsup / (delta * lam ** (1.0 - kappa)),
-        "displacement_constant": out.diff_norms.sup_norm / (sd * lam ** -kappa),
+        "displacement_constant": out.displacement / (sd * lam ** -kappa),
         "conformal": fac.stats, "conformal_residual": fac.residual_sup,
         "collar": collar,
     })
-    return StepOutcome(out.v, defect, dsup, dc1, out.diff_norms, out.v_norms,
-                       support_ok, out.gamma_bar, meta)
+    return StepOutcome(out.v, defect, dsup, dc1, out.displacement, support_ok,
+                       out.gamma_bar, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +646,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
 
     if alpha_star is None:
         alpha_star = 1.0 / (8.0 * n_terms)
-    moved = float(np.max(np.linalg.norm(u_t.values - u.values, axis=-1)))
+    moved = out.displacement
     report = {
         "delta_star": delta_star, "terms": n_terms, "trivial": False,
         "base_frequency": lam, "K": K,

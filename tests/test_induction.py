@@ -11,6 +11,7 @@ from isoflex.grid import (
     ImmersionField,
     MetricField,
     ScalarField,
+    holder_seminorm,
     pullback_metric,
 )
 from isoflex.induction import (
@@ -150,6 +151,32 @@ class TestRhoRecursion:
         i = j = 64
         assert seq[-1].values[i, j] == rho0.values[i, j]
 
+    def test_distance_fields_once_per_audit(self, monkeypatch):
+        # one distance field per skeleton set, whatever the depth, and the
+        # same cut-offs as when each level computes its own
+        c = GridChart((1.0, 1.0), (128, 128), CLAMPED)
+        tri = ((0.35, 0.35), (0.65, 0.35), (0.5, 0.62))
+        s_set = SkeletonSet(0, points=tri)
+        sigma = SkeletonSet(1, points=tri, segments=((tri[0], tri[1]), (tri[1], tri[2]),
+                                                     (tri[2], tri[0])))
+        ladder = quarter_ladder(base=4 * np.pi)
+        rho0 = ScalarField(c, np.minimum(np.sqrt(0.125), 0.9 * np.sqrt(s_set.distance_field(c))))
+        calls = []
+        field = SkeletonSet.distance_field
+
+        def counting(self, chart):
+            calls.append(self)
+            return field(self, chart)
+
+        monkeypatch.setattr(SkeletonSet, "distance_field", counting)
+        seq, recs = rho_recursion_audit(rho0, sigma, s_set, ladder, 3)
+        assert calls == [sigma, s_set]
+        assert all(r["ok"] for r in recs)
+        for q in range(3):
+            own = cutoffs(seq[q], sigma, s_set, q, ladder)
+            assert np.array_equal(update_rho(seq[q], own.chi, ladder.delta_q(q + 2)).values,
+                                  seq[q + 1].values)
+
 
 class TestCutoffs:
     def test_saturated_plateau_gives_chi_one(self):
@@ -238,6 +265,27 @@ class TestPipeline:
         assert report["initial_certificate"]["factorization_residual"] < 1e-9
         assert report["final"]["short_min_eig"] > 0
         assert report["final"]["displacement_total"] <= 4.0 ** -0.5
+
+    def test_unchanged_immersion_reuses_holder_probe(self, table, monkeypatch):
+        # the bootstrap takes the whole frequency band, so the pass keeps no
+        # stage and hands back the immersion it was given: one probe serves
+        import isoflex.induction as induction
+
+        calls = []
+
+        def counting(f, *args, **kwargs):
+            calls.append(f)
+            return holder_seminorm(f, *args, **kwargs)
+
+        monkeypatch.setattr(induction, "holder_seminorm", counting)
+        c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
+        g = MetricField.constant(c, 1.44 * np.eye(2))
+        state, report = run_global(g, ImmersionField.flat(c), theta0=0.15, alpha0=0.1,
+                                   a0=4.0, depth=2, table=table)
+        assert not any(s.get("active") for s in report["passes"][2]["stages"])
+        assert len(calls) == 1 and calls[0] is state.u
+        probes = report["final"]["holder_probes"]
+        assert len(probes) == 2 and probes[0] == probes[1] > 0
 
     def test_refuses_isometric_start(self, table):
         c = GridChart((1.0, 1.0), (128, 128), PERIODIC)

@@ -1,65 +1,34 @@
 import numpy as np
 import pytest
 
-from isoflex.grid import CLAMPED, PERIODIC, GridChart, ImmersionField, MetricField, ScalarField
-from isoflex.io import (
-    edge_face_counts,
-    export_mesh,
-    import_mesh,
-    read_field,
-    weld_vertices,
-    write_csv,
-    write_field,
-)
+from isoflex.grid import CLAMPED, PERIODIC, GridChart, ImmersionField
+from isoflex.io import _BLOCK, edge_face_counts, export_mesh, import_mesh, weld_vertices
 
 
-class TestContainer:
-    @pytest.mark.parametrize("boundary", [CLAMPED, PERIODIC])
-    def test_scalar_roundtrip(self, tmp_path, boundary):
-        c = GridChart((2.0, 1.0), (16, 24), boundary)
-        f = ScalarField.from_function(c, lambda x, y: np.sin(x) + y)
-        p = tmp_path / "f.cif"
-        write_field(f, p)
-        g = read_field(p)
-        assert isinstance(g, ScalarField)
-        assert g.chart.same_grid(c)
-        assert np.array_equal(g.values, f.values)
+def _reference_export(u, path):
+    """Reference writer: one formatted line per vertex and per face."""
+    vals = u.positions()
+    if u.chart.periodic:
+        extra_x = vals[:1] if u.linear is None else vals[:1] + u.linear[:, 0] * u.chart.extent[0]
+        vals = np.concatenate([vals, extra_x], axis=0)
+        extra_y = vals[:, :1] if u.linear is None else vals[:, :1] + u.linear[:, 1] * u.chart.extent[1]
+        vals = np.concatenate([vals, extra_y], axis=1)
+    mx, my = vals.shape[:2]
+    lines = []
+    for i in range(mx):
+        for j in range(my):
+            p = vals[i, j]
+            lines.append(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
 
-    def test_metric_roundtrip(self, tmp_path):
-        c = GridChart((1.0, 1.0), (12, 12))
-        m = MetricField.constant(c, np.array([[2.0, 0.5], [0.5, 1.0]]))
-        p = tmp_path / "m.cif"
-        write_field(m, p)
-        back = read_field(p)
-        assert isinstance(back, MetricField)
-        assert np.array_equal(back.values, m.values)
+    def vid(i, j):
+        return i * my + j + 1
 
-    def test_immersion_roundtrip_keeps_stencil(self, tmp_path):
-        c = GridChart((1.0, 1.0), (12, 12), PERIODIC)
-        u = ImmersionField.flat(c, scale=1.5)
-        p = tmp_path / "u.cif"
-        write_field(u, p)
-        # header byte 6 records the 4th-order stencil immersions use
-        assert p.read_bytes()[6] == 4
-        back = read_field(p)
-        assert isinstance(back, ImmersionField)
-        assert np.array_equal(back.linear, u.linear)
-        assert np.array_equal(back.values, u.values)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        p = tmp_path / "junk.bin"
-        p.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            read_field(p)
-
-    def test_csv(self, tmp_path):
-        c = GridChart((1.0, 1.0), (8, 8))
-        f = ScalarField.constant(c, 2.0)
-        p = tmp_path / "f.csv"
-        write_csv(f, p)
-        rows = p.read_text().splitlines()
-        assert rows[0] == "x,y,c0"
-        assert len(rows) == 65
+    for i in range(mx - 1):
+        for j in range(my - 1):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _minimal_chart_2x2_like():
@@ -68,7 +37,38 @@ def _minimal_chart_2x2_like():
     return GridChart((1.0, 1.0), (8, 8))
 
 
+def _wavy(c):
+    return ImmersionField.from_function(
+        c, lambda x, y: (np.cos(2 * np.pi * x) + 0.1 * np.sin(6 * np.pi * y),
+                         np.sin(2 * np.pi * x) / 3.0, np.exp(np.cos(2 * np.pi * y))))
+
+
 class TestMesh:
+    @pytest.mark.parametrize("case", ["periodic_linear", "periodic", "clamped"])
+    def test_bytes_match_per_line_writer(self, tmp_path, case):
+        if case == "periodic_linear":
+            # 129^2 vertices and 2 * 128^2 faces: several blocks, whose
+            # boundaries split grid rows
+            c = GridChart((1.0, 0.75), (128, 128), PERIODIC)
+            u = ImmersionField(c, _wavy(c).values, np.array([[0.9, 0.1], [0.0, 1.1], [0.3, -0.2]]))
+            per_block = _BLOCK // 3
+            assert 129 * 129 > per_block and per_block % 129
+            assert 2 * 128 * 128 > per_block and per_block % 256
+        elif case == "periodic":
+            u = _wavy(GridChart((1.0, 1.0), (24, 40), PERIODIC))
+        else:
+            u = _wavy(GridChart((2.0, 1.0), (40, 24), CLAMPED))
+            vals = u.values.copy()
+            vals[0, 0] = (-0.0, 5e-324, 1e17)
+            vals[3, 5] = (123456789.5, -1e-300, 1.0 / 3.0)
+            u = ImmersionField(u.chart, vals)
+        got, ref = tmp_path / "got.obj", tmp_path / "ref.obj"
+        export_mesh(u, got)
+        _reference_export(u, ref)
+        assert got.read_bytes() == ref.read_bytes()
+        if case == "clamped":
+            assert got.read_text().startswith("v -0 4.94065646e-324 1e+17\n")
+
     def test_flat_patch_counts(self, tmp_path):
         c = _minimal_chart_2x2_like()
         u = ImmersionField.flat(c)

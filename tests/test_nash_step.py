@@ -11,7 +11,9 @@ from isoflex.grid import (
     MetricField,
     ScalarField,
     UnderResolvedError,
+    norm_report,
     pullback_metric,
+    sup_norm,
 )
 from isoflex.nash_step import (
     ShortnessLostError,
@@ -271,6 +273,30 @@ class TestAddMetric2d:
         out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table)
         assert len(out.meta["steps"]) == 2
         assert len(calls) == 8
+
+    def test_norms_computed_only_when_read(self, table, monkeypatch):
+        # the outcome carries sup |v - u|; the norms of v cost a
+        # norm_report only when v_norms is read
+        import isoflex.nash_step as nash_step
+
+        calls = []
+
+        def counting(f, *args, **kwargs):
+            calls.append(f)
+            return norm_report(f, *args, **kwargs)
+
+        monkeypatch.setattr(nash_step, "norm_report", counting)
+        c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
+        u = ImmersionField.flat(c, scale=0.9)
+        g = MetricField.constant(c, np.eye(2))
+        h = MetricField.constant(c, np.zeros((2, 2)))
+        rho = ScalarField.constant(c, 0.9 * np.sqrt(0.05))
+        out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table)
+        assert calls == []
+        assert out.displacement > 0
+        assert out.displacement == sup_norm(ImmersionField(c, out.v.values - u.values))
+        assert out.v_norms == norm_report(out.v)
+        assert calls == [out.v]
 
     def test_support_inflation_bounded(self, table):
         c = GridChart((1.0, 1.0), (768, 768), CLAMPED)
