@@ -70,9 +70,12 @@ def cmd_run(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 
+    depth = args.depth if args.depth is not None else scenario.depth
+    if depth < 1:
+        print(f"--depth {depth} rejected: depth must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    depth = args.depth if args.depth is not None else scenario.depth
     seed = args.seed if args.seed is not None else scenario.seed
 
     resolved = dict(scenario.resolved)

@@ -294,9 +294,15 @@ def _taper_window(n_core, pad):
     return w
 
 
-def solve_conformal(h: MetricField, residual_tol: float = 1e-6,
-                    max_iter: int = 200, tol: float = 1e-12,
-                    pad_fraction: float = 0.25) -> ConformalFactorization:
+# Beltrami contraction: at most BELTRAMI_MAX_ITER iterations, stopping once
+# an iterate moves by less than BELTRAMI_TOL.  A clamped chart is padded on
+# each side by PAD_FRACTION of its nodes along that axis (even, at least 8).
+BELTRAMI_MAX_ITER = 200
+BELTRAMI_TOL = 1e-12
+PAD_FRACTION = 0.25
+
+
+def solve_conformal(h: MetricField, residual_tol: float = 1e-6) -> ConformalFactorization:
     """Factorize SPD H as theta^2 (grad Phi_1 (x)^2 + grad Phi_2 (x)^2).
 
     The Beltrami coefficient is extended to a torus (identity on periodic
@@ -318,7 +324,8 @@ def solve_conformal(h: MetricField, residual_tol: float = 1e-6,
         crop = (slice(None), slice(None))
     else:
         nx0, ny0 = chart.resolution
-        px, py = (int(round(pad_fraction * nx0)) // 2) * 2, (int(round(pad_fraction * ny0)) // 2) * 2
+        px, py = ((int(round(PAD_FRACTION * nx0)) // 2) * 2,
+                  (int(round(PAD_FRACTION * ny0)) // 2) * 2)
         px, py = max(px, 8), max(py, 8)
         mu = np.pad(mu_core, ((px, px), (py, py)), mode="reflect")
         mu = mu * _taper_window(nx0, px)[:, None] * _taper_window(ny0, py)[None, :]
@@ -341,7 +348,7 @@ def solve_conformal(h: MetricField, residual_tol: float = 1e-6,
     p = np.zeros((nx, ny), dtype=complex)
     contraction = 0.0
     last_change = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, BELTRAMI_MAX_ITER + 1):
         w_full = mu * (1.0 + p)
         w_hat = np.fft.fft2(w_full)
         w_hat[0, 0] = 0.0
@@ -350,7 +357,7 @@ def solve_conformal(h: MetricField, residual_tol: float = 1e-6,
         if np.isfinite(last_change) and last_change > 0:
             contraction = change / last_change
         p = p_new
-        if change < tol:
+        if change < BELTRAMI_TOL:
             break
         if it > 10 and change > 0 and contraction > 0.999:
             raise BeltramiError(

@@ -6,7 +6,12 @@ first).  All arithmetic is float64: the iteration spans several orders of
 magnitude in frequency and 32-bit accumulates visible error.
 
 Derivatives use centered 4th-order stencils in the interior and one-sided
-2nd-order stencils within two cells of a clamped frame.  All operations are
+2nd-order stencils within two cells of a clamped frame.  They are evaluated
+over slabs of rows of about SLAB_BYTES each, so that a slab's input, output
+and temporaries stay in cache; the Gram product of a Jacobian and the sup
+norms of derivatives are reduced slab by slab too, and a sup norm never
+builds the whole derivative field.  Every node gets the same floating-point
+operations as a whole-array evaluation would give it.  All operations are
 pure: inputs are never mutated, outputs are freshly allocated.
 """
 
@@ -25,6 +30,12 @@ MIN_RESOLUTION = 8
 
 # smallest singular value at or below which pullback_metric calls a node degenerate
 DEGENERATE_TOL = 1e-10
+
+# bytes of field rows per slab of the derivative kernel (at least one row).
+# A slab, its stencil output and one temporary take about 1.5 MB, inside a
+# 2 MB per-core L2 cache; of 64 KiB to 1 MiB on such a Xeon, 256-512 KiB ran
+# the stencils and the Gram product fastest at 512^2 and 1024^2.
+SLAB_BYTES = 1 << 19
 
 
 class ChartError(ValueError):
@@ -123,6 +134,13 @@ class ScalarField:
         return np.stack([_diff1(self.values, 0, hx, p), _diff1(self.values, 1, hy, p)], axis=-1)
 
 
+def _eigenvalues(v):
+    a, b, c = v[..., 0], v[..., 1], v[..., 2]
+    mean = 0.5 * (a + c)
+    rad = np.sqrt((0.5 * (a - c)) ** 2 + b ** 2)
+    return mean - rad, mean + rad
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Symmetric 2x2 tensor samples; symmetry is exact by storage.
@@ -162,10 +180,7 @@ class MetricField:
 
     def eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form symmetric 2x2 eigenvalues, (min, max) per node."""
-        a, b, c = self.values[..., 0], self.values[..., 1], self.values[..., 2]
-        mean = 0.5 * (a + c)
-        rad = np.sqrt((0.5 * (a - c)) ** 2 + b ** 2)
-        return mean - rad, mean + rad
+        return _eigenvalues(self.values)
 
     def det(self) -> np.ndarray:
         a, b, c = self.values[..., 0], self.values[..., 1], self.values[..., 2]
@@ -175,9 +190,12 @@ class MetricField:
         return self.values[..., 0] + self.values[..., 2]
 
     def spd_band(self) -> tuple[float, float]:
-        """(min eigenvalue, max eigenvalue) over all nodes."""
-        lo, hi = self.eigenvalues()
-        return float(lo.min()), float(hi.max())
+        """(min eigenvalue, max eigenvalue) over all nodes, slab by slab."""
+        lo, hi = np.inf, -np.inf
+        for s in _slabs(self.values):
+            slab_lo, slab_hi = _eigenvalues(self.values[s])
+            lo, hi = min(lo, float(slab_lo.min())), max(hi, float(slab_hi.max()))
+        return lo, hi
 
     def check_spd(self, gamma: float):
         """Verify 1/gamma <= eigenvalues <= gamma at every node."""
@@ -243,51 +261,68 @@ class ImmersionField:
         """New immersion moved by a (periodic) displacement field."""
         return ImmersionField(self.chart, self.values + offset, self.linear)
 
-    def jacobian(self) -> np.ndarray:
-        """Per-node Jacobian, shape (nx, ny, 3, 2): J[..., k, i] = d_i u^k."""
+    def jacobian(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node Jacobian columns (d_x u, d_y u), each of shape (nx, ny, 3)."""
         hx, hy = self.chart.spacing
         p = self.chart.periodic
         jx = _diff1(self.values, 0, hx, p)
         jy = _diff1(self.values, 1, hy, p)
-        jac = np.stack([jx, jy], axis=-1)
         if self.linear is not None:
-            jac += self.linear
-        return jac
+            jx += self.linear[:, 0]
+            jy += self.linear[:, 1]
+        return jx, jy
 
     def min_singular_value(self) -> np.ndarray:
         """Smallest singular value of the Jacobian per node."""
-        lo = _gram(self.jacobian())[4]
+        lo = _gram(*self.jacobian())[2]
         return np.sqrt(np.maximum(lo, 0.0))
 
 
-def _gram(jac):
-    """Gram matrix of a (..., 3, 2) Jacobian and its closed-form spectrum.
+def _gram(jx, jy):
+    """Gram matrix of the Jacobian columns jx, jy and its closed-form spectrum.
 
-    Returns (g11, g12, g22, det, lo, hi): the entries d_i u . d_j u summed
-    over k = 0, 1, 2 in that order, the determinant, and the smaller and
-    larger eigenvalue.  The square root of max(lo, 0) is the smallest
-    singular value of the Jacobian.
+    Returns (g, det, lo, hi), computed slab by slab: g[..., 0:3] holds
+    (g11, g12, g22), the entries d_i u . d_j u summed over k = 0, 1, 2 in
+    that order; then the determinant and the smaller and larger eigenvalue.
+    The square root of max(lo, 0) is the smallest singular value of the
+    Jacobian.
     """
-    x, y = jac[..., 0], jac[..., 1]
-    g11 = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2]
-    g12 = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
-    g22 = y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1] + y[..., 2] * y[..., 2]
-    tr = g11 + g22
-    det = g11 * g22 - g12 * g12
-    rad = np.sqrt(np.maximum((0.5 * tr) ** 2 - det, 0.0))
-    return g11, g12, g22, det, 0.5 * tr - rad, 0.5 * tr + rad
+    g = np.empty(jx.shape)
+    det, lo, hi = (np.empty(jx.shape[:2]) for _ in range(3))
+    for s in _slabs(jx):
+        x, y = jx[s], jy[s]
+        g11 = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2]
+        g12 = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+        g22 = y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1] + y[..., 2] * y[..., 2]
+        g[s, :, 0], g[s, :, 1], g[s, :, 2] = g11, g12, g22
+        tr = g11 + g22
+        det[s] = g11 * g22 - g12 * g12
+        rad = np.sqrt(np.maximum((0.5 * tr) ** 2 - det[s], 0.0))
+        lo[s] = 0.5 * tr - rad
+        hi[s] = 0.5 * tr + rad
+    return g, det, lo, hi
 
 
 # ---------------------------------------------------------------------------
 # finite-difference stencils
 #
-# The centered stencils run over the interior rows of either chart.  A
-# periodic axis computes its two edge rows on each side from an 8-row
-# wrapped copy; wrapping the whole axis would allocate an array slightly
-# larger than every field, which glibc's adaptive mmap threshold answers by
-# serving later fields from the heap (+10 MB peak RSS on a 512^2 torus run).
-# Each stencil is evaluated in place in the term order of its formula, so
-# every row gets the same floats as the formula itself.
+# Every derivative is evaluated over slabs of rows (axis 0) of about
+# SLAB_BYTES, so that a slab's input, output and the stencil's temporaries
+# stay in cache instead of streaming whole fields through memory once per
+# term.  Along axis 0 a slab reads its rows plus two halo rows on each side;
+# along axis 1 each slab is differentiated whole.  The centered stencils run
+# over the interior rows of either chart; the two edge rows on each side
+# come from the one-sided formulas of a clamped frame, or on a periodic axis
+# from the centered stencil over an 8-row wrapped copy.  Each stencil is
+# evaluated in the term order of its formula, so every node gets the same
+# floats as the formula itself, whatever the slab size.
+
+def _slabs(values):
+    """Slices of axis 0 that cut values into slabs of about SLAB_BYTES."""
+    n = values.shape[0]
+    step = max(1, SLAB_BYTES // values[0].nbytes)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
 
 def _centered1(w, out, h):
     """out = (-w[4:] + 8 w[3:-1] - 8 w[1:-3] + w[:-4]) / (12 h)."""
@@ -313,43 +348,59 @@ def _centered2(w, out, h2):
     out /= 12 * h2
 
 
-def _periodic_edges(f, out, centered, h):
-    """The two edge rows on each side of a periodic axis 0."""
-    edge = np.empty_like(f[:4])
-    centered(np.concatenate([f[-4:], f[:4]]), edge, h)
-    out[-2:], out[:2] = edge[:2], edge[2:]
+def _edge_rows(f, h, order, periodic):
+    """Rows 0, 1, n-2, n-1 of the derivative of f along axis 0."""
+    if periodic:
+        edge = np.empty_like(f[:4])
+        centered = _centered1 if order == 1 else _centered2
+        centered(np.concatenate([f[-4:], f[:4]]), edge, h if order == 1 else h * h)
+        return edge[2], edge[3], edge[0], edge[1]
+    if order == 1:
+        # one-sided / short centered rows near the frame, 2nd order
+        return ((-3 * f[0] + 4 * f[1] - f[2]) / (2 * h), (f[2] - f[0]) / (2 * h),
+                (f[-1] - f[-3]) / (2 * h), (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h))
+    h2 = h * h
+    return ((2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2, (f[2] - 2 * f[1] + f[0]) / h2,
+            (f[-1] - 2 * f[-2] + f[-3]) / h2, (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2)
+
+
+def _rows(f, out, a, b, h, order, periodic):
+    """Rows a..b-1 of the derivative of f along axis 0, written to out."""
+    n = f.shape[0]
+    lo, hi = max(a, 2), min(b, n - 2)
+    if lo < hi:
+        centered, hh = (_centered1, h) if order == 1 else (_centered2, h * h)
+        centered(f[lo - 2:hi + 2], out[lo - a:hi - a], hh)
+    if a < 2 or b > n - 2:
+        for i, row in zip((0, 1, n - 2, n - 1), _edge_rows(f, h, order, periodic)):
+            if a <= i < b:
+                out[i - a] = row
+
+
+def _slab(values, s, axis, h, order, periodic, out):
+    """Derivative along axis of the rows s of values, written to out."""
+    if axis == 0:
+        _rows(values, out, s.start, s.stop, h, order, periodic)
+    else:
+        f = values[s].swapaxes(0, 1)
+        _rows(f, out.swapaxes(0, 1), 0, f.shape[0], h, order, periodic)
+
+
+def _diff(values, axis, h, order, periodic):
+    out = np.empty_like(values)
+    for s in _slabs(values):
+        _slab(values, s, axis, h, order, periodic, out[s])
+    return out
 
 
 def _diff1(values, axis, h, periodic):
     """First derivative along axis 0 or 1 of a (nx, ny, ...) array."""
-    f = np.moveaxis(values, axis, 0)
-    out = np.empty_like(f)
-    _centered1(f, out[2:-2], h)
-    if periodic:
-        _periodic_edges(f, out, _centered1, h)
-    else:
-        # one-sided / short centered rows near the frame, 2nd order
-        out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
-        out[1] = (f[2] - f[0]) / (2 * h)
-        out[-2] = (f[-1] - f[-3]) / (2 * h)
-        out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-    return np.moveaxis(out, 0, axis)
+    return _diff(values, axis, h, 1, periodic)
 
 
 def _diff2(values, axis, h, periodic):
     """Pure second derivative along one axis."""
-    f = np.moveaxis(values, axis, 0)
-    out = np.empty_like(f)
-    h2 = h * h
-    _centered2(f, out[2:-2], h2)
-    if periodic:
-        _periodic_edges(f, out, _centered2, h2)
-    else:
-        out[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h2
-        out[1] = (f[2] - 2 * f[1] + f[0]) / h2
-        out[-2] = (f[-1] - 2 * f[-2] + f[-3]) / h2
-        out[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / h2
-    return np.moveaxis(out, 0, axis)
+    return _diff(values, axis, h, 2, periodic)
 
 
 def second_derivatives(values, chart):
@@ -360,6 +411,37 @@ def second_derivatives(values, chart):
     fyy = _diff2(values, 1, hy, p)
     fxy = _diff1(_diff1(values, 0, hx, p), 1, hy, p)
     return fxx, fxy, fyy
+
+
+def derivative_sup(values, chart, names, collar=0):
+    """max |D values| over the derivatives D in names, slab by slab.
+
+    names are taken from "x", "y", "xx", "xy", "yy"; no whole derivative
+    field is built.  collar > 0 leaves out the nodes within collar rows or
+    columns of the frame.
+    """
+    hx, hy = chart.spacing
+    p = chart.periodic
+    nx, ny = values.shape[:2]
+    slabs = _slabs(values)
+    dx, out = np.empty_like(values[slabs[0]]), np.empty_like(values[slabs[0]])
+    best = 0.0
+    for s in slabs:
+        lo, hi = max(s.start, collar), min(s.stop, nx - collar)
+        if lo >= hi:
+            continue
+        k = s.stop - s.start
+        d = out[:k]
+        for name in names:
+            if name == "xy":  # d_y of the slab's d_x
+                _slab(values, s, 0, hx, 1, p, dx[:k])
+                _slab(dx[:k], slice(0, k), 1, hy, 1, p, d)
+            else:
+                axis = 0 if name[0] == "x" else 1
+                _slab(values, s, axis, (hx, hy)[axis], len(name), p, d)
+            best = max(best, float(np.max(np.abs(d[lo - s.start:hi - s.start,
+                                                    collar:ny - collar]))))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +455,8 @@ def pullback_metric(u: ImmersionField) -> MetricField:
     result's meta["degenerate_nodes"] (the first 64) and
     meta["degenerate_count"]; they are not fatal.
     """
-    g11, g12, g22, _, lo, _ = _gram(u.jacobian())
-    out = MetricField(u.chart, np.stack([g11, g12, g22], axis=-1))
+    g, _, lo, _ = _gram(*u.jacobian())
+    out = MetricField(u.chart, g)
     sigma = np.sqrt(np.maximum(lo, 0.0))
     bad = np.argwhere(sigma <= DEGENERATE_TOL)
     if bad.size:
@@ -548,19 +630,11 @@ def sup_norm(f) -> float:
 
 
 def c1_seminorm(f) -> float:
-    chart = f.chart
-    hx, hy = chart.spacing
-    p = chart.periodic
-    v = _component_view(f)
-    gx = _diff1(v, 0, hx, p)
-    gy = _diff1(v, 1, hy, p)
-    return float(max(np.max(np.abs(gx)), np.max(np.abs(gy))))
+    return derivative_sup(_component_view(f), f.chart, ("x", "y"))
 
 
 def c2_seminorm(f) -> float:
-    v = _component_view(f)
-    fxx, fxy, fyy = second_derivatives(v, f.chart)
-    return float(max(np.max(np.abs(fxx)), np.max(np.abs(fxy)), np.max(np.abs(fyy))))
+    return derivative_sup(_component_view(f), f.chart, ("xx", "xy", "yy"))
 
 
 def norm_report(f, thetas: Sequence[float] = ()) -> NormReport:

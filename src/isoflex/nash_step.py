@@ -16,7 +16,8 @@ factorized form g - u#e = delta (g + h).
 
 All defect norms quote a boundary collar on clamped charts: the one-sided
 stencil rows and the mollifier's reach are excluded from measurement (the
-collar width is a knob; fields are still produced everywhere).
+collar width follows from the mollification scale; fields are still
+produced everywhere).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .grid import (
     NormReport,
     ScalarField,
     UnderResolvedError,
-    _diff1,
     _gram,
+    derivative_sup,
     mollify,
     norm_report,
     pullback_metric,
@@ -96,7 +97,6 @@ class StageParams:
 
     K: float
     kappa: float = 1.5
-    ell: float | None = None
     c1: float = 1.0
 
     def validate_against(self, p: StepParams):
@@ -129,12 +129,6 @@ def _displacement(v: ImmersionField, u: ImmersionField) -> float:
     return float(np.max(np.linalg.norm(v.values - u.values, axis=-1)))
 
 
-def _interior(chart, collar: int):
-    if chart.periodic or collar <= 0:
-        return (slice(None), slice(None))
-    return (slice(collar, -collar), slice(collar, -collar))
-
-
 def _band(metric: MetricField):
     lo, hi = metric.spd_band()
     if lo <= 0:
@@ -142,21 +136,18 @@ def _band(metric: MetricField):
     return max(hi, 1.0 / lo), lo, hi
 
 
-def _measure_defect(defect: MetricField, ell: float, collar: int | None):
+def _measure_defect(defect: MetricField, ell: float):
     """(collar, sup, C1) of a defect field away from the boundary collar.
 
-    The default collar on clamped charts covers the mollifier's reach ell
-    plus the one-sided stencil rows; the C1 part adds first differences.
+    The collar on clamped charts covers the mollifier's reach ell plus the
+    one-sided stencil rows; the C1 part adds first differences.
     """
     chart = defect.chart
-    hx, hy = chart.spacing
-    if collar is None:
-        collar = 0 if chart.periodic else int(np.ceil(ell / max(hx, hy))) + 2
-    inner = _interior(chart, collar)
+    collar = 0 if chart.periodic else int(np.ceil(ell / max(chart.spacing))) + 2
+    nx, ny = chart.resolution
     vals = defect.values
-    sup = float(np.max(np.abs(vals[inner])))
-    dc1 = max(float(np.max(np.abs(_diff1(vals, 0, hx, chart.periodic)[inner]))),
-              float(np.max(np.abs(_diff1(vals, 1, hy, chart.periodic)[inner]))))
+    sup = float(np.max(np.abs(vals[collar:nx - collar, collar:ny - collar])))
+    dc1 = derivative_sup(vals, chart, ("x", "y"), collar)
     return collar, sup, sup + dc1
 
 
@@ -193,7 +184,7 @@ def _phase_is_commensurate(phi: PhaseField, lam: float, tol=1e-9):
 
 
 def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
-         table: CorrugationTable, collar: int | None = None) -> StepOutcome:
+         table: CorrugationTable) -> StepOutcome:
     """One corrugation step adding rho^2 grad(Phi) (x) grad(Phi)."""
     chart = u.chart
     h = max(chart.spacing)
@@ -227,8 +218,9 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
 
     ell = 1.0 / p.lam
     u_smooth = mollify(u, ell, clamped_mode="extrapolate") if ell >= 2 * h else u
-    jac = u_smooth.jacobian()
-    g11, g12, g22, det, eig_lo, eig_hi = _gram(jac)
+    jx, jy = u_smooth.jacobian()
+    gram, det, eig_lo, eig_hi = _gram(jx, jy)
+    g11, g12, g22 = gram[..., 0], gram[..., 1], gram[..., 2]
     cond = eig_hi.max() / max(eig_lo.min(), 1e-300)
     if eig_lo.min() <= 0 or cond > 1e6:
         raise StepPreconditionError(
@@ -237,11 +229,11 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
     # xi~ = grad(u~) Gram^-1 grad(Phi)
     sol_x = (g22 * gphi[..., 0] - g12 * gphi[..., 1]) / det
     sol_y = (g11 * gphi[..., 1] - g12 * gphi[..., 0]) / det
-    xi_t = jac[..., 0] * sol_x[..., None] + jac[..., 1] * sol_y[..., None]
+    xi_t = jx * sol_x[..., None] + jy * sol_y[..., None]
     xi_sq = np.einsum("...k,...k->...", xi_t, xi_t)
     xi = xi_t / xi_sq[..., None]
 
-    zeta_t = np.cross(jac[..., 0], jac[..., 1])
+    zeta_t = np.cross(jx, jy)
     zeta_norm = np.linalg.norm(zeta_t, axis=-1)
     xi_norm = np.sqrt(xi_sq)
     zeta = zeta_t / (zeta_norm * xi_norm)[..., None]
@@ -264,7 +256,7 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
         [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
     pb_v = pullback_metric(v)
     defect = MetricField(chart, pb_v.values - target)
-    collar, defect_sup, defect_c1 = _measure_defect(defect, ell, collar)
+    collar, defect_sup, defect_c1 = _measure_defect(defect, ell)
 
     outside = rho.values == 0.0
     if outside.any():
@@ -289,7 +281,7 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
 
 
 def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
-          table: CorrugationTable, collar: int | None = None) -> StepOutcome:
+          table: CorrugationTable) -> StepOutcome:
     """Apply one step per (rho_k, Phi_k) term with frequencies lam * K^k.
 
     The outcome's defect compares the final pullback against
@@ -317,7 +309,7 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
         phi_used, shift = commensurate_phase(phi_k, lam_k)
         p_k = replace(p, lam=lam_k, gamma=max(p.gamma, gb_in * 1.02))
         try:
-            out = step(current, rho_k, phi_used, p_k, table, collar=collar)
+            out = step(current, rho_k, phi_used, p_k, table)
         except ShortnessLostError as exc:
             raise ShortnessLostError(f"term {k}: {exc}", term_index=k) from exc
         current, gb_in = out.v, out.gamma_bar
@@ -330,7 +322,7 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
 
     pb_v = pullback_metric(current)
     defect = MetricField(chart, pb_v.values - target)
-    collar, defect_sup, defect_c1 = _measure_defect(defect, 1.0 / p.lam, collar)
+    collar, defect_sup, defect_c1 = _measure_defect(defect, 1.0 / p.lam)
 
     outside = np.ones(chart.resolution, dtype=bool)
     for rho_k, _ in terms:
@@ -370,12 +362,17 @@ def _support_inflation(moved_mask, supp_mask, chart):
     return float(dist[moved_mask].max())
 
 
+def _gradient_range(phi: PhaseField):
+    """(min, max) of |grad Phi| over the nodes."""
+    gp = phi.gradient()
+    mag = np.sqrt(gp[..., 0] ** 2 + gp[..., 1] ** 2)
+    return float(mag.min()), float(mag.max())
+
+
 def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
                   h: MetricField, delta: float, lam: float, kappa: float,
                   table: CorrugationTable, alpha: float | None = None,
                   c0: float = 1.0, c1: float = 1.0,
-                  conformal_tol: float | None = None,
-                  collar: int | None = None,
                   strict_hypotheses: bool = True) -> StepOutcome:
     """Add rho^2 (g + h) to the pullback metric of u (two conformal terms).
 
@@ -445,17 +442,14 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
         raise StepPreconditionError(
             f"smoothed g + h lost ellipticity (min eigenvalue {sm_lo:.4g})")
 
-    if conformal_tol is None:
-        conformal_tol = 1e-6 if chart.periodic else 1e-2 * float(np.max(np.abs(target_sm.values)))
+    conformal_tol = 1e-6 if chart.periodic else 1e-2 * float(np.max(np.abs(target_sm.values)))
     fac = solve_conformal(target_sm, residual_tol=conformal_tol)
 
     amp = ScalarField(chart, fac.theta.values * rho_m.values)
     terms = [(amp, fac.phi1), (amp, fac.phi2)]
 
-    mags = [np.sqrt(p.gradient()[..., 0] ** 2 + p.gradient()[..., 1] ** 2)
-            for p in (fac.phi1, fac.phi2)]
-    m_eff = 1.2 * max(max(float(m.max()) for m in mags),
-                      max(1.0 / float(m.min()) for m in mags))
+    ranges = [_gradient_range(p) for p in (fac.phi1, fac.phi2)]
+    m_eff = 1.2 * max(max(hi for _, hi in ranges), max(1.0 / lo for lo, _ in ranges))
 
     nu = lam
     nu_tilde = lam ** kappa
@@ -468,14 +462,14 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     p = StepParams(lam=base, eps=delta, delta=delta, nu=nu, nu_tilde=nu_tilde,
                    M=m_eff, gamma=gamma * (1 + 2 * sd) + 1e-6,
                    c0=min(c0, base / nu_tilde))
-    sp = StageParams(K=K, kappa=kappa, ell=ell, c1=min(c1, K / (nu_tilde / nu) * 0.5))
+    sp = StageParams(K=K, kappa=kappa, c1=min(c1, K / (nu_tilde / nu) * 0.5))
 
-    out = stage(u, terms, p, sp, table, collar=collar)
+    out = stage(u, terms, p, sp, table)
 
     target = pb_u.values  # built in place: pb_u is not read again
     target += (rho.values ** 2)[..., None] * (g.values + h.values)
     defect = MetricField(chart, pullback_metric(out.v).values - target)
-    collar, dsup, dc1 = _measure_defect(defect, ell, collar)
+    collar, dsup, dc1 = _measure_defect(defect, ell)
 
     moved = np.abs(out.v.values - u.values).max(axis=-1) > 1e-14
     inflation = _support_inflation(moved, rho.values != 0.0, chart)
@@ -530,8 +524,7 @@ def torus_primitive_coefficients(m: MetricField):
 def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
                      table: CorrugationTable, delta_star: float | None = None,
                      lam: float | None = None, K: float | None = None,
-                     c0: float = 1.0, alpha_star: float | None = None,
-                     collar: int | None = None):
+                     c0: float = 1.0, alpha_star: float | None = None):
     """Put a strictly short immersion into the form g - u#e = delta*(g + h).
 
     Decomposes g - u#e - delta* g into primitive metrics (integer torus
@@ -623,7 +616,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
                    gamma=gamma_eff, c0=min(c0, lam / nu))
     sp = StageParams(K=K, kappa=1.0, c1=0.5 * K * nu / nu)
 
-    out = stage(u, terms, p, sp, table, collar=collar)
+    out = stage(u, terms, p, sp, table)
     u_t = out.v
 
     pb_t = pullback_metric(u_t)

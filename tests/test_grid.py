@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isoflex.grid as grid
 from isoflex.grid import (
     CLAMPED,
     PERIODIC,
@@ -16,6 +17,7 @@ from isoflex.grid import (
     _diff1,
     _diff2,
     c1_seminorm,
+    c2_seminorm,
     check_short,
     holder_seminorm,
     mollify,
@@ -24,6 +26,7 @@ from isoflex.grid import (
     second_derivatives,
     sup_norm,
 )
+from isoflex.nash_step import _measure_defect
 
 
 def square(n=64, boundary=CLAMPED):
@@ -161,6 +164,22 @@ def _wavy_map(chart):
     return ImmersionField.flat(chart, scale=1.1).displaced(wave)
 
 
+# SLAB_BYTES budgets: one row per slab, 7 rows of a 3-component (75, 53)
+# field, and the default
+SLAB_BUDGETS = [1, 7 * 53 * 3 * 8, grid.SLAB_BYTES]
+SLAB_SHAPES = [(75, 53), (8, 8)]
+
+
+@pytest.fixture(params=SLAB_BUDGETS)
+def slab_budget(request, monkeypatch):
+    monkeypatch.setattr(grid, "SLAB_BYTES", request.param)
+    return request.param
+
+
+def _ref_sup(*fields):
+    return max(float(np.max(np.abs(f))) for f in fields)
+
+
 class TestKernelReference:
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
     @pytest.mark.parametrize("axis", [0, 1])
@@ -223,6 +242,61 @@ class TestKernelReference:
         monkeypatch.setattr(ImmersionField, "jacobian", counted)
         pullback_metric(_wavy_map(_oblong(PERIODIC)))
         assert len(calls) == 1
+
+    # Slab evaluation against the same references, on a grid that
+    # SLAB_BUDGETS cut into several slabs with a ragged last one, and on the
+    # 8 x 8 minimum chart.
+
+    @pytest.mark.parametrize("shape", SLAB_SHAPES)
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("components", [(), (3,)])
+    def test_slab_stencils_bit_identical(self, slab_budget, shape, boundary, components):
+        chart = GridChart((1.0, 1.3), shape, boundary)
+        values = np.random.default_rng(11).standard_normal((*shape, *components))
+        hx, hy = chart.spacing
+        p = chart.periodic
+        for axis, h in ((0, hx), (1, hy)):
+            assert np.array_equal(_diff1(values, axis, h, p), _ref_diff1(values, axis, h, p))
+            assert np.array_equal(_diff2(values, axis, h, p), _ref_diff2(values, axis, h, p))
+        ref = (_ref_diff2(values, 0, hx, p),
+               _ref_diff1(_ref_diff1(values, 0, hx, p), 1, hy, p),
+               _ref_diff2(values, 1, hy, p))
+        for got, want in zip(second_derivatives(values, chart), ref):
+            assert np.array_equal(got, want)
+        f = ImmersionField(chart, values) if components else ScalarField(chart, values)
+        v = values if components else values[..., None]
+        assert c1_seminorm(f) == _ref_sup(_ref_diff1(v, 0, hx, p), _ref_diff1(v, 1, hy, p))
+        assert c2_seminorm(f) == _ref_sup(_ref_diff2(v, 0, hx, p),
+                                          _ref_diff1(_ref_diff1(v, 0, hx, p), 1, hy, p),
+                                          _ref_diff2(v, 1, hy, p))
+
+    @pytest.mark.parametrize("shape", SLAB_SHAPES)
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_slab_jacobian_gram_and_band(self, slab_budget, shape, boundary):
+        u = _wavy_map(GridChart((1.0, 1.3), shape, boundary))
+        ref = _ref_jacobian(u)
+        jx, jy = u.jacobian()
+        assert np.array_equal(jx, ref[..., 0]) and np.array_equal(jy, ref[..., 1])
+        g = pullback_metric(u)
+        assert np.array_equal(g.values, _ref_pullback(u))
+        assert np.array_equal(u.min_singular_value(), _ref_min_singular_value(u))
+        lo, hi = g.eigenvalues()
+        assert g.spd_band() == (float(lo.min()), float(hi.max()))
+
+    @pytest.mark.parametrize("shape", SLAB_SHAPES)
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("ell", [0.0, 0.1])
+    def test_slab_measure_defect(self, slab_budget, shape, boundary, ell):
+        chart = GridChart((1.0, 1.3), shape, boundary)
+        d = MetricField(chart, np.random.default_rng(13).standard_normal((*shape, 3)))
+        hx, hy = chart.spacing
+        p = chart.periodic
+        c = 0 if p else int(np.ceil(ell / max(hx, hy))) + 2
+        inner = (slice(c, shape[0] - c), slice(c, shape[1] - c))
+        sup = _ref_sup(d.values[inner])
+        dc1 = _ref_sup(_ref_diff1(d.values, 0, hx, p)[inner],
+                       _ref_diff1(d.values, 1, hy, p)[inner])
+        assert _measure_defect(d, ell) == (c, sup, sup + dc1)
 
 
 class TestMetricField:

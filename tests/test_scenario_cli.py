@@ -156,6 +156,15 @@ class TestCli:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
 
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_depth_below_one_is_config_error(self, tmp_path, capsys, depth):
+        out = tmp_path / "out"
+        rc = main(["run", "--scenario", str(write(tmp_path, MINIMAL_TORUS)),
+                   "--out", str(out), "--depth", depth])
+        assert rc == 3
+        assert "depth must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_factor_escape_is_config_error(self, tmp_path, capsys):
         p = write(tmp_path, MINIMAL_TORUS.replace(
             "kind = constant\nmatrix = 1.44 0.0 1.44",
