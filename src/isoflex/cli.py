@@ -41,10 +41,10 @@ def _dump_json(payload, path):
 
 # Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy, scipy) plus
 # a cost per grid node.  Both are fitted to the VmHWM of runs on the flat
-# 256^2 and 512^2 tori with g = 1.44 I: 160.1 and 318.0 MiB, the same at
-# depth 1 and 4 to 0.1% (Linux x86-64, numpy 2.4).
-RSS_FIXED_BYTES = 112_600_000
-RSS_BYTES_PER_NODE = 842
+# 256^2 and 512^2 tori with g = 1.44 I: 143.1 and 227.6 MiB (medians of 3),
+# the same at depth 1 and 4 to 0.2% (Linux x86-64, numpy 2.4).
+RSS_FIXED_BYTES = 120_500_000
+RSS_BYTES_PER_NODE = 451
 
 
 def _memory_estimate(resolution):

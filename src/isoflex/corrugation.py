@@ -134,6 +134,19 @@ class CorrugationTable:
         c3 = 1.5 * (p1 - p2) + 0.5 * (p3 - p0)
         return p1[i0] + u * (c1[i0] + u * (c2[i0] + u * c3[i0]))
 
+    def check_amplitude(self, s):
+        """Raise CorrugationDomainError unless every s lies in [0, s_max].
+
+        Tiny negative rounding passes (eval clamps it); the message quotes
+        the largest s.
+        """
+        if np.any(s > self.s_max * (1 + 1e-12) + 1e-300):
+            raise CorrugationDomainError(
+                f"amplitude {float(np.max(s)):.6g} exceeds table s_max={self.s_max:.6g}; "
+                "build a larger table or lower the step amplitude")
+        if np.any(s < -1e-12):
+            raise CorrugationDomainError("negative corrugation amplitude")
+
     def eval(self, s, t, which: str):
         """Gamma or its t-derivative at (s, t), broadcast; t is any real.
 
@@ -145,12 +158,7 @@ class CorrugationTable:
             raise ValueError(f"unknown table {which!r}; expected one of {_WHICH}")
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
-        if np.any(s > self.s_max * (1 + 1e-12) + 1e-300):
-            raise CorrugationDomainError(
-                f"amplitude {float(np.max(s)):.6g} exceeds table s_max={self.s_max:.6g}; "
-                "build a larger table or lower the step amplitude")
-        if np.any(s < -1e-12):
-            raise CorrugationDomainError("negative corrugation amplitude")
+        self.check_amplitude(s)
         s = np.clip(s, 0.0, self.s_max)
         if which in ("dt_g1", "dt_g2"):
             # these are closed forms in t given the amplitude profile; going

@@ -687,6 +687,6 @@ def check_short(u: ImmersionField, g: MetricField, rho: ScalarField | None = Non
         _require_same_chart(g, h)
         upper = MetricField(g.chart, 0.5 * g.values - h.values)
         lower = MetricField(g.chart, 0.5 * g.values + h.values)
-        margin = float(min(upper.eigenvalues()[0].min(), lower.eigenvalues()[0].min()))
+        margin = min(upper.spd_band()[0], lower.spd_band()[0])
         strong = bool(margin >= -tol)
     return ShortnessReport(cls, m, lo, strong, margin)

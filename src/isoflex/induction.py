@@ -461,16 +461,16 @@ def certify_adapted(state: AdaptedState, g: MetricField,
     pb = pullback_metric(state.u)
     resid = g.values - pb.values - (state.rho.values ** 2)[..., None] * (
         g.values + state.h.values)
-    short_lo = MetricField(chart, g.values - pb.values).eigenvalues()[0]
-    strong_lo = MetricField(chart, 0.5 * g.values - state.h.values).eigenvalues()[0]
-    strong_hi = MetricField(chart, 0.5 * g.values + state.h.values).eigenvalues()[0]
+    short_lo = MetricField(chart, g.values - pb.values).spd_band()[0]
+    strong_lo = MetricField(chart, 0.5 * g.values - state.h.values).spd_band()[0]
+    strong_hi = MetricField(chart, 0.5 * g.values + state.h.values).spd_band()[0]
 
     mask = state.rho.values > rho_floor
     out = {
         "factorization_residual": float(np.max(np.abs(resid))),
-        "short_min_eig": float(short_lo.min()),
-        "strong_band_ok": bool(min(strong_lo.min(), strong_hi.min()) >= -1e-9),
-        "strong_band_margin": float(min(strong_lo.min(), strong_hi.min())),
+        "short_min_eig": short_lo,
+        "strong_band_ok": bool(min(strong_lo, strong_hi) >= -1e-9),
+        "strong_band_margin": min(strong_lo, strong_hi),
     }
     if mask.any() and state.theta > 0:
         expo = 1.0 - 1.0 / state.theta
@@ -553,11 +553,12 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         rho_t = ScalarField(chart, np.sqrt(amp_sq))
         ratio = np.where(live, rho.values ** 2 / np.where(live, rr, 1.0), 0.0)
         h_t = MetricField(chart, chit.values[..., None] * ratio[..., None] * h.values)
+        del rr, ratio  # not read again, and the stage below is the pass's peak
 
-        added_lo = MetricField(chart, g.values + h_t.values).eigenvalues()[0]
-        if float(added_lo[live].min()) <= 0:
+        added_lo = float(MetricField(chart, g.values + h_t.values).eigenvalues()[0][live].min())
+        if added_lo <= 0:
             truncation = {"q": q, "reason": "added metric lost ellipticity",
-                          "detail": f"min eig(g + h~) = {added_lo[live].min():.4g}"}
+                          "detail": f"min eig(g + h~) = {added_lo:.4g}"}
             break
 
         # nominal corollary scale from the data norms that feed the
@@ -597,11 +598,11 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
 
         v = out.v
         pb_v = pullback_metric(v)
-        short_lo = MetricField(chart, g.values - pb_v.values).eigenvalues()[0]
-        if float(short_lo.min()) <= 0:
+        short_lo = MetricField(chart, g.values - pb_v.values).spd_band()[0]
+        if short_lo <= 0:
             truncation = {
                 "q": q, "reason": "shortness would be lost",
-                "detail": f"min eig(g - v#e) = {short_lo.min():.4g} at stage "
+                "detail": f"min eig(g - v#e) = {short_lo:.4g} at stage "
                           f"defect {out.defect_sup:.4g}; a larger frequency "
                           f"ratio than {growth:.1f} is needed"}
             break
@@ -646,10 +647,10 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         resid = g.values - pb_v.values - (rho_next.values ** 2)[..., None] * (
             g.values + h_next_vals)
         rec["factorization_residual"] = float(np.max(np.abs(resid)))
-        rec["short_min_eig"] = float(short_lo.min())
-        strong_lo = MetricField(chart, 0.5 * g.values - h_next.values).eigenvalues()[0]
-        strong_hi = MetricField(chart, 0.5 * g.values + h_next.values).eigenvalues()[0]
-        rec["strong_band_ok"] = bool(min(strong_lo.min(), strong_hi.min()) >= -1e-9)
+        rec["short_min_eig"] = short_lo
+        strong_lo = MetricField(chart, 0.5 * g.values - h_next.values).spd_band()[0]
+        strong_hi = MetricField(chart, 0.5 * g.values + h_next.values).spd_band()[0]
+        rec["strong_band_ok"] = bool(min(strong_lo, strong_hi) >= -1e-9)
         rec["h_sup"] = float(np.max(np.abs(h_next_vals)))
         rec["defect_sup"] = out.defect_sup
         rec["stage_meta"] = {k: out.meta[k] for k in
@@ -824,8 +825,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
         "rho_min": float(state.rho.values.min()),
         "displacement_total": total_disp,
         "displacement_budget": a0 ** -0.5,
-        "short_min_eig": float(MetricField(chart, g.values - pb.values)
-                               .eigenvalues()[0].min()),
+        "short_min_eig": MetricField(chart, g.values - pb.values).spd_band()[0],
         "holder_probe_theta": probe_theta,
         "holder_probes": probes,
     }

@@ -18,6 +18,17 @@ All defect norms quote a boundary collar on clamped charts: the one-sided
 stencil rows and the mollifier's reach are excluded from measurement (the
 collar width follows from the mollification scale; fields are still
 produced everywhere).
+
+Memory: of a step's intermediates only the Jacobian columns of u~,
+grad(Phi), the phase lam Phi and the amplitude rho~ are whole fields; the
+Gram product, xi~, xi, zeta, Gamma and sup |v - u| are evaluated one slab
+of rows at a time (grid._slabs) and written straight into v, every node
+getting the floating-point operations of a whole-array evaluation.  Every
+other whole field of a step, a stage or a metric addition is dropped after
+its last reader: a stage does not keep a step's defect, and the metric
+addition keeps only the phases and theta rho~ of its factorization.  On a
+1024^2 clamped chart a step peaks 155 MB (18.5 fields of nx * ny float64)
+above its entry, against 496 MB for the whole-array step.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .grid import (
     ScalarField,
     UnderResolvedError,
     _gram,
+    _slabs,
     derivative_sup,
     mollify,
     norm_report,
@@ -125,8 +137,17 @@ class StepOutcome:
         return norm_report(self.v)
 
 
-def _displacement(v: ImmersionField, u: ImmersionField) -> float:
-    return float(np.max(np.linalg.norm(v.values - u.values, axis=-1)))
+def _displacement(v_vals: np.ndarray, u_vals: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(v_vals - u_vals, axis=-1)))
+
+
+def _xi_tilde(jx, jy, gram, det, gphi):
+    """xi~ = grad(u~) Gram^-1 grad(Phi) and |xi~|^2 on a slab of nodes."""
+    g11, g12, g22 = gram[..., 0], gram[..., 1], gram[..., 2]
+    sol_x = (g22 * gphi[..., 0] - g12 * gphi[..., 1]) / det
+    sol_y = (g11 * gphi[..., 1] - g12 * gphi[..., 0]) / det
+    xi_t = jx * sol_x[..., None] + jy * sol_y[..., None]
+    return xi_t, np.einsum("...k,...k->...", xi_t, xi_t)
 
 
 def _band(metric: MetricField):
@@ -134,6 +155,31 @@ def _band(metric: MetricField):
     if lo <= 0:
         return np.inf, lo, hi
     return max(hi, 1.0 / lo), lo, hi
+
+
+def _corrugation(jx, jy, gphi, amplitude, phase, lam, table):
+    """(Gamma_1 xi + Gamma_2 zeta)/lam on a slab of nodes."""
+    gram, det, _, _ = _gram(jx, jy)
+    xi_t, xi_sq = _xi_tilde(jx, jy, gram, det, gphi)
+    xi = xi_t / xi_sq[..., None]
+    zeta_t = np.cross(jx, jy)
+    zeta_norm = np.linalg.norm(zeta_t, axis=-1)
+    zeta = zeta_t / (zeta_norm * np.sqrt(xi_sq))[..., None]
+    g1 = table.eval(amplitude, phase, "g1")
+    g2 = table.eval(amplitude, phase, "g2")
+    return (g1[..., None] * xi + g2[..., None] * zeta) / lam
+
+
+def _primitive(rho: ScalarField, gphi: np.ndarray) -> np.ndarray:
+    """Components of the primitive metric rho^2 grad(Phi) (x) grad(Phi)."""
+    return (rho.values ** 2)[..., None] * np.stack(
+        [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
+
+
+def _gradient_range(gphi: np.ndarray):
+    """(min, max) of |grad Phi| over the nodes, from the gradient field."""
+    mag = np.sqrt(gphi[..., 0] ** 2 + gphi[..., 1] ** 2)
+    return float(mag.min()), float(mag.max())
 
 
 def _measure_defect(defect: MetricField, ell: float):
@@ -205,10 +251,10 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
             f"input pullback band {gb:.4g} exceeds declared gamma={p.gamma:.4g}")
 
     gphi = phi.gradient()
-    mag = np.sqrt(gphi[..., 0] ** 2 + gphi[..., 1] ** 2)
-    if mag.min() < 1.0 / p.M - 1e-12 or mag.max() > p.M + 1e-12:
+    mag_lo, mag_hi = _gradient_range(gphi)
+    if mag_lo < 1.0 / p.M - 1e-12 or mag_hi > p.M + 1e-12:
         problems.append(
-            f"|grad Phi| range [{mag.min():.4g}, {mag.max():.4g}] leaves [1/M, M] "
+            f"|grad Phi| range [{mag_lo:.4g}, {mag_hi:.4g}] leaves [1/M, M] "
             f"with M={p.M}")
     if not _phase_is_commensurate(phi, p.lam):
         problems.append("phase does not wrap the torus at this frequency; "
@@ -219,44 +265,43 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
     ell = 1.0 / p.lam
     u_smooth = mollify(u, ell, clamped_mode="extrapolate") if ell >= 2 * h else u
     jx, jy = u_smooth.jacobian()
-    gram, det, eig_lo, eig_hi = _gram(jx, jy)
-    g11, g12, g22 = gram[..., 0], gram[..., 1], gram[..., 2]
-    cond = eig_hi.max() / max(eig_lo.min(), 1e-300)
-    if eig_lo.min() <= 0 or cond > 1e6:
+    del u_smooth
+    slabs = _slabs(jx)
+
+    # first pass: the Gram band and the amplitude rho~ = |xi~| rho, so that
+    # both refusals below see the whole chart before any table is read
+    eig_lo, eig_hi = np.inf, -np.inf
+    amplitude = np.empty(chart.resolution)
+    for s in slabs:
+        gram, det, lo, hi = _gram(jx[s], jy[s])
+        eig_lo, eig_hi = min(eig_lo, float(lo.min())), max(eig_hi, float(hi.max()))
+        if eig_lo > 0:  # else refused below, before det is divided by
+            xi_sq = _xi_tilde(jx[s], jy[s], gram, det, gphi[s])[1]
+            amplitude[s] = np.sqrt(xi_sq) * rho.values[s]
+    cond = eig_hi / max(eig_lo, 1e-300)
+    if eig_lo <= 0 or cond > 1e6:
         raise StepPreconditionError(
             f"mollified pullback near-singular (condition number {cond:.3g})")
-
-    # xi~ = grad(u~) Gram^-1 grad(Phi)
-    sol_x = (g22 * gphi[..., 0] - g12 * gphi[..., 1]) / det
-    sol_y = (g11 * gphi[..., 1] - g12 * gphi[..., 0]) / det
-    xi_t = jx * sol_x[..., None] + jy * sol_y[..., None]
-    xi_sq = np.einsum("...k,...k->...", xi_t, xi_t)
-    xi = xi_t / xi_sq[..., None]
-
-    zeta_t = np.cross(jx, jy)
-    zeta_norm = np.linalg.norm(zeta_t, axis=-1)
-    xi_norm = np.sqrt(xi_sq)
-    zeta = zeta_t / (zeta_norm * xi_norm)[..., None]
-
-    amplitude = xi_norm * rho.values
+    phase = p.lam * phi.values()
     try:
-        phase = p.lam * phi.values()
-        g1 = table.eval(amplitude, phase, "g1")
-        g2 = table.eval(amplitude, phase, "g2")
+        table.check_amplitude(amplitude)
     except CorrugationDomainError as exc:
         raise CorrugationDomainError(
             f"{exc}; lower eps (amplitude^2 scale, currently {p.eps:.4g}) or enlarge "
             "the corrugation table") from exc
 
-    v = u.displaced((g1[..., None] * xi + g2[..., None] * zeta) / p.lam)
-    v_vals = v.values
-
-    target = pb_u.values  # built in place: pb_u is not read again
-    target += (rho.values ** 2)[..., None] * np.stack(
-        [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
-    pb_v = pullback_metric(v)
-    defect = MetricField(chart, pb_v.values - target)
-    collar, defect_sup, defect_c1 = _measure_defect(defect, ell)
+    # second pass: xi = xi~/|xi~|^2, zeta = n/|xi~| (n the unit normal of u~)
+    # and v = u + (Gamma_1 xi + Gamma_2 zeta)/lam, written into v slab by slab
+    v_vals = np.empty_like(u.values)
+    displacement = 0.0
+    for s in slabs:
+        offset = _corrugation(jx[s], jy[s], gphi[s], amplitude[s], phase[s], p.lam, table)
+        np.add(u.values[s], offset, out=v_vals[s])
+        displacement = max(displacement, _displacement(v_vals[s], u.values[s]))
+    del jx, jy, phase
+    v = ImmersionField(chart, v_vals, u.linear)
+    amplitude_max = float(amplitude.max())
+    del amplitude
 
     outside = rho.values == 0.0
     if outside.any():
@@ -266,6 +311,14 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
         moved = 0.0
         support_ok = True
 
+    target = pb_u.values  # built in place: pb_u is not read again
+    target += _primitive(rho, gphi)
+    del pb_u, gphi
+    pb_v = pullback_metric(v)
+    defect = MetricField(chart, pb_v.values - target)
+    del target
+    collar, defect_sup, defect_c1 = _measure_defect(defect, ell)
+
     gb_v, lo_v, hi_v = _band(pb_v)
     if lo_v <= 0:
         raise ShortnessLostError(
@@ -273,8 +326,8 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
 
     return StepOutcome(
         v=v, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
-        displacement=_displacement(v, u), support_ok=support_ok, gamma_bar=gb_v,
-        meta={"collar": collar, "amplitude_max": float(amplitude.max()),
+        displacement=displacement, support_ok=support_ok, gamma_bar=gb_v,
+        meta={"collar": collar, "amplitude_max": amplitude_max,
               "moved_outside_support": float(moved),
               "pullback_band": (float(lo_v), float(hi_v)),
               "mollification_scale": ell})
@@ -316,9 +369,8 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
         history.append({"lam": lam_k, "defect_sup": out.defect_sup,
                         "gamma_bar": out.gamma_bar, "phase_shift": shift,
                         "amplitude_max": out.meta["amplitude_max"]})
-        gphi = phi_k.gradient()
-        target += (rho_k.values ** 2)[..., None] * np.stack(
-            [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
+        del out  # the step's defect field is not read
+        target += _primitive(rho_k, phi_k.gradient())
 
     pb_v = pullback_metric(current)
     defect = MetricField(chart, pb_v.values - target)
@@ -335,7 +387,7 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
 
     return StepOutcome(
         v=current, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
-        displacement=_displacement(current, u), support_ok=support_ok,
+        displacement=_displacement(current.values, u.values), support_ok=support_ok,
         gamma_bar=_band(pb_v)[0],
         meta={"steps": history, "moved_outside_support": moved, "collar": collar,
               "skipped_zero_terms": skipped})
@@ -360,13 +412,6 @@ def _support_inflation(moved_mask, supp_mask, chart):
     else:
         dist = distance_transform_edt(~supp_mask, sampling=chart.spacing)
     return float(dist[moved_mask].max())
-
-
-def _gradient_range(phi: PhaseField):
-    """(min, max) of |grad Phi| over the nodes."""
-    gp = phi.gradient()
-    mag = np.sqrt(gp[..., 0] ** 2 + gp[..., 1] ** 2)
-    return float(mag.min()), float(mag.max())
 
 
 def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
@@ -434,9 +479,7 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
             f"mollification scale lam^-kappa = {ell:.4g} below 2*spacing = {2 * hmax:.4g}")
 
     rho_m = mollify(rho, ell)
-    g_m = mollify(g, ell)
-    h_m = mollify(h, ell)
-    target_sm = MetricField(chart, g_m.values + h_m.values)
+    target_sm = MetricField(chart, mollify(g, ell).values + mollify(h, ell).values)
     sm_lo, _ = target_sm.spd_band()
     if sm_lo < 1.0 / (2.0 * gamma) * (1 - 1e-9):
         raise StepPreconditionError(
@@ -444,11 +487,16 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
 
     conformal_tol = 1e-6 if chart.periodic else 1e-2 * float(np.max(np.abs(target_sm.values)))
     fac = solve_conformal(target_sm, residual_tol=conformal_tol)
-
+    del target_sm
+    # the stage reads only the phases and theta rho~; the factorization's
+    # fields (mu, residual, gradients, det J) are dropped before it runs
+    phi1, phi2 = fac.phi1, fac.phi2
+    conformal_stats, conformal_residual = fac.stats, fac.residual_sup
     amp = ScalarField(chart, fac.theta.values * rho_m.values)
-    terms = [(amp, fac.phi1), (amp, fac.phi2)]
+    del fac, rho_m
+    terms = [(amp, phi1), (amp, phi2)]
 
-    ranges = [_gradient_range(p) for p in (fac.phi1, fac.phi2)]
+    ranges = [_gradient_range(ph.gradient()) for ph in (phi1, phi2)]
     m_eff = 1.2 * max(max(hi for _, hi in ranges), max(1.0 / lo for lo, _ in ranges))
 
     nu = lam
@@ -483,7 +531,7 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
         "support_inflation": inflation,
         "stage_constant": dsup / (delta * lam ** (1.0 - kappa)),
         "displacement_constant": out.displacement / (sd * lam ** -kappa),
-        "conformal": fac.stats, "conformal_residual": fac.residual_sup,
+        "conformal": conformal_stats, "conformal_residual": conformal_residual,
         "collar": collar,
     })
     return StepOutcome(out.v, defect, dsup, dc1, out.displacement, support_ok,
@@ -538,16 +586,16 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
     chart = u.chart
     pb = pullback_metric(u)
     defect0 = MetricField(chart, g.values - pb.values)
-    lo0, _ = defect0.eigenvalues()
-    if lo0.min() <= 0:
+    lo0 = defect0.spd_band()[0]
+    if lo0 <= 0:
         raise StepPreconditionError(
-            f"initial map is not strictly short (margin {lo0.min():.4g})")
+            f"initial map is not strictly short (margin {lo0:.4g})")
 
     if delta_star is None:
         for k in range(3, 50):
             cand = 2.0 ** -k
             check = MetricField(chart, defect0.values - 2.0 * cand * g.values)
-            if check.eigenvalues()[0].min() >= 0:
+            if check.spd_band()[0] >= 0:
                 delta_star = cand
                 break
         else:
@@ -556,7 +604,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
         if delta_star > 0.125 or delta_star <= 0:
             raise StepPreconditionError(f"delta* must lie in (0, 1/8], got {delta_star}")
         check = MetricField(chart, defect0.values - delta_star * g.values)
-        if check.eigenvalues()[0].min() < -1e-12:
+        if check.spd_band()[0] < -1e-12:
             raise StepPreconditionError("supplied delta* exceeds the shortness margin")
 
     m0 = MetricField(chart, defect0.values - delta_star * g.values)
@@ -625,13 +673,12 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
 
     lower = MetricField(chart, pb_t.values - 0.5 * g.values)
     upper = MetricField(chart, g.values - pb_t.values)
-    half_band_ok = bool(lower.eigenvalues()[0].min() >= -1e-9
-                        and upper.eigenvalues()[0].min() >= -1e-9)
+    half_band_ok = bool(lower.spd_band()[0] >= -1e-9 and upper.spd_band()[0] >= -1e-9)
 
     strong_lo = MetricField(chart, 0.5 * g.values - h_t.values)
     strong_hi = MetricField(chart, 0.5 * g.values + h_t.values)
-    strong_ok = bool(strong_lo.eigenvalues()[0].min() >= -1e-12
-                     and strong_hi.eigenvalues()[0].min() >= -1e-12)
+    strong_ok = bool(strong_lo.spd_band()[0] >= -1e-12
+                     and strong_hi.spd_band()[0] >= -1e-12)
     if not strong_ok:
         raise ShortnessLostError(
             f"bootstrap error term violates the strong-short band: |h~| reaches "

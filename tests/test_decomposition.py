@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from isoflex.decomposition import (
+    BELTRAMI_MAX_ITER,
+    BELTRAMI_TOL,
+    PAD_FRACTION,
     BeltramiError,
     FrameError,
     PhaseField,
+    _taper_window,
     _unit_tight_directions,
     beltrami_coefficient,
     build_frame,
@@ -217,3 +221,114 @@ class TestPhaseField:
         assert np.allclose(g[..., 0], 2.0)
         assert np.allclose(g[..., 1], 3.0)
 
+
+# The whole-array Beltrami solve that the in-place solve replaced, kept as
+# the reference.  Complex multiplication is not bitwise commutative (the
+# SIMD kernels fuse one product into the other's rounding), and numpy
+# computes mu * (1.0 + p) inside the (1 + p) temporary once that reaches
+# 256 KiB, as (1 + p) mu; charts on both sides of that size are compared.
+
+def _ref_solve_conformal(h):
+    chart = h.chart
+    mu_core, _ = beltrami_coefficient(h)
+    if chart.periodic:
+        mu = mu_core
+        nx, ny = chart.resolution
+        lx, ly = chart.extent
+        crop = (slice(None), slice(None))
+    else:
+        nx0, ny0 = chart.resolution
+        px, py = ((int(round(PAD_FRACTION * nx0)) // 2) * 2,
+                  (int(round(PAD_FRACTION * ny0)) // 2) * 2)
+        px, py = max(px, 8), max(py, 8)
+        mu = np.pad(mu_core, ((px, px), (py, py)), mode="reflect")
+        mu = mu * _taper_window(nx0, px)[:, None] * _taper_window(ny0, py)[None, :]
+        nx, ny = mu.shape
+        hx, hy = chart.spacing
+        lx, ly = nx * hx, ny * hy
+        crop = (slice(px, px + nx0), slice(py, py + ny0))
+
+    kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=lx / nx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=ly / ny)
+    zeta = kx[:, None] + 1j * ky[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beurling = np.where(zeta == 0, 0.0, np.conj(zeta) / zeta)
+        inv_dzbar = np.where(zeta == 0, 0.0, 1.0 / (0.5j * zeta))
+
+    p = np.zeros((nx, ny), dtype=complex)
+    contraction, last_change = 0.0, np.inf
+    for it in range(1, BELTRAMI_MAX_ITER + 1):
+        w_full = mu * (1.0 + p)
+        w_hat = np.fft.fft2(w_full)
+        w_hat[0, 0] = 0.0
+        p_new = np.fft.ifft2(beurling * w_hat)
+        change = float(np.max(np.abs(p_new - p)))
+        if np.isfinite(last_change) and last_change > 0:
+            contraction = change / last_change
+        p = p_new
+        if change < BELTRAMI_TOL:
+            break
+        last_change = change
+
+    w_full = mu * (1.0 + p)
+    b = complex(np.mean(w_full))
+    w_hat = np.fft.fft2(w_full)
+    w_hat[0, 0] = 0.0
+    phi_per = np.fft.ifft2(inv_dzbar * w_hat)
+    dz, dzbar = 1.0 + p, w_full
+    dx, dy = dz + dzbar, 1j * (dz - dzbar)
+    pr = phi_per[crop]
+    dxc, dyc = dx[crop], dy[crop]
+    det_j = (np.abs(dz) ** 2 - np.abs(dzbar) ** 2)[crop]
+    grad_phi1 = np.stack([dxc.real, dyc.real], axis=-1)
+    grad_phi2 = np.stack([dxc.imag, dyc.imag], axis=-1)
+    theta_sq = np.sqrt(h.det()) / det_j
+    res = h.values - theta_sq[..., None] * np.stack([
+        grad_phi1[..., 0] ** 2 + grad_phi2[..., 0] ** 2,
+        grad_phi1[..., 0] * grad_phi1[..., 1] + grad_phi2[..., 0] * grad_phi2[..., 1],
+        grad_phi1[..., 1] ** 2 + grad_phi2[..., 1] ** 2,
+    ], axis=-1)
+    if chart.periodic:
+        phi1 = ((1.0 + b.real, b.imag), pr.real)
+        phi2 = ((b.imag, 1.0 - b.real), pr.imag)
+    else:
+        x, y = chart.mesh()
+        phi1 = ((0.0, 0.0), (1.0 + b.real) * x + b.imag * y + pr.real)
+        phi2 = ((0.0, 0.0), b.imag * x + (1.0 - b.real) * y + pr.imag)
+    return {"phi1": phi1, "phi2": phi2, "theta": np.sqrt(theta_sq), "mu": mu_core,
+            "residual": res, "grad_phi1": grad_phi1, "grad_phi2": grad_phi2,
+            "det_jacobian": det_j, "iterations": it, "contraction": contraction, "b": b}
+
+
+class TestSolveConformalReference:
+    # (64, 48) and its padded (96, 72) stay below 2^14 nodes, (128, 136) and
+    # the padded (144, 148) of (96, 100) reach it
+    @pytest.mark.parametrize("boundary,shape", [
+        (PERIODIC, (64, 48)), (PERIODIC, (128, 136)),
+        (CLAMPED, (64, 48)), (CLAMPED, (96, 100))])
+    def test_bit_identical_to_whole_array_solve(self, boundary, shape):
+        c = GridChart((1.0, 1.3), shape, boundary)
+        h = smooth_spd_metric(c, amplitude=0.3, seed=3)
+        fac = solve_conformal(h, residual_tol=np.inf)
+        ref = _ref_solve_conformal(h)
+        for name in ("phi1", "phi2"):
+            phase = getattr(fac, name)
+            assert phase.linear == ref[name][0]
+            assert np.array_equal(phase.periodic_values, ref[name][1])
+        assert np.array_equal(fac.theta.values, ref["theta"])
+        assert np.array_equal(fac.residual.values, ref["residual"])
+        for name in ("mu", "grad_phi1", "grad_phi2", "det_jacobian"):
+            assert np.array_equal(getattr(fac, name), ref[name]), name
+        assert fac.iterations == ref["iterations"] > 2
+        assert fac.contraction == ref["contraction"]
+        assert fac.stats["b"] == (ref["b"].real, ref["b"].imag)
+
+    @pytest.mark.parametrize("boundary,fields", [(PERIODIC, 25), (CLAMPED, 28)])
+    def test_memory_above_entry(self, traced_peak, boundary, fields):
+        # at 256^2 the in-place solve peaks 20.2 (periodic) and 22.7 (clamped,
+        # padded to 384^2) fields of nx * ny float64 above its entry; the
+        # whole-array solve took 36.2 and 70.8
+        c = GridChart((1.0, 1.0), (256, 256), boundary)
+        h = smooth_spd_metric(c, amplitude=0.3, seed=3)
+        _, peak = traced_peak(solve_conformal, h, np.inf)
+        assert peak <= fields * 256 * 256 * 8

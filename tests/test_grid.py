@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import isoflex.grid as grid
 from isoflex.grid import (
     CLAMPED,
     PERIODIC,
@@ -164,16 +163,9 @@ def _wavy_map(chart):
     return ImmersionField.flat(chart, scale=1.1).displaced(wave)
 
 
-# SLAB_BYTES budgets: one row per slab, 7 rows of a 3-component (75, 53)
-# field, and the default
-SLAB_BUDGETS = [1, 7 * 53 * 3 * 8, grid.SLAB_BYTES]
+# charts that the slab_budget fixture (conftest.py) cuts into several slabs
+# with a ragged last one, and the minimum chart
 SLAB_SHAPES = [(75, 53), (8, 8)]
-
-
-@pytest.fixture(params=SLAB_BUDGETS)
-def slab_budget(request, monkeypatch):
-    monkeypatch.setattr(grid, "SLAB_BYTES", request.param)
-    return request.param
 
 
 def _ref_sup(*fields):

@@ -11,6 +11,8 @@ from isoflex.grid import (
     MetricField,
     ScalarField,
     UnderResolvedError,
+    _gram,
+    mollify,
     norm_report,
     pullback_metric,
     sup_norm,
@@ -20,6 +22,8 @@ from isoflex.nash_step import (
     StageParams,
     StepParams,
     StepPreconditionError,
+    _band,
+    _measure_defect,
     add_metric_2d,
     bootstrap_strong,
     commensurate_phase,
@@ -129,6 +133,140 @@ class TestStep:
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
         with pytest.raises(StepPreconditionError, match="wrap"):
             step(u, rho, phi, flat_params(63.7), table)  # 63.7/(2 pi) not integer
+
+
+# The whole-array step that the slab-fused step replaced, kept as the
+# reference: the fused step gives every node the same floating-point
+# operations, so the two must agree bit for bit whatever the slab size.
+
+def _ref_step(u, rho, phi, p, table):
+    """Whole-array step after its precondition checks."""
+    chart = u.chart
+    pb_u = pullback_metric(u)
+    gphi = phi.gradient()
+    ell = 1.0 / p.lam
+    u_smooth = mollify(u, ell, clamped_mode="extrapolate") if ell >= 2 * max(chart.spacing) else u
+    jx, jy = u_smooth.jacobian()
+    gram, det, eig_lo, eig_hi = _gram(jx, jy)
+    g11, g12, g22 = gram[..., 0], gram[..., 1], gram[..., 2]
+    cond = eig_hi.max() / max(eig_lo.min(), 1e-300)
+    if eig_lo.min() <= 0 or cond > 1e6:
+        raise StepPreconditionError(
+            f"mollified pullback near-singular (condition number {cond:.3g})")
+
+    sol_x = (g22 * gphi[..., 0] - g12 * gphi[..., 1]) / det
+    sol_y = (g11 * gphi[..., 1] - g12 * gphi[..., 0]) / det
+    xi_t = jx * sol_x[..., None] + jy * sol_y[..., None]
+    xi_sq = np.einsum("...k,...k->...", xi_t, xi_t)
+    xi = xi_t / xi_sq[..., None]
+    zeta_t = np.cross(jx, jy)
+    zeta_norm = np.linalg.norm(zeta_t, axis=-1)
+    xi_norm = np.sqrt(xi_sq)
+    zeta = zeta_t / (zeta_norm * xi_norm)[..., None]
+
+    amplitude = xi_norm * rho.values
+    try:
+        phase = p.lam * phi.values()
+        g1 = table.eval(amplitude, phase, "g1")
+        g2 = table.eval(amplitude, phase, "g2")
+    except CorrugationDomainError as exc:
+        raise CorrugationDomainError(
+            f"{exc}; lower eps (amplitude^2 scale, currently {p.eps:.4g}) or enlarge "
+            "the corrugation table") from exc
+
+    v = u.displaced((g1[..., None] * xi + g2[..., None] * zeta) / p.lam)
+    target = pb_u.values + (rho.values ** 2)[..., None] * np.stack(
+        [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
+    pb_v = pullback_metric(v)
+    defect = MetricField(chart, pb_v.values - target)
+    collar, defect_sup, defect_c1 = _measure_defect(defect, ell)
+    outside = rho.values == 0.0
+    moved = np.max(np.abs(v.values[outside] - u.values[outside])) if outside.any() else 0.0
+    gb_v, lo_v, hi_v = _band(pb_v)
+    return {"v": v.values, "defect": defect.values, "defect_sup": defect_sup,
+            "defect_c1": defect_c1, "support_ok": bool(moved < 1e-14), "gamma_bar": gb_v,
+            "displacement": float(np.max(np.linalg.norm(v.values - u.values, axis=-1))),
+            "meta": {"collar": collar, "amplitude_max": float(amplitude.max()),
+                     "moved_outside_support": float(moved),
+                     "pullback_band": (float(lo_v), float(hi_v)),
+                     "mollification_scale": ell}}
+
+
+def _oblong_step_inputs(boundary, rho0=0.05):
+    """A wavy map (with a linear part on the torus) on a (75, 53) chart, rho
+    zero on the first rows and growing along x, and a curved phase."""
+    chart = GridChart((1.0, 1.3), (75, 53), boundary)
+    x, y = chart.mesh()
+    wave = 0.02 * np.stack([np.sin(2 * np.pi * (x + 2 * y / 1.3)),
+                            np.cos(2 * np.pi * (3 * x - y / 1.3)),
+                            np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y / 1.3)], axis=-1)
+    u = ImmersionField.flat(chart, scale=1.1).displaced(wave)
+    rho = ScalarField(chart, np.where(x < 0.2, 0.0, rho0 + 0.1 * x))
+    phi = PhaseField(chart, (1.0, 0.0), 0.05 * np.sin(2 * np.pi * y / 1.3))
+    p = StepParams(lam=4 * np.pi, eps=0.04, delta=0.04, nu=1.0, nu_tilde=1.0,
+                   M=4.0, gamma=4.0)
+    return u, rho, phi, p
+
+
+class TestStepReference:
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_bit_identical_to_whole_array_step(self, table, slab_budget, boundary):
+        u, rho, phi, p = _oblong_step_inputs(boundary)
+        assert (u.linear is not None) == (boundary == PERIODIC)
+        out = step(u, rho, phi, p, table)
+        ref = _ref_step(u, rho, phi, p, table)
+        assert np.array_equal(out.v.values, ref["v"])
+        assert out.v.linear is u.linear
+        assert np.array_equal(out.defect.values, ref["defect"])
+        for name in ("defect_sup", "defect_c1", "support_ok", "gamma_bar", "displacement"):
+            assert getattr(out, name) == ref[name], name
+        assert out.meta == ref["meta"]
+        assert out.meta["moved_outside_support"] == 0.0
+        assert 0.0 < out.displacement
+
+    def test_near_singular_gram_refused_before_table(self, table):
+        # a ripple at 4 nodes per wavelength carries all of d_y u; the
+        # mollifier wipes it out, so the mollified Gram is near-singular
+        # while |xi~| rho, and with it the amplitude, leaves the table
+        c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
+        _, y = c.mesh()
+        k = 2 * np.pi * 64
+        u = ImmersionField(c, np.stack([0 * y, np.cos(k * y) / k, np.sin(k * y) / k], axis=-1),
+                           np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+        rho = ScalarField.constant(c, 0.5)
+        phi = PhaseField.linear_phase(c, (0.0, 1.0))
+        p = flat_params(2 * np.pi * 4)
+        gram, det, _, _ = _gram(*mollify(u, 1.0 / p.lam, clamped_mode="extrapolate").jacobian())
+        assert np.max(rho.values * np.sqrt(gram[..., 0] / det)) > table.s_max
+        with pytest.raises(StepPreconditionError, match="near-singular") as got:
+            step(u, rho, phi, p, table)
+        with pytest.raises(StepPreconditionError) as want:
+            _ref_step(u, rho, phi, p, table)
+        assert str(got.value) == str(want.value)
+
+    def test_domain_error_quotes_global_max_amplitude(self, table, slab_budget):
+        # the amplitude leaves the table on the first rows already and peaks
+        # on the last ones
+        u, rho, phi, p = _oblong_step_inputs(PERIODIC, rho0=1.2)
+        with pytest.raises(CorrugationDomainError, match="eps") as got:
+            step(u, rho, phi, p, table)
+        with pytest.raises(CorrugationDomainError) as want:
+            _ref_step(u, rho, phi, p, table)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_memory_above_entry(self, table, traced_peak, boundary):
+        # at 256^2 the fused step peaks 33.7 fields of nx * ny float64 above
+        # its entry (the whole-array step: 59.7)
+        c = GridChart((1.0, 1.0), (256, 256), boundary)
+        x, y = c.mesh()
+        wave = 0.02 * np.stack([np.sin(2 * np.pi * (x + y)), np.cos(2 * np.pi * (x - 2 * y)),
+                                np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)], axis=-1)
+        u = ImmersionField.flat(c, scale=0.9).displaced(wave)
+        rho = ScalarField(c, 0.08 * (1.0 + 0.3 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)))
+        phi = PhaseField(c, (1.0, 0.0), 0.05 * np.sin(2 * np.pi * y))
+        _, peak = traced_peak(step, u, rho, phi, flat_params(2 * np.pi * 4), table)
+        assert peak <= 42 * 256 * 256 * 8
 
 
 class TestCommensurate:
