@@ -11,6 +11,8 @@ Wavefront-style text.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import sys
 import time
@@ -121,7 +123,7 @@ def cmd_run(args) -> int:
         return EXIT_INTERNAL
 
     export_mesh(state.u, out_dir / "final.obj")
-    shortness = check_short(state.u, g, state.rho, state.h)
+    shortness = check_short(state.u, g, state.rho, state.h, pb=state.pullback)
 
     with open(out_dir / "history.jsonl", "w") as fh:
         for p in report["passes"]:
@@ -168,7 +170,7 @@ def cmd_run(args) -> int:
 def cmd_step_bench(args) -> int:
     from .corrugation import build_corrugation
     from .decomposition import PhaseField
-    from .grid import CLAMPED, GridChart, ImmersionField, ScalarField
+    from .grid import CLAMPED, GridChart, ImmersionField, ScalarField, pullback_metric
     from .nash_step import StepParams, step
 
     table = build_corrugation()
@@ -181,6 +183,7 @@ def cmd_step_bench(args) -> int:
         r2 = ((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.3 ** 2
         return np.sqrt(eps) * np.where(r2 < 1, (1 - r2) ** 3, 0.0)
 
+    pb_u = pullback_metric(u)
     rho = ScalarField.from_function(chart, bump)
     phi = PhaseField.linear_phase(chart, (1.0, 0.0))
     records = []
@@ -188,7 +191,7 @@ def cmd_step_bench(args) -> int:
         p = StepParams(lam=lam, eps=eps, delta=eps, nu=6.0, nu_tilde=6.0,
                        M=4.0, gamma=4.0, c0=min(1.0, lam / 6.0))
         t0 = time.time()
-        out = step(u, rho, phi, p, table)
+        out = step(u, rho, phi, p, table, pb_u)
         rec = {"lam": lam, "sup_defect": out.defect_sup, "c1_defect": out.defect_c1,
                "c2_norm": out.v_norms.c2_norm, "gamma_bar": out.gamma_bar,
                "support_ok": out.support_ok, "wall_time": time.time() - t0}
@@ -295,6 +298,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:  # hand the heap the command freed back to the OS (glibc only)
+        with contextlib.suppress(AttributeError, OSError, TypeError):
+            ctypes.CDLL(None).malloc_trim(0)
 
 
 if __name__ == "__main__":

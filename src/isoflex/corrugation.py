@@ -79,8 +79,9 @@ def _bessel_coefficients(alpha):
     return out
 
 
-def _sine_series(alpha, t, odd: bool):
-    """sum over odd (or even) k >= 1 of 2 (-1)^(k//2) J_k(alpha) sin(kt)/k."""
+def _sine_series(alpha, t, parities):
+    """Per flag in parities, sum over odd (else even) k >= 1 of
+    2 (-1)^(k//2) J_k(alpha) sin(kt)/k, sharing J_k and the sines of t."""
     jk = _bessel_coefficients(alpha)
     # sin(kt) of one parity by the Chebyshev recurrence in 2t,
     # sin((k+2)t) = 2cos(2t) sin(kt) - sin((k-2)t), with sin t and cos t
@@ -89,15 +90,14 @@ def _sine_series(alpha, t, odd: bool):
     inv = 1.0 / (1.0 + tan_half * tan_half)
     sin_t = 2.0 * tan_half * inv
     two_cos_2t = 2.0 - 4.0 * sin_t * sin_t
-    if odd:
-        sin_prev, sin_k = -sin_t, sin_t
-    else:
-        sin_prev, sin_k = np.zeros_like(t), 2.0 * sin_t * (1.0 - tan_half * tan_half) * inv
-    acc = np.zeros_like(alpha)
-    for k in range(2 - odd, _TOP_ORDER + 1, 2):
-        acc += (2.0 * (-1) ** (k // 2) / k) * jk[k] * sin_k
-        sin_prev, sin_k = sin_k, two_cos_2t * sin_k - sin_prev
-    return acc
+    for odd in parities:
+        sin_prev, sin_k = ((-sin_t, sin_t) if odd else
+                           (np.zeros_like(t), 2.0 * sin_t * (1.0 - tan_half * tan_half) * inv))
+        acc = np.zeros_like(alpha)
+        for k in range(2 - odd, _TOP_ORDER + 1, 2):
+            acc += (2.0 * (-1) ** (k // 2) / k) * jk[k] * sin_k
+            sin_prev, sin_k = sin_k, two_cos_2t * sin_k - sin_prev
+        yield acc
 
 
 @dataclass(frozen=True)
@@ -147,20 +147,22 @@ class CorrugationTable:
         if np.any(s < -1e-12):
             raise CorrugationDomainError("negative corrugation amplitude")
 
-    def eval(self, s, t, which: str):
+    def eval(self, s, t, which):
         """Gamma or its t-derivative at (s, t), broadcast; t is any real.
 
         s must lie in [0, s_max] (tiny negative rounding is clamped);
         anything above s_max is outside the certified construction and is
-        rejected rather than clamped.
+        rejected rather than clamped.  which = ("g1", "g2") returns both
+        from one evaluation of a(s), the Bessel rows and the sines of t.
         """
-        if which not in _WHICH:
+        pair = not isinstance(which, str)
+        names = tuple(which) if pair else (which,)
+        if not names or not set(names) <= set(_WHICH[:2] if pair else _WHICH):
             raise ValueError(f"unknown table {which!r}; expected one of {_WHICH}")
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
         self.check_amplitude(s)
         s = np.clip(s, 0.0, self.s_max)
-        if which in ("dt_g1", "dt_g2"):
+        if names[0] in ("dt_g1", "dt_g2"):
             # these are closed forms in t given the amplitude profile; going
             # through alpha keeps the defining identity exact to rounding at
             # every query point (it holds for any alpha value)
@@ -170,15 +172,16 @@ class CorrugationTable:
             out = root * np.cos(phase) - 1.0 if which == "dt_g1" else root * np.sin(phase)
             return out if np.ndim(out) else float(out)
         shape = np.broadcast(s, t).shape
-        s = np.broadcast_to(s, shape).ravel()
-        t = np.broadcast_to(t, shape).ravel()
-        out = np.empty(s.size)
+        s, t = (np.broadcast_to(a, shape).ravel() for a in (s, t))
+        outs = [np.empty(s.size) for _ in names]
         for i in range(0, s.size, _BLOCK):
-            blk = slice(i, i + _BLOCK)
-            sb = s[blk]
-            out[blk] = np.sqrt(1.0 + sb * sb) * _sine_series(
-                self._interp_alpha(sb), t[blk], odd=which == "g2")
-        return out.reshape(shape) if shape else float(out[0])
+            sb, tb = s[i:i + _BLOCK], t[i:i + _BLOCK]
+            root = np.sqrt(1.0 + sb * sb)
+            sums = _sine_series(self._interp_alpha(sb), tb, [n == "g2" for n in names])
+            for out, acc in zip(outs, sums):
+                out[i:i + _BLOCK] = root * acc
+        outs = [out.reshape(shape) if shape else float(out[0]) for out in outs]
+        return tuple(outs) if pair else outs[0]
 
     def identity_residual(self, s, t):
         """|(1 + dt G1)^2 + (dt G2)^2 - (1 + s^2)| at interpolated points."""

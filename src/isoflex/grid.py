@@ -8,11 +8,12 @@ magnitude in frequency and 32-bit accumulates visible error.
 Derivatives use centered 4th-order stencils in the interior and one-sided
 2nd-order stencils within two cells of a clamped frame.  They are evaluated
 over slabs of rows of about SLAB_BYTES each, so that a slab's input, output
-and temporaries stay in cache; the Gram product of a Jacobian and the sup
-norms of derivatives are reduced slab by slab too, and a sup norm never
-builds the whole derivative field.  Every node gets the same floating-point
-operations as a whole-array evaluation would give it.  All operations are
-pure: inputs are never mutated, outputs are freshly allocated.
+and temporaries stay in cache; the pullback metric, sup norms, certificate
+bounds (slab_derivatives) and the Hoelder probe's largest differences are
+reduced slab by slab and never build a whole derivative field.  Every node
+gets the same floating-point operations as a whole-array evaluation would
+give it.  All operations are pure: inputs are never mutated, outputs are
+freshly allocated, and a pullback handed on is shared, never written.
 """
 
 from __future__ import annotations
@@ -186,9 +187,6 @@ class MetricField:
         a, b, c = self.values[..., 0], self.values[..., 1], self.values[..., 2]
         return a * c - b * b
 
-    def trace(self) -> np.ndarray:
-        return self.values[..., 0] + self.values[..., 2]
-
     def spd_band(self) -> tuple[float, float]:
         """(min eigenvalue, max eigenvalue) over all nodes, slab by slab."""
         lo, hi = np.inf, -np.inf
@@ -278,29 +276,21 @@ class ImmersionField:
         return np.sqrt(np.maximum(lo, 0.0))
 
 
-def _gram(jx, jy):
-    """Gram matrix of the Jacobian columns jx, jy and its closed-form spectrum.
+def _gram(x, y):
+    """Gram matrix of the Jacobian columns x, y and its closed-form spectrum.
 
-    Returns (g, det, lo, hi), computed slab by slab: g[..., 0:3] holds
-    (g11, g12, g22), the entries d_i u . d_j u summed over k = 0, 1, 2 in
-    that order; then the determinant and the smaller and larger eigenvalue.
-    The square root of max(lo, 0) is the smallest singular value of the
-    Jacobian.
+    Returns (g, det, lo, hi): g[..., 0:3] holds (g11, g12, g22), the entries
+    d_i u . d_j u summed over k = 0, 1, 2 in that order; then the determinant
+    and the two eigenvalues, sqrt(max(lo, 0)) being the Jacobian's smallest
+    singular value.  The engine passes one slab of rows at a time.
     """
-    g = np.empty(jx.shape)
-    det, lo, hi = (np.empty(jx.shape[:2]) for _ in range(3))
-    for s in _slabs(jx):
-        x, y = jx[s], jy[s]
-        g11 = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2]
-        g12 = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
-        g22 = y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1] + y[..., 2] * y[..., 2]
-        g[s, :, 0], g[s, :, 1], g[s, :, 2] = g11, g12, g22
-        tr = g11 + g22
-        det[s] = g11 * g22 - g12 * g12
-        rad = np.sqrt(np.maximum((0.5 * tr) ** 2 - det[s], 0.0))
-        lo[s] = 0.5 * tr - rad
-        hi[s] = 0.5 * tr + rad
-    return g, det, lo, hi
+    g11 = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2]
+    g12 = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+    g22 = y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1] + y[..., 2] * y[..., 2]
+    tr = g11 + g22
+    det = g11 * g22 - g12 * g12
+    rad = np.sqrt(np.maximum((0.5 * tr) ** 2 - det, 0.0))
+    return np.stack([g11, g12, g22], axis=-1), det, 0.5 * tr - rad, 0.5 * tr + rad
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +388,25 @@ def _diff1(values, axis, h, periodic):
     return _diff(values, axis, h, 1, periodic)
 
 
-def _diff2(values, axis, h, periodic):
-    """Pure second derivative along one axis."""
-    return _diff(values, axis, h, 2, periodic)
-
-
-def second_derivatives(values, chart):
-    """(d_xx, d_xy, d_yy) of a (nx, ny, ...) sample array."""
+def slab_derivatives(values, chart, names, slabs):
+    """Yield (s, [D values[s] for D in names]) for each slab of rows s in
+    slabs (largest first); names are taken from "x", "y", "xx", "xy", "yy"
+    and the yielded arrays are reused by the next slab."""
     hx, hy = chart.spacing
     p = chart.periodic
-    fxx = _diff2(values, 0, hx, p)
-    fyy = _diff2(values, 1, hy, p)
-    fxy = _diff1(_diff1(values, 0, hx, p), 1, hy, p)
-    return fxx, fxy, fyy
+    rows = slabs[0].stop - slabs[0].start
+    dx = np.empty((rows,) + values.shape[1:]) if "xy" in names else None
+    bufs = [np.empty((rows,) + values.shape[1:]) for _ in names]
+    for s in slabs:
+        k = s.stop - s.start
+        for name, d in zip(names, bufs):
+            if name == "xy":  # d_y of the slab's d_x
+                _slab(values, s, 0, hx, 1, p, dx[:k])
+                _slab(dx[:k], slice(0, k), 1, hy, 1, p, d[:k])
+            else:
+                axis = 0 if name[0] == "x" else 1
+                _slab(values, s, axis, (hx, hy)[axis], len(name), p, d[:k])
+        yield s, [d[:k] for d in bufs]
 
 
 def derivative_sup(values, chart, names, collar=0):
@@ -447,19 +443,34 @@ def derivative_sup(values, chart, names, collar=0):
 # ---------------------------------------------------------------------------
 # pullback metric
 
+def jacobian_slabs(u: ImmersionField, slabs):
+    """Yield (s, d_x u[s], d_y u[s]) per slab of rows s, the floats of
+    u.jacobian(), in two buffers that the next slab reuses."""
+    for s, (x, y) in slab_derivatives(u.values, u.chart, ("x", "y"), slabs):
+        if u.linear is not None:
+            x += u.linear[:, 0]
+            y += u.linear[:, 1]
+        yield s, x, y
+
+
 def pullback_metric(u: ImmersionField) -> MetricField:
     """Pullback of the euclidean metric: components d_i u . d_j u.
 
     Symmetric and PSD up to stencil truncation error.  Nodes whose Jacobian
     has smallest singular value <= DEGENERATE_TOL are recorded in the
     result's meta["degenerate_nodes"] (the first 64) and
-    meta["degenerate_count"]; they are not fatal.
+    meta["degenerate_count"]; they are not fatal.  Fused slab by slab, each
+    node getting the floats of _gram(*u.jacobian()).
     """
-    g, _, lo, _ = _gram(*u.jacobian())
+    g, bad = np.empty_like(u.values), []
+    for s, x, y in jacobian_slabs(u, _slabs(u.values)):
+        g[s], _, lo, _ = _gram(x, y)
+        degenerate = np.sqrt(np.maximum(lo, 0.0)) <= DEGENERATE_TOL
+        if degenerate.any():
+            bad.append(np.argwhere(degenerate) + (s.start, 0))
     out = MetricField(u.chart, g)
-    sigma = np.sqrt(np.maximum(lo, 0.0))
-    bad = np.argwhere(sigma <= DEGENERATE_TOL)
-    if bad.size:
+    if bad:
+        bad = np.concatenate(bad)
         out.meta["degenerate_nodes"] = [tuple(ix) for ix in bad[:64]]
         out.meta["degenerate_count"] = int(bad.shape[0])
     return out
@@ -531,19 +542,26 @@ def mollify(f, ell: float, clamped_mode: str = "renormalize"):
 # ---------------------------------------------------------------------------
 # Hoelder seminorms and norm reports
 
-def _offset_quotient(arr, dx, dy, hx, hy, theta, periodic):
+def _pair_max(a, dx, dy, periodic):
+    """max |a(x + d) - a(x)| over all components and node pairs at offset d,
+    slab by slab; periodic partner rows wrap as two slices, columns by a roll."""
+    nx, ny = a.shape[:2]
     if periodic:
-        d = np.roll(arr, (-dx, -dy), axis=(0, 1)) - arr
+        rows = ((0, nx - dx, dx), (nx - dx, nx, dx - nx))
+        c0, c1, sc = 0, ny, 0
     else:
-        nx, ny = arr.shape[:2]
-        if dy >= 0:
-            d = arr[dx:, dy:] - arr[:nx - dx or None, :ny - dy or None]
-        else:
-            d = arr[dx:, :ny + dy] - arr[:nx - dx or None, -dy:]
-        if d.size == 0:
-            return 0.0
-    sep = np.hypot(dx * hx, dy * hy)
-    return float(np.max(np.abs(d))) / sep ** theta
+        rows = ((0, nx - dx, dx),)
+        c0, c1, sc = (0, ny - dy, dy) if dy >= 0 else (-dy, ny, dy)
+    step = max(1, SLAB_BYTES // a[0].nbytes)
+    best = 0.0
+    for r0, r1, sr in rows:
+        for i in range(r0, r1, step):
+            j = min(i + step, r1)
+            partner = a[i + sr:j + sr, c0 + sc:c1 + sc]
+            if periodic and dy:
+                partner = np.roll(partner, -dy, axis=1)
+            best = max(best, float(np.max(np.abs(partner - a[i:j, c0:c1]))))
+    return best
 
 
 def _offsets(chart: GridChart, exhaustive: bool):
@@ -586,20 +604,16 @@ def holder_seminorm(f, theta: float, deriv_order: int = 0,
     hx, hy = chart.spacing
     if exhaustive is None:
         exhaustive = max(chart.resolution) <= 128
-    vals = f.values
+    vals = _component_view(f)
     if deriv_order == 1:
         p = chart.periodic
-        vals = np.concatenate([_diff1(vals, 0, hx, p)[..., None] if vals.ndim == 2
-                               else _diff1(vals, 0, hx, p),
-                               _diff1(vals, 1, hy, p)[..., None] if vals.ndim == 2
-                               else _diff1(vals, 1, hy, p)], axis=-1)
-    arrs = [vals] if vals.ndim == 2 else [vals[..., c] for c in range(vals.shape[-1])]
+        vals = np.concatenate([_diff1(vals, 0, hx, p), _diff1(vals, 1, hy, p)], axis=-1)
+    # a max commutes with the division by the positive sep^theta, so one
+    # division per offset gives the per-component quotients' max exactly
     best = 0.0
     for dx, dy in _offsets(chart, exhaustive):
-        for arr in arrs:
-            q = _offset_quotient(arr, dx, dy, hx, hy, theta, chart.periodic)
-            if q > best:
-                best = q
+        q = _pair_max(vals, dx, dy, chart.periodic) / np.hypot(dx * hx, dy * hy) ** theta
+        best = max(best, q)
     return best
 
 
@@ -666,14 +680,16 @@ class ShortnessReport:
 
 
 def check_short(u: ImmersionField, g: MetricField, rho: ScalarField | None = None,
-                h: MetricField | None = None, tol: float = 1e-12) -> ShortnessReport:
-    """Classify g - u#e by its pointwise smallest eigenvalue.
+                h: MetricField | None = None, tol: float = 1e-12, *,
+                pb: MetricField) -> ShortnessReport:
+    """Classify g - u#e by its pointwise smallest eigenvalue; pb is u#e.
 
     With a (rho, h) factorization supplied, additionally reports whether
     -g/2 <= h <= g/2 holds at every node (the strong-short bound).
     """
     _require_same_chart(u, g)
-    d = MetricField(g.chart, g.values - pullback_metric(u).values)
+    _require_same_chart(pb, g)
+    d = MetricField(g.chart, g.values - pb.values)
     lo, _ = d.eigenvalues()
     m = float(lo.min())
     if m > tol:

@@ -24,11 +24,12 @@ from .grid import (
     MetricField,
     ScalarField,
     UnderResolvedError,
+    _slabs,
     c1_seminorm,
     c2_seminorm,
     holder_seminorm,
     pullback_metric,
-    second_derivatives,
+    slab_derivatives,
 )
 from .nash_step import (
     NODES_PER_WAVELENGTH,
@@ -446,6 +447,19 @@ class AdaptedState:
     theta: float
     alpha: float
     certificate: dict = field(default_factory=dict)
+    # u#e where the bootstrap or a pass formed it (never written), else None
+    pullback: MetricField | None = field(default=None, init=False, repr=False, compare=False)
+
+
+def _node_derivatives(u: ImmersionField, rho: ScalarField, h: MetricField | None = None):
+    """Yield (s, max |D^2 u|, |grad rho|, max_c |grad h_c| or None) per slab of rows s."""
+    fields = [(u, ("xx", "xy", "yy")), (rho, ("x", "y"))] + [(h, ("x", "y"))] * (h is not None)
+    slabs = _slabs(u.values)
+    for (s, (uxx, uxy, uyy)), (_, (rx, ry)), *dh in zip(*(
+            slab_derivatives(f.values, u.chart, names, slabs) for f, names in fields)):
+        hess = np.maximum(np.abs(uxx), np.maximum(np.abs(uxy), np.abs(uyy))).max(axis=-1)
+        grad_h = [np.sqrt(hx * hx + hy * hy).max(axis=-1) for _, (hx, hy) in dh] or [None]
+        yield s, hess, np.sqrt(rx * rx + ry * ry), grad_h[0]
 
 
 def certify_adapted(state: AdaptedState, g: MetricField,
@@ -458,7 +472,7 @@ def certify_adapted(state: AdaptedState, g: MetricField,
     matching the off-Sigma scope of the bounds).
     """
     chart = state.u.chart
-    pb = pullback_metric(state.u)
+    pb = pullback_metric(state.u) if state.pullback is None else state.pullback
     resid = g.values - pb.values - (state.rho.values ** 2)[..., None] * (
         g.values + state.h.values)
     short_lo = MetricField(chart, g.values - pb.values).spd_band()[0]
@@ -474,18 +488,14 @@ def certify_adapted(state: AdaptedState, g: MetricField,
     }
     if mask.any() and state.theta > 0:
         expo = 1.0 - 1.0 / state.theta
-        rpow = state.rho.values[mask] ** expo
-        hxx, hxy, hyy = second_derivatives(state.u.values, chart)
-        hess = np.maximum(np.abs(hxx), np.maximum(np.abs(hxy), np.abs(hyy)))
-        hess = hess.max(axis=-1)
-        grad_rho = np.linalg.norm(state.rho.gradient(), axis=-1)
-        gh = np.stack([np.linalg.norm(
-            ScalarField(chart, state.h.values[..., c]).gradient(), axis=-1)
-            for c in range(3)], axis=-1).max(axis=-1)
-        out["hess_u_ok"] = bool(np.all(hess[mask] <= state.A * rpow + 1e-9))
-        out["grad_rho_ok"] = bool(np.all(grad_rho[mask] <= state.A * rpow + 1e-9))
-        out["grad_h_ok"] = bool(np.all(
-            gh[mask] <= state.A * state.rho.values[mask] ** (-1.0 / state.theta) + 1e-9))
+        out.update(hess_u_ok=True, grad_rho_ok=True, grad_h_ok=True)
+        for s, hess, grad_rho, grad_h in _node_derivatives(state.u, state.rho, state.h):
+            m, r = mask[s], state.rho.values[s]
+            bound = state.A * r[m] ** expo + 1e-9
+            out["hess_u_ok"] &= bool(np.all(hess[m] <= bound))
+            out["grad_rho_ok"] &= bool(np.all(grad_rho[m] <= bound))
+            out["grad_h_ok"] &= bool(np.all(
+                grad_h[m] <= state.A * r[m] ** (-1.0 / state.theta) + 1e-9))
     return out
 
 
@@ -510,7 +520,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
     ceiling = 2.0 * np.pi / (NODES_PER_WAVELENGTH * hmax)
     gamma_g = max(g.spd_band()[1], 1.0 / g.spd_band()[0])
 
-    u, rho, h = state.u, state.rho, state.h
+    u, rho, h, pb_u = state.u, state.rho, state.h, state.pullback
     rho_seq, chi_seq, chit_seq, inner_seq = [rho], [], [], []
     history = []
     truncation = None
@@ -587,17 +597,17 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
             break
         kappa_eff = max(ladder.kappa, math.log(base / 1.02) / math.log(max(lam_nom, 2.0)))
 
+        pb_u = pullback_metric(u) if pb_u is None else pb_u
         try:
             out = add_metric_2d(
                 u, rho_t, g, h_t, delta_eff, lam_nom, kappa_eff, config.table,
                 c0=base / lam_nom ** kappa_eff, c1=growth / lam_nom ** (kappa_eff - 1.0),
-                strict_hypotheses=False)
+                strict_hypotheses=False, pb_u=pb_u)
         except (StepPreconditionError, ShortnessLostError, UnderResolvedError) as exc:
             truncation = {"q": q, "reason": "stage failed", "detail": str(exc)}
             break
 
-        v = out.v
-        pb_v = pullback_metric(v)
+        v, pb_v = out.v, out.pullback
         short_lo = MetricField(chart, g.values - pb_v.values).spd_band()[0]
         if short_lo <= 0:
             truncation = {
@@ -636,7 +646,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
 
         # consistency of the h update with its closed form
         # h' = ((1 - chi^2) rho^2 (g+h) + delta chi^2 g - E) / rho'^2 - g
-        e_vals = pb_v.values - pullback_metric(u).values - amp_sq[..., None] * (
+        e_vals = pb_v.values - pb_u.values - amp_sq[..., None] * (
             g.values + h_t.values)
         pred = (1.0 - chi.values[mask] ** 2)[:, None] * (
             (rho.values[mask] ** 2)[:, None] * (g.values[mask] + h.values[mask])) \
@@ -669,16 +679,13 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         theta = ladder.theta
         live_pow = rho_next.values > RHO_FLOOR
         if live_pow.any() and theta > 0:
-            log_bound = b2 * math.log(ladder.A) + (1.0 - b2 / theta) * np.log(
-                rho_next.values[live_pow])
-            hxx, hxy, hyy = second_derivatives(v.values, chart)
-            hess = np.maximum(np.abs(hxx), np.maximum(np.abs(hxy), np.abs(hyy))).max(axis=-1)
-            gr = np.linalg.norm(rho_next.gradient(), axis=-1)
-            with np.errstate(divide="ignore"):
-                rec["cond3_hess_ok"] = bool(np.all(
-                    np.log(np.maximum(hess[live_pow], 1e-300)) <= log_bound + 1e-9))
-                rec["cond3_grad_rho_ok"] = bool(np.all(
-                    np.log(np.maximum(gr[live_pow], 1e-300)) <= log_bound + 1e-9))
+            rec["cond3_hess_ok"] = rec["cond3_grad_rho_ok"] = True
+            for sl, hess, gr, _ in _node_derivatives(v, rho_next):
+                m = live_pow[sl]
+                log_bound = b2 * math.log(ladder.A) + (1.0 - b2 / theta) * np.log(
+                    rho_next.values[sl][m]) + 1e-9
+                for key, d in (("cond3_hess_ok", hess), ("cond3_grad_rho_ok", gr)):
+                    rec[key] &= bool(np.all(np.log(np.maximum(d[m], 1e-300)) <= log_bound))
 
         if not state.s_set.is_empty:
             on_s = distances[1] <= hmax
@@ -689,7 +696,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
             rec["factorization_residual"] < 1e-9 and rec["short_min_eig"] > 0
             and rec.get("cond3_hess_ok", True) and rec.get("cond3_grad_rho_ok", True)
             and moved_out < 1e-13)
-        u, rho, h = v, rho_next, h_next
+        u, rho, h, pb_u = v, rho_next, h_next, pb_v
         incoming_top = out.meta.get("top_frequency", base * growth)
         rho_seq.append(rho)
         history.append(rec)
@@ -707,6 +714,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         alpha=float(schedule.alpha_prime),
         certificate={"history": history, "rho_lemma": lemma,
                      "truncation": truncation})
+    object.__setattr__(new_state, "pullback", pb_u)
     return new_state, history, truncation
 
 
@@ -753,7 +761,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
 
     report: dict = {"passes": [], "schedules": []}
 
-    u_t, h_t, delta_star, boot = bootstrap_strong(
+    u_t, pb_t, h_t, delta_star, boot = bootstrap_strong(
         u0, g, a0, table, delta_star=bootstrap_delta_star)
     report["bootstrap"] = boot
     rho0 = ScalarField.constant(chart, math.sqrt(delta_star))
@@ -762,6 +770,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
     alpha = Fraction(alpha0).limit_denominator(10 ** 9)
     state = AdaptedState(u_t, rho0, h_t, SkeletonSet.empty(),
                          A=a0, theta=float(theta), alpha=float(alpha))
+    object.__setattr__(state, "pullback", pb_t)
     report["initial_certificate"] = certify_adapted(state, g)
 
     # exact exponent chain across the planned passes
@@ -815,7 +824,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
             "rho_lemma": state.certificate["rho_lemma"],
         })
 
-    pb = pullback_metric(state.u)
+    pb = state.pullback
     defect = np.abs(g.values - pb.values)
     g_scale = float(np.max(np.abs(g.values)))
     report["final"] = {

@@ -19,16 +19,21 @@ stencil rows and the mollifier's reach are excluded from measurement (the
 collar width follows from the mollification scale; fields are still
 produced everywhere).
 
-Memory: of a step's intermediates only the Jacobian columns of u~,
-grad(Phi), the phase lam Phi and the amplitude rho~ are whole fields; the
-Gram product, xi~, xi, zeta, Gamma and sup |v - u| are evaluated one slab
-of rows at a time (grid._slabs) and written straight into v, every node
-getting the floating-point operations of a whole-array evaluation.  Every
-other whole field of a step, a stage or a metric addition is dropped after
-its last reader: a stage does not keep a step's defect, and the metric
+Each immersion is pulled back once: step and stage take u#e as pb_u (the
+metric addition pulls u back if not handed it), and an outcome hands v#e on
+to the next step, the stage and metric-addition defects, the bootstrap and
+the inductive pass.  A pullback handed on is never written.
+
+Memory: of a step's intermediates only u~, grad(Phi) and the phase lam Phi
+are whole fields; the Jacobian of u~ (formed again in each of two passes),
+the Gram product, xi~, xi, zeta, rho~, Gamma and sup |v - u| are evaluated
+one slab of rows at a time (grid._slabs) and written straight into v, every
+node getting the floating-point operations of a whole-array evaluation.
+Every other whole field of a step, a stage or a metric addition is dropped
+after its last reader: a stage does not keep a step's defect, and the metric
 addition keeps only the phases and theta rho~ of its factorization.  On a
-1024^2 clamped chart a step peaks 155 MB (18.5 fields of nx * ny float64)
-above its entry, against 496 MB for the whole-array step.
+1024^2 clamped chart a step handed u#e peaks 107 MB (12.8 fields of nx * ny
+float64) above its entry, against 496 MB for the whole-array step.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .grid import (
     _gram,
     _slabs,
     derivative_sup,
+    jacobian_slabs,
     mollify,
     norm_report,
     pullback_metric,
@@ -123,6 +129,7 @@ class StageParams:
 @dataclass(frozen=True)
 class StepOutcome:
     v: ImmersionField
+    pullback: MetricField          # v#e, shared with later readers: never written
     defect: MetricField            # pullback(v) - target, full field
     defect_sup: float              # measured away from the collar
     defect_c1: float
@@ -157,23 +164,25 @@ def _band(metric: MetricField):
     return max(hi, 1.0 / lo), lo, hi
 
 
-def _corrugation(jx, jy, gphi, amplitude, phase, lam, table):
-    """(Gamma_1 xi + Gamma_2 zeta)/lam on a slab of nodes."""
+def _corrugation(jx, jy, gphi, rho, phase, lam, table):
+    """(Gamma_1 xi + Gamma_2 zeta)/lam on a slab of nodes, amplitude |xi~| rho."""
     gram, det, _, _ = _gram(jx, jy)
     xi_t, xi_sq = _xi_tilde(jx, jy, gram, det, gphi)
+    amplitude = np.sqrt(xi_sq) * rho
     xi = xi_t / xi_sq[..., None]
     zeta_t = np.cross(jx, jy)
     zeta_norm = np.linalg.norm(zeta_t, axis=-1)
     zeta = zeta_t / (zeta_norm * np.sqrt(xi_sq))[..., None]
-    g1 = table.eval(amplitude, phase, "g1")
-    g2 = table.eval(amplitude, phase, "g2")
+    g1, g2 = table.eval(amplitude, phase, ("g1", "g2"))
     return (g1[..., None] * xi + g2[..., None] * zeta) / lam
 
 
 def _primitive(rho: ScalarField, gphi: np.ndarray) -> np.ndarray:
     """Components of the primitive metric rho^2 grad(Phi) (x) grad(Phi)."""
-    return (rho.values ** 2)[..., None] * np.stack(
-        [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
+    r2, gx, gy, out = rho.values ** 2, gphi[..., 0], gphi[..., 1], np.empty(gphi.shape[:2] + (3,))
+    for c, (a, b) in enumerate(((gx, gx), (gx, gy), (gy, gy))):  # one component at a time
+        np.multiply(r2, a * b, out=out[..., c])
+    return out
 
 
 def _gradient_range(gphi: np.ndarray):
@@ -230,8 +239,8 @@ def _phase_is_commensurate(phi: PhaseField, lam: float, tol=1e-9):
 
 
 def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
-         table: CorrugationTable) -> StepOutcome:
-    """One corrugation step adding rho^2 grad(Phi) (x) grad(Phi)."""
+         table: CorrugationTable, pb_u: MetricField) -> StepOutcome:
+    """One corrugation step adding rho^2 grad(Phi) (x) grad(Phi); pb_u is u#e."""
     chart = u.chart
     h = max(chart.spacing)
     problems = []
@@ -242,7 +251,6 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
             f"corrugation at lam={p.lam:.6g} has {wavelength_nodes:.1f} nodes per "
             f"wavelength; need >= {NODES_PER_WAVELENGTH}")
 
-    pb_u = pullback_metric(u)
     gb, lo, hi = _band(pb_u)
     if lo <= 0:
         problems.append(f"input pullback degenerate (min eigenvalue {lo:.3g})")
@@ -264,27 +272,24 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
 
     ell = 1.0 / p.lam
     u_smooth = mollify(u, ell, clamped_mode="extrapolate") if ell >= 2 * h else u
-    jx, jy = u_smooth.jacobian()
-    del u_smooth
-    slabs = _slabs(jx)
+    slabs = _slabs(u.values)
 
-    # first pass: the Gram band and the amplitude rho~ = |xi~| rho, so that
-    # both refusals below see the whole chart before any table is read
-    eig_lo, eig_hi = np.inf, -np.inf
-    amplitude = np.empty(chart.resolution)
-    for s in slabs:
-        gram, det, lo, hi = _gram(jx[s], jy[s])
+    # first pass: the Gram band and the range of the amplitude rho~ = |xi~| rho,
+    # so that both refusals below see the whole chart before any table is read
+    eig_lo, eig_hi, amp_lo, amp_hi = np.inf, -np.inf, np.inf, -np.inf
+    for s, jx, jy in jacobian_slabs(u_smooth, slabs):
+        gram, det, lo, hi = _gram(jx, jy)
         eig_lo, eig_hi = min(eig_lo, float(lo.min())), max(eig_hi, float(hi.max()))
         if eig_lo > 0:  # else refused below, before det is divided by
-            xi_sq = _xi_tilde(jx[s], jy[s], gram, det, gphi[s])[1]
-            amplitude[s] = np.sqrt(xi_sq) * rho.values[s]
+            amp = np.sqrt(_xi_tilde(jx, jy, gram, det, gphi[s])[1]) * rho.values[s]
+            amp_lo, amp_hi = min(amp_lo, float(amp.min())), max(amp_hi, float(amp.max()))
     cond = eig_hi / max(eig_lo, 1e-300)
     if eig_lo <= 0 or cond > 1e6:
         raise StepPreconditionError(
             f"mollified pullback near-singular (condition number {cond:.3g})")
     phase = p.lam * phi.values()
     try:
-        table.check_amplitude(amplitude)
+        table.check_amplitude(np.array([amp_lo, amp_hi]))
     except CorrugationDomainError as exc:
         raise CorrugationDomainError(
             f"{exc}; lower eps (amplitude^2 scale, currently {p.eps:.4g}) or enlarge "
@@ -294,14 +299,12 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
     # and v = u + (Gamma_1 xi + Gamma_2 zeta)/lam, written into v slab by slab
     v_vals = np.empty_like(u.values)
     displacement = 0.0
-    for s in slabs:
-        offset = _corrugation(jx[s], jy[s], gphi[s], amplitude[s], phase[s], p.lam, table)
+    for s, jx, jy in jacobian_slabs(u_smooth, slabs):
+        offset = _corrugation(jx, jy, gphi[s], rho.values[s], phase[s], p.lam, table)
         np.add(u.values[s], offset, out=v_vals[s])
         displacement = max(displacement, _displacement(v_vals[s], u.values[s]))
-    del jx, jy, phase
+    del u_smooth, phase
     v = ImmersionField(chart, v_vals, u.linear)
-    amplitude_max = float(amplitude.max())
-    del amplitude
 
     outside = rho.values == 0.0
     if outside.any():
@@ -311,9 +314,8 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
         moved = 0.0
         support_ok = True
 
-    target = pb_u.values  # built in place: pb_u is not read again
-    target += _primitive(rho, gphi)
-    del pb_u, gphi
+    target = pb_u.values + _primitive(rho, gphi)
+    del gphi
     pb_v = pullback_metric(v)
     defect = MetricField(chart, pb_v.values - target)
     del target
@@ -325,17 +327,18 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
             f"corrugated immersion degenerate (pullback min eigenvalue {lo_v:.3g})")
 
     return StepOutcome(
-        v=v, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
+        v=v, pullback=pb_v, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
         displacement=displacement, support_ok=support_ok, gamma_bar=gb_v,
-        meta={"collar": collar, "amplitude_max": amplitude_max,
+        meta={"collar": collar, "amplitude_max": amp_hi,
               "moved_outside_support": float(moved),
               "pullback_band": (float(lo_v), float(hi_v)),
               "mollification_scale": ell})
 
 
 def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
-          table: CorrugationTable) -> StepOutcome:
-    """Apply one step per (rho_k, Phi_k) term with frequencies lam * K^k.
+          table: CorrugationTable, pb_u: MetricField) -> StepOutcome:
+    """Apply one step per (rho_k, Phi_k) term with frequencies lam * K^k to u,
+    whose pullback u#e is pb_u.
 
     The outcome's defect compares the final pullback against
     pullback(u) + sum_k rho_k^2 grad(Phi_k) (x) grad(Phi_k) with the phases
@@ -346,12 +349,10 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
     chart = u.chart
     if not terms:
         zero = MetricField(chart, np.zeros((*chart.resolution, 3)))
-        return StepOutcome(u, zero, 0.0, 0.0, 0.0, True, _band(pullback_metric(u))[0])
+        return StepOutcome(u, pb_u, zero, 0.0, 0.0, 0.0, True, _band(pb_u)[0])
 
-    base_pb = pullback_metric(u)
-    gb_in = _band(base_pb)[0]  # band of the current map's pullback
-    target = base_pb.values  # built in place: base_pb is not read again
-    current = u
+    gb_in = _band(pb_u)[0]  # band of the current map's pullback
+    pb, current = pb_u, u
     history = []
     # zero-amplitude terms corrugate nothing (Gamma(0, .) = 0) and are
     # skipped outright rather than spending frequency budget
@@ -362,18 +363,20 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
         phi_used, shift = commensurate_phase(phi_k, lam_k)
         p_k = replace(p, lam=lam_k, gamma=max(p.gamma, gb_in * 1.02))
         try:
-            out = step(current, rho_k, phi_used, p_k, table)
+            out = step(current, rho_k, phi_used, p_k, table, pb)
         except ShortnessLostError as exc:
             raise ShortnessLostError(f"term {k}: {exc}", term_index=k) from exc
-        current, gb_in = out.v, out.gamma_bar
+        current, pb, gb_in = out.v, out.pullback, out.gamma_bar
         history.append({"lam": lam_k, "defect_sup": out.defect_sup,
                         "gamma_bar": out.gamma_bar, "phase_shift": shift,
                         "amplitude_max": out.meta["amplitude_max"]})
         del out  # the step's defect field is not read
-        target += _primitive(rho_k, phi_k.gradient())
 
-    pb_v = pullback_metric(current)
-    defect = MetricField(chart, pb_v.values - target)
+    # the target is summed after the steps, which it would outlive
+    target = pb_u.values.copy()
+    for rho_k, phi_k in live_terms:
+        target += _primitive(rho_k, phi_k.gradient())
+    defect = MetricField(chart, pb.values - target)
     collar, defect_sup, defect_c1 = _measure_defect(defect, 1.0 / p.lam)
 
     outside = np.ones(chart.resolution, dtype=bool)
@@ -386,9 +389,9 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
         moved, support_ok = 0.0, True
 
     return StepOutcome(
-        v=current, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
+        v=current, pullback=pb, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
         displacement=_displacement(current.values, u.values), support_ok=support_ok,
-        gamma_bar=_band(pb_v)[0],
+        gamma_bar=_band(pb)[0],
         meta={"steps": history, "moved_outside_support": moved, "collar": collar,
               "skipped_zero_terms": skipped})
 
@@ -418,7 +421,8 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
                   h: MetricField, delta: float, lam: float, kappa: float,
                   table: CorrugationTable, alpha: float | None = None,
                   c0: float = 1.0, c1: float = 1.0,
-                  strict_hypotheses: bool = True) -> StepOutcome:
+                  strict_hypotheses: bool = True, pb_u: MetricField | None = None
+                  ) -> StepOutcome:
     """Add rho^2 (g + h) to the pullback metric of u (two conformal terms).
 
     rho, g, h are mollified at ell = lam^-kappa, the smoothed g~ + h~ is
@@ -444,7 +448,7 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     g_lo, g_hi = g.spd_band()
     if g_lo <= 0:
         problems.append("target metric g is not SPD")
-    pb_u = pullback_metric(u)
+    pb_u = pullback_metric(u) if pb_u is None else pb_u
     gamma = max(g_hi, 1.0 / max(g_lo, 1e-300), _band(pb_u)[0])
 
     if alpha is None:
@@ -478,7 +482,6 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
         raise UnderResolvedError(
             f"mollification scale lam^-kappa = {ell:.4g} below 2*spacing = {2 * hmax:.4g}")
 
-    rho_m = mollify(rho, ell)
     target_sm = MetricField(chart, mollify(g, ell).values + mollify(h, ell).values)
     sm_lo, _ = target_sm.spd_band()
     if sm_lo < 1.0 / (2.0 * gamma) * (1 - 1e-9):
@@ -490,10 +493,10 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     del target_sm
     # the stage reads only the phases and theta rho~; the factorization's
     # fields (mu, residual, gradients, det J) are dropped before it runs
-    phi1, phi2 = fac.phi1, fac.phi2
+    phi1, phi2, amp = fac.phi1, fac.phi2, fac.theta.values
     conformal_stats, conformal_residual = fac.stats, fac.residual_sup
-    amp = ScalarField(chart, fac.theta.values * rho_m.values)
-    del fac, rho_m
+    del fac
+    amp = ScalarField(chart, amp * mollify(rho, ell).values)
     terms = [(amp, phi1), (amp, phi2)]
 
     ranges = [_gradient_range(ph.gradient()) for ph in (phi1, phi2)]
@@ -512,11 +515,12 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
                    c0=min(c0, base / nu_tilde))
     sp = StageParams(K=K, kappa=kappa, c1=min(c1, K / (nu_tilde / nu) * 0.5))
 
-    out = stage(u, terms, p, sp, table)
+    out = stage(u, terms, p, sp, table, pb_u)
 
-    target = pb_u.values  # built in place: pb_u is not read again
-    target += (rho.values ** 2)[..., None] * (g.values + h.values)
-    defect = MetricField(chart, pullback_metric(out.v).values - target)
+    target = pb_u.values + (rho.values ** 2)[..., None] * (g.values + h.values)
+    # written over the stage's own defect, which is not read
+    defect = MetricField(chart, np.subtract(out.pullback.values, target, out=out.defect.values))
+    del target
     collar, dsup, dc1 = _measure_defect(defect, ell)
 
     moved = np.abs(out.v.values - u.values).max(axis=-1) > 1e-14
@@ -534,8 +538,8 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
         "conformal": conformal_stats, "conformal_residual": conformal_residual,
         "collar": collar,
     })
-    return StepOutcome(out.v, defect, dsup, dc1, out.displacement, support_ok,
-                       out.gamma_bar, meta)
+    return replace(out, defect=defect, defect_sup=dsup, defect_c1=dc1,
+                   support_ok=support_ok, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +581,8 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
 
     Decomposes g - u#e - delta* g into primitive metrics (integer torus
     frame on periodic charts, the lemma frame on clamped ones) and adds the
-    sum through one stage.  Returns (u~, h~, delta*, report); h~ = -E/delta*
-    with E the measured stage defect.
+    sum through one stage.  Returns (u~, u~#e, h~, delta*, report); h~ =
+    -E/delta* with E the measured stage defect.
     """
     from .decomposition import build_frame
     from .grid import c1_seminorm, sup_norm
@@ -594,8 +598,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
     if delta_star is None:
         for k in range(3, 50):
             cand = 2.0 ** -k
-            check = MetricField(chart, defect0.values - 2.0 * cand * g.values)
-            if check.spd_band()[0] >= 0:
+            if MetricField(chart, defect0.values - 2.0 * cand * g.values).spd_band()[0] >= 0:
                 delta_star = cand
                 break
         else:
@@ -603,8 +606,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
     else:
         if delta_star > 0.125 or delta_star <= 0:
             raise StepPreconditionError(f"delta* must lie in (0, 1/8], got {delta_star}")
-        check = MetricField(chart, defect0.values - delta_star * g.values)
-        if check.spd_band()[0] < -1e-12:
+        if MetricField(chart, defect0.values - delta_star * g.values).spd_band()[0] < -1e-12:
             raise StepPreconditionError("supplied delta* exceeds the shortness margin")
 
     m0 = MetricField(chart, defect0.values - delta_star * g.values)
@@ -613,7 +615,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
         h_t = MetricField(chart, np.zeros_like(g.values))
         report = {"delta_star": delta_star, "terms": 0, "trivial": True,
                   "u_moved": 0.0, "h_sup": 0.0}
-        return u, h_t, delta_star, report
+        return u, pb, h_t, delta_star, report
 
     if chart.periodic:
         coeffs = torus_primitive_coefficients(m0)
@@ -627,7 +629,9 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
         if osc > frame.radius:
             raise StepPreconditionError(
                 f"metric increment oscillation {osc:.4g} exceeds the frame "
-                f"validity radius {frame.radius:.4g}; refine the chart")
+                f"validity radius {frame.radius:.4g}; it measures the metric's "
+                f"variation across the chart, not the resolution: shrink the "
+                f"chart's extent {max(chart.extent):.4g}")
         coeffs = frame.coefficients(mats)
         if coeffs.min() <= 0:
             raise StepPreconditionError("frame coefficients lost positivity")
@@ -653,6 +657,14 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
         lam = max(1.0, math.floor(lam / quantum)) * quantum
     if K is None:
         K = max(2.0, (0.98 * ceiling / lam) ** (1.0 / max(n_active - 1, 1)))
+    top = lam * K ** max(n_active - 1, 0)
+    if 2.0 * np.pi / (top * hmax) < NODES_PER_WAVELENGTH * (1.0 - 1e-9):  # as step() tests
+        fit = [math.ceil(NODES_PER_WAVELENGTH * top * e / (2.0 * np.pi) - 1e-9)
+               + (not chart.periodic) for e in chart.extent]
+        raise UnderResolvedError(
+            f"bootstrap frequency ceiling: top frequency {top:.6g} (base {lam:.6g}, "
+            f"K={K:.4g}) exceeds the resolvable {ceiling:.6g}; the smallest "
+            f"resolution that fits is {fit[0]}x{fit[1]}")
 
     eps = float(max(np.max(coeffs[..., j]) * (directions[j] @ directions[j])
                     for j in range(n_terms)))
@@ -664,21 +676,16 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
                    gamma=gamma_eff, c0=min(c0, lam / nu))
     sp = StageParams(K=K, kappa=1.0, c1=0.5 * K * nu / nu)
 
-    out = stage(u, terms, p, sp, table)
-    u_t = out.v
+    out = stage(u, terms, p, sp, table, pb)
+    u_t, pb_t = out.v, out.pullback
+    moved, stage_defect_sup, support_ok = out.displacement, out.defect_sup, out.support_ok
+    h_t = MetricField(chart, -(pb_t.values - pb.values - m0.values) / delta_star)
+    del out, terms, coeffs, pb, m0, defect0  # the closing checks below are the peak
 
-    pb_t = pullback_metric(u_t)
-    err = MetricField(chart, pb_t.values - pb.values - m0.values)
-    h_t = MetricField(chart, -err.values / delta_star)
-
-    lower = MetricField(chart, pb_t.values - 0.5 * g.values)
-    upper = MetricField(chart, g.values - pb_t.values)
-    half_band_ok = bool(lower.spd_band()[0] >= -1e-9 and upper.spd_band()[0] >= -1e-9)
-
-    strong_lo = MetricField(chart, 0.5 * g.values - h_t.values)
-    strong_hi = MetricField(chart, 0.5 * g.values + h_t.values)
-    strong_ok = bool(strong_lo.spd_band()[0] >= -1e-12
-                     and strong_hi.spd_band()[0] >= -1e-12)
+    half_band_ok = bool(MetricField(chart, pb_t.values - 0.5 * g.values).spd_band()[0] >= -1e-9
+                        and MetricField(chart, g.values - pb_t.values).spd_band()[0] >= -1e-9)
+    strong_ok = bool(MetricField(chart, 0.5 * g.values - h_t.values).spd_band()[0] >= -1e-12
+                     and MetricField(chart, 0.5 * g.values + h_t.values).spd_band()[0] >= -1e-12)
     if not strong_ok:
         raise ShortnessLostError(
             f"bootstrap error term violates the strong-short band: |h~| reaches "
@@ -686,26 +693,25 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
 
     if alpha_star is None:
         alpha_star = 1.0 / (8.0 * n_terms)
-    moved = out.displacement
     report = {
         "delta_star": delta_star, "terms": n_terms, "trivial": False,
         "base_frequency": lam, "K": K,
-        "top_frequency": lam * K ** max(n_active - 1, 0),
+        "top_frequency": top,
         "u_moved": moved,
         "u_moved_budget": delta_star * a0 ** -alpha_star,
         "h_sup": float(np.max(np.abs(h_t.values))),
         "h_sup_budget": a0 ** -alpha_star,
         "h_c1": c1_seminorm(h_t),
         "h_c1_budget": a0 ** (1.0 - alpha_star),
-        "u_c2": out.v_norms.c2_norm,
+        "u_c2": norm_report(u_t).c2_norm,
         "u_c2_budget": a0,
         "alpha_star": alpha_star,
         "half_band_ok": half_band_ok,
         "strong_ok": strong_ok,
-        "stage_defect_sup": out.defect_sup,
-        "support_ok": out.support_ok,
+        "stage_defect_sup": stage_defect_sup,
+        "support_ok": support_ok,
     }
     report["budgets_ok"] = bool(
         moved <= report["u_moved_budget"] and report["h_sup"] <= report["h_sup_budget"]
         and report["h_c1"] <= report["h_c1_budget"] and report["u_c2"] <= a0)
-    return u_t, h_t, delta_star, report
+    return u_t, pb_t, h_t, delta_star, report

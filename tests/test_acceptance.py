@@ -176,7 +176,7 @@ def test_criterion_05_step_scaling(table):
     for lam in (64.0, 128.0, 256.0):
         p = StepParams(lam=lam, eps=eps, delta=eps, nu=6.0, nu_tilde=6.0,
                        M=4.0, gamma=4.0, c0=min(1.0, lam / 6.0))
-        out = step(u, rho, phi, p, table)
+        out = step(u, rho, phi, p, table, pullback_metric(u))
         defects.append(out.defect_sup)
         bands.append(out.gamma_bar)
         supports.append(out.meta["moved_outside_support"])
@@ -206,7 +206,7 @@ def test_criterion_06_stage_scaling(table):
     for K in (4.0, 8.0):
         p = StepParams(lam=lam1, eps=0.1, delta=0.1, nu=1.0, nu_tilde=1.0,
                        M=2.0, gamma=2.0, c0=1.0)
-        out = stage(u, terms, p, StageParams(K=K, kappa=1.0, c1=1.0), table)
+        out = stage(u, terms, p, StageParams(K=K, kappa=1.0, c1=1.0), table, pullback_metric(u))
         sups.append(out.defect_sup)
     ratio = sups[0] / sups[1]
     ok = 2.0 / 1.5 <= ratio <= 2.0 * 1.5

@@ -122,6 +122,29 @@ class TestEval:
     def test_rejects_unknown_table(self, table):
         with pytest.raises(ValueError):
             table.eval(0.5, 0.0, "g3")
+        for which in ((), ("g1", "dt_g2"), ("g1", "g3")):
+            with pytest.raises(ValueError):
+                table.eval(0.5, 0.0, which)
+
+    def test_pair_bit_identical_to_separate_evals(self, table):
+        # s = 0, s = s_max and random s against |t| up to 1e5, over more
+        # points than one block of the series evaluation
+        rng = np.random.default_rng(23)
+        n = _BLOCK + 1000
+        s = rng.uniform(0.0, table.s_max, n)
+        s[:3], s[-3:] = 0.0, table.s_max
+        t = rng.uniform(-1e5, 1e5, n)
+        t[1] = 0.0
+        g1, g2 = table.eval(s, t, ("g1", "g2"))
+        assert np.array_equal(g1, table.eval(s, t, "g1"))
+        assert np.array_equal(g2, table.eval(s, t, "g2"))
+        grid = (s[:70].reshape(7, 10), t[:70].reshape(7, 10))
+        for got, name in zip(table.eval(*grid, ("g1", "g2")), ("g1", "g2")):
+            assert np.array_equal(got, table.eval(*grid, name))
+        assert table.eval(table.s_max, -3.0, ("g2", "g1")) == (
+            table.eval(table.s_max, -3.0, "g2"), table.eval(table.s_max, -3.0, "g1"))
+        with pytest.raises(CorrugationDomainError):
+            table.eval(s + 0.01, t, ("g1", "g2"))
 
     def test_interpolated_identity_random_points(self, table):
         rng = np.random.default_rng(42)

@@ -13,16 +13,18 @@ from isoflex.grid import (
     NormReport,
     ScalarField,
     UnderResolvedError,
+    _diff,
     _diff1,
-    _diff2,
+    _slabs,
     c1_seminorm,
     c2_seminorm,
     check_short,
     holder_seminorm,
+    jacobian_slabs,
     mollify,
     norm_report,
     pullback_metric,
-    second_derivatives,
+    slab_derivatives,
     sup_norm,
 )
 from isoflex.nash_step import _measure_defect
@@ -168,6 +170,17 @@ def _wavy_map(chart):
 SLAB_SHAPES = [(75, 53), (8, 8)]
 
 
+def _diff2(values, axis, h, periodic):
+    return _diff(values, axis, h, 2, periodic)
+
+
+def second_derivatives(values, chart):
+    """(d_xx, d_xy, d_yy) assembled from the slabs of slab_derivatives."""
+    slabs = [[d.copy() for d in ds]
+             for _, ds in slab_derivatives(values, chart, ("xx", "xy", "yy"), _slabs(values))]
+    return [np.concatenate(rows) for rows in zip(*slabs)]
+
+
 def _ref_sup(*fields):
     return max(float(np.max(np.abs(f))) for f in fields)
 
@@ -223,7 +236,8 @@ class TestKernelReference:
         assert np.array_equal(sigma, _ref_min_singular_value(u))
         np.testing.assert_allclose(sigma, svd, rtol=1e-10)
 
-    def test_one_jacobian_per_pullback(self, monkeypatch):
+    def test_pullback_builds_no_whole_jacobian(self, monkeypatch):
+        # the fused pullback forms the Jacobian one slab of rows at a time
         calls = []
         jacobian = ImmersionField.jacobian
 
@@ -233,7 +247,7 @@ class TestKernelReference:
 
         monkeypatch.setattr(ImmersionField, "jacobian", counted)
         pullback_metric(_wavy_map(_oblong(PERIODIC)))
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     # Slab evaluation against the same references, on a grid that
     # SLAB_BUDGETS cut into several slabs with a ragged last one, and on the
@@ -269,11 +283,43 @@ class TestKernelReference:
         ref = _ref_jacobian(u)
         jx, jy = u.jacobian()
         assert np.array_equal(jx, ref[..., 0]) and np.array_equal(jy, ref[..., 1])
+        rows = [(x.copy(), y.copy()) for _, x, y in jacobian_slabs(u, _slabs(u.values))]
+        assert np.array_equal(np.concatenate([x for x, _ in rows]), jx)
+        assert np.array_equal(np.concatenate([y for _, y in rows]), jy)
         g = pullback_metric(u)
         assert np.array_equal(g.values, _ref_pullback(u))
         assert np.array_equal(u.min_singular_value(), _ref_min_singular_value(u))
         lo, hi = g.eigenvalues()
         assert g.spd_band() == (float(lo.min()), float(hi.max()))
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_slab_pullback_degenerate_nodes(self, slab_budget, boundary):
+        # a rank-one map on the rows x >= 0.5: the degenerate nodes span
+        # several slabs, and the first 64 are listed in row-major order
+        chart = GridChart((1.0, 1.3), (75, 53), boundary)
+        x, y = chart.mesh()
+        bend = np.where(x < 0.5, np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y / 1.3), 0.0)
+        u = ImmersionField(chart, 0.05 * np.stack([bend, np.zeros_like(x), bend], axis=-1),
+                           np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+                           if boundary == PERIODIC else None)
+        if boundary == CLAMPED:
+            u = u.displaced(np.stack([x, 0 * x, 0 * x], axis=-1))
+        g = pullback_metric(u)
+        assert np.array_equal(g.values, _ref_pullback(u))
+        want = np.argwhere(_ref_min_singular_value(u) <= 1e-10)
+        assert want.shape[0] > 64
+        assert g.meta["degenerate_count"] == want.shape[0]
+        assert g.meta["degenerate_nodes"] == [tuple(ix) for ix in want[:64]]
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_pullback_memory_above_entry(self, traced_peak, boundary):
+        # beside its 3-field result the fused pullback holds a slab's
+        # Jacobian rows and Gram product only: at 1024^2 it peaks 3.5 fields
+        # of nx * ny float64 above its entry (the whole-Jacobian pullback: 12.2)
+        u = _wavy_map(GridChart((1.0, 1.7), (1024, 1024), boundary))
+        g, peak = traced_peak(pullback_metric, u)
+        assert peak <= 5 * 1024 * 1024 * 8
+        assert np.array_equal(g.values, _ref_pullback(u))
 
     @pytest.mark.parametrize("shape", SLAB_SHAPES)
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
@@ -449,6 +495,87 @@ class TestHolder:
         assert holder_seminorm(f, 1.0, deriv_order=1) == pytest.approx(2.0, rel=1e-3)
 
 
+# The probe that the slab probe replaced, kept as the reference: one
+# np.roll (or slice difference) per offset and component, each quotient
+# divided by sep^theta before the max.
+
+def _ref_offset_quotient(arr, dx, dy, hx, hy, theta, periodic):
+    if periodic:
+        d = np.roll(arr, (-dx, -dy), axis=(0, 1)) - arr
+    else:
+        nx, ny = arr.shape[:2]
+        if dy >= 0:
+            d = arr[dx:, dy:] - arr[:nx - dx or None, :ny - dy or None]
+        else:
+            d = arr[dx:, :ny + dy] - arr[:nx - dx or None, -dy:]
+        if d.size == 0:
+            return 0.0
+    sep = np.hypot(dx * hx, dy * hy)
+    return float(np.max(np.abs(d))) / sep ** theta
+
+
+def _ref_holder_seminorm(f, theta, deriv_order, exhaustive):
+    from isoflex.grid import _offsets
+
+    chart = f.chart
+    hx, hy = chart.spacing
+    vals = f.values
+    if deriv_order == 1:
+        p = chart.periodic
+        vals = np.concatenate([_diff1(vals, 0, hx, p)[..., None] if vals.ndim == 2
+                               else _diff1(vals, 0, hx, p),
+                               _diff1(vals, 1, hy, p)[..., None] if vals.ndim == 2
+                               else _diff1(vals, 1, hy, p)], axis=-1)
+    arrs = [vals] if vals.ndim == 2 else [vals[..., c] for c in range(vals.shape[-1])]
+    best = 0.0
+    for dx, dy in _offsets(chart, exhaustive):
+        for arr in arrs:
+            q = _ref_offset_quotient(arr, dx, dy, hx, hy, theta, chart.periodic)
+            if q > best:
+                best = q
+    return best
+
+
+class TestHolderReference:
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("kind", ["scalar", "immersion"])
+    @pytest.mark.parametrize("deriv_order", [0, 1])
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_slab_probe_bit_identical(self, slab_budget, boundary, kind, deriv_order,
+                                      exhaustive):
+        # an exhaustive search on a small chart, dyadic offsets on a larger one
+        shape = (24, 17) if exhaustive else (75, 53)
+        chart = GridChart((1.0, 1.3), shape, boundary)
+        if kind == "scalar":
+            x, y = chart.mesh()
+            f = ScalarField(chart, np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y / 1.3)
+                            + np.random.default_rng(17).standard_normal(chart.resolution))
+        else:
+            f = _wavy_map(chart).displaced(
+                1e-3 * np.random.default_rng(19).standard_normal((*shape, 3)))
+        got = holder_seminorm(f, 0.3, deriv_order=deriv_order, exhaustive=exhaustive)
+        assert got == _ref_holder_seminorm(f, 0.3, deriv_order, exhaustive)
+        assert got > 0.0
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_seam_pairs_dominate(self, slab_budget, axis, exhaustive):
+        # a ramp along one axis of a torus jumps across the seam, so the
+        # largest quotient comes from the pairs whose partner wrapped around
+        chart = GridChart((1.0, 1.3), (24, 17) if exhaustive else (75, 53), PERIODIC)
+        f = ScalarField(chart, chart.mesh()[axis]
+                        + 1e-3 * np.random.default_rng(31).standard_normal(chart.resolution))
+        got = holder_seminorm(f, 0.3, exhaustive=exhaustive)
+        assert got == _ref_holder_seminorm(f, 0.3, 0, exhaustive)
+        assert got > 0.5 / chart.spacing[axis] ** 0.3
+
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_default_offsets_at_256(self, boundary):
+        # above 128 nodes per axis the default is the dyadic offsets
+        f = _wavy_map(GridChart((1.0, 1.0), (256, 256), boundary))
+        assert holder_seminorm(f, 0.1, deriv_order=1) == _ref_holder_seminorm(f, 0.1, 1, False)
+
+
 class TestNormReport:
     def test_report_invariants(self):
         f = ScalarField.from_function(square(65), lambda x, y: np.sin(2 * x + y))
@@ -473,21 +600,21 @@ class TestShortness:
     def test_strictly_short(self):
         c = square(32)
         u = ImmersionField.flat(c, scale=0.7)
-        rep = check_short(u, MetricField.constant(c, np.eye(2)))
+        rep = check_short(u, MetricField.constant(c, np.eye(2)), pb=pullback_metric(u))
         assert rep.classification == "strictly_short"
         assert rep.min_eigenvalue == pytest.approx(1 - 0.49, abs=1e-10)
 
     def test_short_but_not_strict(self):
         c = square(32)
         u = ImmersionField.flat(c)
-        rep = check_short(u, MetricField.constant(c, np.eye(2)))
+        rep = check_short(u, MetricField.constant(c, np.eye(2)), pb=pullback_metric(u))
         assert rep.classification == "short"
         assert abs(rep.min_eigenvalue) < 1e-10
 
     def test_not_short(self):
         c = square(32)
         u = ImmersionField.flat(c, scale=1.1)
-        rep = check_short(u, MetricField.constant(c, np.eye(2)))
+        rep = check_short(u, MetricField.constant(c, np.eye(2)), pb=pullback_metric(u))
         assert rep.classification == "not_short"
 
     def test_strong_short_bound(self):
@@ -497,5 +624,12 @@ class TestShortness:
         rho = ScalarField.constant(c, 0.5)
         h_ok = MetricField.constant(c, 0.3 * np.eye(2))
         h_bad = MetricField.constant(c, 0.7 * np.eye(2))
-        assert check_short(u, g, rho, h_ok).strong_short
-        assert not check_short(u, g, rho, h_bad).strong_short
+        assert check_short(u, g, rho, h_ok, pb=pullback_metric(u)).strong_short
+        assert not check_short(u, g, rho, h_bad, pb=pullback_metric(u)).strong_short
+
+    def test_pullback_on_other_chart_refused(self):
+        c = square(32, PERIODIC)
+        u = _wavy_map(c)
+        g = MetricField.constant(c, 1.5 * np.eye(2))
+        with pytest.raises(ChartError):
+            check_short(u, g, pb=pullback_metric(ImmersionField.flat(square(16, PERIODIC))))

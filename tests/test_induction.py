@@ -11,6 +11,8 @@ from isoflex.grid import (
     ImmersionField,
     MetricField,
     ScalarField,
+    _diff,
+    _diff1,
     holder_seminorm,
     pullback_metric,
 )
@@ -20,6 +22,7 @@ from isoflex.induction import (
     PassConfig,
     ScheduleError,
     SkeletonSet,
+    _node_derivatives,
     build_schedule,
     certify_adapted,
     cutoffs,
@@ -351,3 +354,118 @@ class TestPipeline:
         for i, j in ix:
             assert np.max(np.abs(new_state.u.values[i, j] - u0.values[i, j])) < 1e-12
 
+
+
+# The whole-array certificate that the slab certificate replaced, kept as
+# the reference: its node bounds must agree boolean for boolean.
+
+def _ref_node_fields(state):
+    """max |D^2 u|, |grad rho| and max_c |grad h_c| as whole fields."""
+    chart = state.u.chart
+    (hx, hy), p, v = chart.spacing, chart.periodic, state.u.values
+    hxx, hxy, hyy = (_diff(v, 0, hx, 2, p), _diff1(_diff1(v, 0, hx, p), 1, hy, p),
+                     _diff(v, 1, hy, 2, p))
+    hess = np.maximum(np.abs(hxx), np.maximum(np.abs(hxy), np.abs(hyy))).max(axis=-1)
+    grad_rho = np.linalg.norm(state.rho.gradient(), axis=-1)
+    gh = np.stack([np.linalg.norm(
+        ScalarField(chart, state.h.values[..., c]).gradient(), axis=-1)
+        for c in range(3)], axis=-1).max(axis=-1)
+    return hess, grad_rho, gh
+
+
+def _ref_certify_adapted(state, g, rho_floor):
+    chart = state.u.chart
+    pb = pullback_metric(state.u)
+    resid = g.values - pb.values - (state.rho.values ** 2)[..., None] * (
+        g.values + state.h.values)
+    short_lo = MetricField(chart, g.values - pb.values).spd_band()[0]
+    strong_lo = MetricField(chart, 0.5 * g.values - state.h.values).spd_band()[0]
+    strong_hi = MetricField(chart, 0.5 * g.values + state.h.values).spd_band()[0]
+    mask = state.rho.values > rho_floor
+    out = {
+        "factorization_residual": float(np.max(np.abs(resid))),
+        "short_min_eig": short_lo,
+        "strong_band_ok": bool(min(strong_lo, strong_hi) >= -1e-9),
+        "strong_band_margin": min(strong_lo, strong_hi),
+    }
+    if mask.any() and state.theta > 0:
+        rpow = state.rho.values[mask] ** (1.0 - 1.0 / state.theta)
+        hess, grad_rho, gh = _ref_node_fields(state)
+        out["hess_u_ok"] = bool(np.all(hess[mask] <= state.A * rpow + 1e-9))
+        out["grad_rho_ok"] = bool(np.all(grad_rho[mask] <= state.A * rpow + 1e-9))
+        out["grad_h_ok"] = bool(np.all(
+            gh[mask] <= state.A * state.rho.values[mask] ** (-1.0 / state.theta) + 1e-9))
+    return out
+
+
+# noise amplitudes of (u, rho, h) that let one node bound dominate
+_DOMINANT = {"hess_u_ok": (1e-4, 1e-6, 1e-3), "grad_rho_ok": (1e-7, 1e-3, 1e-3),
+             "grad_h_ok": (1e-7, 1e-6, 0.1)}
+
+
+class TestCertificateReference:
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    @pytest.mark.parametrize("check", sorted(_DOMINANT))
+    def test_slab_certificate_matches_whole_array(self, slab_budget, boundary, check):
+        # random fields make the largest node ratio unique; A just below it
+        # fails the check at exactly one node, A just above it passes every
+        # check
+        c = GridChart((1.0, 1.3), (75, 53), boundary)
+        x, _ = c.mesh()
+        rng = np.random.default_rng(29)
+        a_u, a_r, a_h = _DOMINANT[check]
+        u = ImmersionField.flat(c, scale=1.1).displaced(a_u * rng.standard_normal((75, 53, 3)))
+        # nodes with rho at or below the floor 0.29 are left out
+        rho = ScalarField(c, 0.3 + 0.02 * np.sin(2 * np.pi * x)
+                          + a_r * rng.standard_normal((75, 53)))
+        h = MetricField(c, a_h * rng.standard_normal((75, 53, 3)))
+        g = MetricField.constant(c, 1.21 * np.eye(2))
+        theta, floor = 0.15, 0.29
+        mask = rho.values > floor
+        assert 0 < np.count_nonzero(mask) < mask.size
+        hess, grad_rho, gh = _ref_node_fields(
+            AdaptedState(u, rho, h, SkeletonSet.empty(), A=1.0, theta=theta, alpha=0.1))
+        factor = {"hess_u_ok": rho.values ** (1.0 - 1.0 / theta),
+                  "grad_rho_ok": rho.values ** (1.0 - 1.0 / theta),
+                  "grad_h_ok": rho.values ** (-1.0 / theta)}
+        fields = {"hess_u_ok": hess, "grad_rho_ok": grad_rho, "grad_h_ok": gh}
+        slabs = [[a.copy() for a in rest] for _, *rest in _node_derivatives(u, rho, h)]
+        for got, want in zip(zip(*slabs), (hess, grad_rho, gh)):
+            assert np.array_equal(np.concatenate(got), want)
+        ratios = {k: np.sort((fields[k] / factor[k])[mask]) for k in fields}
+        a_fail, a_pass = ratios[check][-1] * (1 - 1e-6), ratios[check][-1] * (1 + 1e-6)
+        assert max(r[-1] for k, r in ratios.items() if k != check) < ratios[check][-2] < a_fail
+        for a, want_ok in ((a_fail, False), (a_pass, True)):
+            state = AdaptedState(u, rho, h, SkeletonSet.empty(), A=a, theta=theta, alpha=0.1)
+            failing = fields[check][mask] > a * factor[check][mask] + 1e-9
+            assert np.count_nonzero(failing) == (0 if want_ok else 1)
+            got = certify_adapted(state, g, rho_floor=floor)
+            want = _ref_certify_adapted(state, g, floor)
+            assert got == want
+            assert got[check] is want_ok
+            assert all(got[k] for k in fields if k != check)
+
+
+def test_state_pullback_only_from_its_producer():
+    # u#e rides on a state only where the bootstrap or a pass formed it: it
+    # cannot be handed in, and a state replaced with another u holds none,
+    # so the certificate pulls the new u back itself
+    import dataclasses
+
+    c = GridChart((1.0, 1.0), (48, 40), PERIODIC)
+    x, _ = c.mesh()
+    u = ImmersionField.flat(c, scale=0.9)
+    rho = ScalarField(c, 0.3 + 0.02 * np.sin(2 * np.pi * x))
+    h = MetricField.constant(c, np.zeros((2, 2)))
+    g = MetricField.constant(c, np.eye(2))
+    with pytest.raises(TypeError):
+        AdaptedState(u, rho, h, SkeletonSet.empty(), A=1.0, theta=0.15, alpha=0.1,
+                     pullback=pullback_metric(u))
+    state = AdaptedState(u, rho, h, SkeletonSet.empty(), A=1.0, theta=0.15, alpha=0.1)
+    assert state.pullback is None
+    held = dataclasses.replace(state)
+    object.__setattr__(held, "pullback", pullback_metric(u))  # as a pass sets it
+    other = dataclasses.replace(held, u=ImmersionField.flat(c, scale=0.8))
+    assert other.pullback is None
+    assert certify_adapted(other, g) == _ref_certify_adapted(other, g, 1e-6)
+    assert certify_adapted(held, g) == _ref_certify_adapted(held, g, 1e-6)

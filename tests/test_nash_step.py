@@ -77,7 +77,7 @@ class TestStep:
         u = ImmersionField.flat(c)
         rho = ScalarField.constant(c, 0.0)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        out = step(u, rho, phi, flat_params(64.0), table)
+        out = step(u, rho, phi, flat_params(64.0), table, pullback_metric(u))
         assert np.array_equal(out.v.values, u.values)
         assert out.support_ok
 
@@ -87,14 +87,14 @@ class TestStep:
         rho = bump_field(c, 0.01)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
         with pytest.raises(UnderResolvedError, match="wavelength"):
-            step(u, rho, phi, flat_params(256.0), table)
+            step(u, rho, phi, flat_params(256.0), table, pullback_metric(u))
 
     def test_support_exact(self, table):
         c = GridChart((1.0, 1.0), (512, 512), CLAMPED)
         u = ImmersionField.flat(c)
         rho = bump_field(c, 0.01)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        out = step(u, rho, phi, flat_params(64.0), table)
+        out = step(u, rho, phi, flat_params(64.0), table, pullback_metric(u))
         assert out.support_ok
         assert out.meta["moved_outside_support"] == 0.0
 
@@ -103,7 +103,7 @@ class TestStep:
         u = ImmersionField.flat(c)
         rho = bump_field(c, 0.01)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        out = step(u, rho, phi, flat_params(96.0), table)
+        out = step(u, rho, phi, flat_params(96.0), table, pullback_metric(u))
         # defect against pullback(u) + rho^2 grad(phi) (x) grad(phi) is small
         assert out.defect_sup < 5e-4
         assert out.gamma_bar < 1.1
@@ -116,7 +116,7 @@ class TestStep:
         p = StepParams(lam=64.0, eps=1.0, delta=1.0, nu=1.0, nu_tilde=1.0,
                        M=4.0, gamma=4.0)
         with pytest.raises(CorrugationDomainError, match="eps"):
-            step(u, rho, phi, p, table)
+            step(u, rho, phi, p, table, pullback_metric(u))
 
     def test_band_violation_named(self, table):
         c = GridChart((1.0, 1.0), (256, 256), CLAMPED)
@@ -124,7 +124,7 @@ class TestStep:
         rho = bump_field(c, 0.01)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
         with pytest.raises(StepPreconditionError, match="band"):
-            step(u, rho, phi, flat_params(64.0), table)
+            step(u, rho, phi, flat_params(64.0), table, pullback_metric(u))
 
     def test_incommensurate_phase_rejected_on_torus(self, table):
         c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
@@ -132,7 +132,8 @@ class TestStep:
         rho = ScalarField.constant(c, 0.1)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
         with pytest.raises(StepPreconditionError, match="wrap"):
-            step(u, rho, phi, flat_params(63.7), table)  # 63.7/(2 pi) not integer
+            # 63.7/(2 pi) not integer
+            step(u, rho, phi, flat_params(63.7), table, pullback_metric(u))
 
 
 # The whole-array step that the slab-fused step replaced, kept as the
@@ -213,7 +214,7 @@ class TestStepReference:
     def test_bit_identical_to_whole_array_step(self, table, slab_budget, boundary):
         u, rho, phi, p = _oblong_step_inputs(boundary)
         assert (u.linear is not None) == (boundary == PERIODIC)
-        out = step(u, rho, phi, p, table)
+        out = step(u, rho, phi, p, table, pullback_metric(u))
         ref = _ref_step(u, rho, phi, p, table)
         assert np.array_equal(out.v.values, ref["v"])
         assert out.v.linear is u.linear
@@ -239,7 +240,7 @@ class TestStepReference:
         gram, det, _, _ = _gram(*mollify(u, 1.0 / p.lam, clamped_mode="extrapolate").jacobian())
         assert np.max(rho.values * np.sqrt(gram[..., 0] / det)) > table.s_max
         with pytest.raises(StepPreconditionError, match="near-singular") as got:
-            step(u, rho, phi, p, table)
+            step(u, rho, phi, p, table, pullback_metric(u))
         with pytest.raises(StepPreconditionError) as want:
             _ref_step(u, rho, phi, p, table)
         assert str(got.value) == str(want.value)
@@ -249,15 +250,30 @@ class TestStepReference:
         # on the last ones
         u, rho, phi, p = _oblong_step_inputs(PERIODIC, rho0=1.2)
         with pytest.raises(CorrugationDomainError, match="eps") as got:
-            step(u, rho, phi, p, table)
+            step(u, rho, phi, p, table, pullback_metric(u))
         with pytest.raises(CorrugationDomainError) as want:
             _ref_step(u, rho, phi, p, table)
         assert str(got.value) == str(want.value)
 
+    def test_step_builds_no_whole_jacobian(self, table, monkeypatch):
+        # the Jacobian of u~ is formed slab by slab, once in each pass
+        calls = []
+        jacobian = ImmersionField.jacobian
+
+        def counted(self):
+            calls.append(1)
+            return jacobian(self)
+
+        monkeypatch.setattr(ImmersionField, "jacobian", counted)
+        u, rho, phi, p = _oblong_step_inputs(PERIODIC)
+        step(u, rho, phi, p, table, pullback_metric(u))
+        assert len(calls) == 0
+
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
     def test_memory_above_entry(self, table, traced_peak, boundary):
-        # at 256^2 the fused step peaks 33.7 fields of nx * ny float64 above
-        # its entry (the whole-array step: 59.7)
+        # at 256^2 the fused step peaks 29.3 fields of nx * ny float64 above
+        # its entry, u#e handed in (34.0 with u pulled back inside and whole
+        # Jacobian columns; the whole-array step: 59.7)
         c = GridChart((1.0, 1.0), (256, 256), boundary)
         x, y = c.mesh()
         wave = 0.02 * np.stack([np.sin(2 * np.pi * (x + y)), np.cos(2 * np.pi * (x - 2 * y)),
@@ -265,7 +281,8 @@ class TestStepReference:
         u = ImmersionField.flat(c, scale=0.9).displaced(wave)
         rho = ScalarField(c, 0.08 * (1.0 + 0.3 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)))
         phi = PhaseField(c, (1.0, 0.0), 0.05 * np.sin(2 * np.pi * y))
-        _, peak = traced_peak(step, u, rho, phi, flat_params(2 * np.pi * 4), table)
+        _, peak = traced_peak(step, u, rho, phi, flat_params(2 * np.pi * 4), table,
+                             pullback_metric(u))
         assert peak <= 42 * 256 * 256 * 8
 
 
@@ -297,7 +314,7 @@ class TestStage:
         c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
         u = ImmersionField.flat(c)
         p = flat_params(64.0)
-        out = stage(u, [], p, StageParams(K=2.0), table)
+        out = stage(u, [], p, StageParams(K=2.0), table, pullback_metric(u))
         assert out.v is u
         assert out.defect_sup == 0.0
 
@@ -308,7 +325,8 @@ class TestStage:
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
         p = StepParams(lam=2 * np.pi * 8, eps=0.01, delta=0.01, nu=1.0,
                        nu_tilde=1.0, M=2.0, gamma=2.0)
-        out = stage(u, [(zero, phi), (zero, phi)], p, StageParams(K=2.0, c1=1.0), table)
+        out = stage(u, [(zero, phi), (zero, phi)], p, StageParams(K=2.0, c1=1.0), table,
+                    pullback_metric(u))
         assert np.array_equal(out.v.values, u.values)
         assert out.meta["skipped_zero_terms"] == 2
 
@@ -320,7 +338,7 @@ class TestStage:
         p = StepParams(lam=2 * np.pi * 2, eps=0.05, delta=0.05, nu=1.0,
                        nu_tilde=1.0, M=2.0, gamma=2.0)
         out = stage(u, [(amp, fac.phi1), (amp, fac.phi2)], p,
-                    StageParams(K=16.0, c1=1.0), table)
+                    StageParams(K=16.0, c1=1.0), table, pullback_metric(u))
         pb = pullback_metric(out.v)
         target = np.eye(2) + 0.05 * np.eye(2)
         err = np.abs(pb.values - np.array([target[0, 0], 0.0, target[1, 1]]))
@@ -392,8 +410,8 @@ class TestAddMetric2d:
         assert out.support_ok
 
     def test_one_pullback_per_immersion(self, table, monkeypatch):
-        # add_metric_2d pulls back u once, each step's output once, the
-        # stage's input and output once each, and the final map once
+        # add_metric_2d pulls back u once and each step's output once; the
+        # stage and the final defect read the pullbacks handed on to them
         import isoflex.nash_step as nash_step
 
         calls = []
@@ -408,9 +426,45 @@ class TestAddMetric2d:
         g = MetricField.constant(c, np.eye(2))
         h = MetricField.constant(c, np.zeros((2, 2)))
         rho = ScalarField.constant(c, 0.9 * np.sqrt(0.05))
-        out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table)
+        args = (u, rho, g, h)
+        kw = {"delta": 0.05, "lam": 4.0, "kappa": 1.5, "table": table}
+        out = add_metric_2d(*args, **kw)
         assert len(out.meta["steps"]) == 2
-        assert len(calls) == 8
+        assert len(calls) == 3
+        assert calls[0] is u and calls[-1] is out.v
+        assert len({id(v) for v in calls}) == 3
+        assert np.array_equal(out.pullback.values, pullback_metric(out.v).values)
+        # nothing is kept between calls: the same call pays the same again
+        again = add_metric_2d(*args, **kw)
+        assert len(calls) == 6
+        assert np.array_equal(again.v.values, out.v.values)
+        assert np.array_equal(again.defect.values, out.defect.values)
+
+    def test_held_pullback_is_read(self, table, monkeypatch):
+        import isoflex.nash_step as nash_step
+
+        c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
+        u = ImmersionField.flat(c, scale=0.9)
+        g = MetricField.constant(c, np.eye(2))
+        h = MetricField.constant(c, np.zeros((2, 2)))
+        rho = ScalarField.constant(c, 0.9 * np.sqrt(0.05))
+        kw = {"delta": 0.05, "lam": 4.0, "kappa": 1.5, "table": table}
+        want = add_metric_2d(u, rho, g, h, **kw)
+        pb_u = pullback_metric(u)
+        held = pb_u.values.copy()
+        calls = []
+
+        def counting(v, *args, **kwargs):
+            calls.append(v)
+            return pullback_metric(v, *args, **kwargs)
+
+        monkeypatch.setattr(nash_step, "pullback_metric", counting)
+        got = add_metric_2d(u, rho, g, h, pb_u=pb_u, **kw)
+        assert len(calls) == 2 and all(v is not u for v in calls)
+        assert np.array_equal(pb_u.values, held)  # a shared pullback is never written
+        assert np.array_equal(got.v.values, want.v.values)
+        assert np.array_equal(got.defect.values, want.defect.values)
+        assert got.defect_sup == want.defect_sup
 
     def test_norms_computed_only_when_read(self, table, monkeypatch):
         # the outcome carries sup |v - u|; the norms of v cost a
@@ -451,6 +505,16 @@ class TestAddMetric2d:
         assert out.support_ok
 
 
+def _cap(n, extent):
+    """Flat map at scale 0.85 under the spherical-cap metric f^2 I, f = 1.2 /
+    (1 + r^2/2) about the centre of a clamped n^2 chart of the given extent."""
+    c = GridChart((extent, extent), (n, n), CLAMPED)
+    x, y = c.mesh()
+    f = 1.2 / (1.0 + 0.5 * ((x - extent / 2) ** 2 + (y - extent / 2) ** 2))
+    return (ImmersionField.flat(c, scale=0.85),
+            MetricField.from_components(c, f ** 2, 0 * f, f ** 2))
+
+
 class TestBootstrap:
     def test_not_strictly_short_refused(self, table):
         c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
@@ -463,7 +527,7 @@ class TestBootstrap:
         c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
         g = MetricField.constant(c, 1.44 * np.eye(2))
         u = ImmersionField.flat(c, scale=np.sqrt(1.44 * 0.875))
-        u_t, h_t, ds, rep = bootstrap_strong(u, g, 4.0, table, delta_star=0.125)
+        u_t, _, h_t, ds, rep = bootstrap_strong(u, g, 4.0, table, delta_star=0.125)
         assert rep["trivial"]
         assert np.array_equal(u_t.values, u.values)
         assert np.max(np.abs(h_t.values)) == 0.0
@@ -473,7 +537,7 @@ class TestBootstrap:
         c = GridChart((1.0, 1.0), (512, 512), PERIODIC)
         g = MetricField.constant(c, np.eye(2))
         u = ImmersionField.flat(c, scale=0.8)  # margin 0.36: delta* = 1/8
-        u_t, h_t, ds, rep = bootstrap_strong(u, g, 16.0, table)
+        u_t, _, h_t, ds, rep = bootstrap_strong(u, g, 16.0, table)
         assert ds == 0.125
         assert rep["strong_ok"] and rep["half_band_ok"]
         # g - u~#e = delta*(g + h~) holds by construction of h~
@@ -485,10 +549,43 @@ class TestBootstrap:
         c = GridChart((1.0, 1.0), (512, 512), PERIODIC)
         g = MetricField.constant(c, np.eye(2))
         u = ImmersionField.flat(c, scale=0.8)
-        _, _, _, rep = bootstrap_strong(u, g, 16.0, table)
+        _, _, _, _, rep = bootstrap_strong(u, g, 16.0, table)
         assert rep["h_sup_budget"] == pytest.approx(16.0 ** -rep["alpha_star"])
         assert rep["u_moved"] <= rep["u_moved_budget"]
         assert rep["h_sup"] <= rep["h_sup_budget"]
+
+    def test_frequency_ceiling_refused_up_front(self, table, monkeypatch):
+        # the clamped cap at 128^2: three frame terms from base 8 pi need
+        # K >= 2, and 8 pi 2^2 = 32 pi tops the ceiling 99.7 by a hair; the
+        # refusal comes before any step runs and names the resolution
+        # (129^2) whose ceiling is exactly 32 pi
+        import isoflex.nash_step as nash_step
+
+        calls = []
+        monkeypatch.setattr(nash_step, "step", lambda *a, **k: calls.append(a))
+        u, g = _cap(128, 0.5)
+        with pytest.raises(UnderResolvedError, match="frequency ceiling") as exc:
+            bootstrap_strong(u, g, 4.0, table)
+        assert "129x129" in str(exc.value) and calls == []
+        monkeypatch.undo()
+        u, g = _cap(129, 0.5)
+        with pytest.raises(ShortnessLostError):  # the ceiling check passes
+            bootstrap_strong(u, g, 4.0, table)
+
+    def test_oscillation_refusal_names_the_extent(self, table):
+        # the oscillation of the metric increment is a property of the
+        # metric over the chart: refining leaves it, shrinking the chart
+        # lowers it below the frame radius
+        quoted = []
+        for n in (128, 256):
+            with pytest.raises(StepPreconditionError, match="oscillation") as exc:
+                bootstrap_strong(*_cap(n, 1.0), 4.0, table)
+            msg = str(exc.value)
+            assert "refine" not in msg and "extent" in msg
+            quoted.append(float(msg.split("oscillation ")[1].split()[0]))
+        assert quoted[1] == pytest.approx(quoted[0], rel=0.01)
+        with pytest.raises(UnderResolvedError, match="frequency ceiling"):
+            bootstrap_strong(*_cap(128, 0.5), 4.0, table)
 
     def test_supplied_delta_star_validated(self, table):
         c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
@@ -508,7 +605,7 @@ class TestStepInvariants:
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
         consts = []
         for lam in (48.0, 96.0, 192.0):
-            out = step(u, rho, phi, flat_params(lam), table)
+            out = step(u, rho, phi, flat_params(lam), table, pullback_metric(u))
             consts.append(out.v_norms.c2_norm / (np.sqrt(eps) * lam))
         assert max(consts) / min(consts) < 1.3
         assert max(consts) < 5.0
@@ -530,7 +627,7 @@ class TestEquiangularStage:
                  for co, d in zip(coeffs, frame.directions)]
         p = StepParams(lam=6.2, eps=0.1, delta=0.1, nu=1.0, nu_tilde=1.0,
                        M=2.0, gamma=2.0, c0=1.0)
-        out = stage(u, terms, p, StageParams(K=5.0, c1=1.0), table)
+        out = stage(u, terms, p, StageParams(K=5.0, c1=1.0), table, pullback_metric(u))
         pb = pullback_metric(out.v)
         collar = out.meta["collar"]
         inner = (slice(collar, -collar),) * 2

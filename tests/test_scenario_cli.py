@@ -156,6 +156,27 @@ class TestCli:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
 
+    @pytest.mark.parametrize("libc", ["glibc", "other"])
+    def test_freed_heap_handed_back_after_a_command(self, tmp_path, monkeypatch, libc):
+        # an in-process caller keeps none of the heap a run freed; without
+        # glibc's malloc_trim the command's result is unchanged
+        import isoflex.cli as cli
+
+        trims = []
+
+        class Lib:
+            def __getattr__(self, name):
+                if libc == "glibc" and name == "malloc_trim":
+                    return trims.append
+                raise AttributeError(name)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Lib())
+        out = tmp_path / "out"
+        rc = main(["run", "--scenario", str(write(tmp_path, MINIMAL_TORUS)),
+                   "--out", str(out), "--dry-run"])
+        assert rc == 0 and (out / "summary.json").exists()
+        assert trims == ([0] if libc == "glibc" else [])
+
     @pytest.mark.parametrize("depth", ["0", "-2"])
     def test_depth_below_one_is_config_error(self, tmp_path, capsys, depth):
         out = tmp_path / "out"
@@ -332,3 +353,26 @@ delta_star = 0.125
         outs.append((out / "final.obj").read_bytes())
     assert outs[0] == outs[2]
     assert outs[1] == outs[3]
+
+
+def test_run_pulls_back_each_immersion_once(tmp_path, monkeypatch):
+    # the flat 256^2 torus: the bootstrap's stage makes two immersions from
+    # the flat map and the pass keeps no stage; every later reader (the
+    # certificates, the final defect, check_short) gets a pullback handed on
+    import isoflex.grid
+    import isoflex.nash_step
+
+    pullback = isoflex.grid.pullback_metric
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return pullback(u)
+
+    for module in (isoflex.grid, isoflex.nash_step, isoflex.induction):
+        monkeypatch.setattr(module, "pullback_metric", counting)
+    p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "256 256"))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["bootstrap"]["terms"] == 4 and not summary["bootstrap"]["trivial"]
+    assert len(calls) == len({id(u) for u in calls}) == 3
