@@ -1,9 +1,9 @@
 """Decomposition of metric increments into primitive rank-one pieces.
 
-Two routes are provided.  The linear-frame route realizes a symmetric
-matrix G as sum_i L_i(G) xi_i (x) xi_i over a fixed set of n* = n(n+1)/2
-unit directions, with coefficients positive on a certified ball around a
-base point.  The 2-D conformal route factorizes an SPD field H as
+Two routes are provided.  The linear-frame route realizes a symmetric 2x2
+matrix G as sum_i L_i(G) xi_i (x) xi_i over the three equiangular unit
+directions pushed through a base point, with coefficients positive on a
+certified ball around it.  The 2-D conformal route factorizes an SPD field H as
 theta^2 (grad Phi_1 (x) grad Phi_1 + grad Phi_2 (x) grad Phi_2) by solving
 the linear Beltrami equation dz_bar Phi = mu dz Phi spectrally on a torus.
 """
@@ -40,55 +40,14 @@ def _sym_to_vec(m):
     return m[..., idx[0], idx[1]]
 
 
-def _unit_tight_directions(n: int, n_star: int) -> np.ndarray:
-    """A unit-norm tight frame of n_star directions in R^n.
-
-    n=2 uses the equiangular triple; n=3 the six icosahedral axes; larger n
-    the real harmonic frame.  Tightness (sum xi (x) xi proportional to Id)
-    is what makes all coefficients equal and positive at the base point.
-    """
-    if n == 2:
-        return np.array([[1.0, 0.0],
+# the equiangular triple: a unit tight frame of R^2 (sum xi (x) xi = 3/2 Id),
+# which makes all coefficients equal and positive at the base point
+_EQUIANGULAR = np.array([[1.0, 0.0],
                          [0.5, np.sqrt(3.0) / 2.0],
                          [0.5, -np.sqrt(3.0) / 2.0]])
-    if n == 3:
-        phi = (1.0 + np.sqrt(5.0)) / 2.0
-        raw = np.array([[1.0, phi, 0.0], [1.0, -phi, 0.0],
-                        [0.0, 1.0, phi], [0.0, 1.0, -phi],
-                        [phi, 0.0, 1.0], [-phi, 0.0, 1.0]])
-        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    # real harmonic frame rows: cos/sin pairs per frequency, plus a constant
-    # column (weight 1/sqrt(2)) for odd n; rows have equal norm, columns stay
-    # orthogonal, so the normalized rows form a unit tight frame
-    j = np.arange(n_star)
-    cols = []
-    for k in range(1, n // 2 + 1):
-        ang = 2.0 * np.pi * k * j / n_star
-        cols.append(np.cos(ang))
-        cols.append(np.sin(ang))
-    if n % 2 == 1:
-        cols.append(np.full(n_star, 1.0 / np.sqrt(2.0)))
-    mat = np.stack(cols[:n], axis=1)
-    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    if n <= 3:
-        return mat
-    # equally spaced angles alias for n >= 4 and the outer products go
-    # dependent; a deterministic perturbation breaks the symmetry and the
-    # frame-force flow restores tightness
-    rng = np.random.default_rng(123456789 + n)
-    mat = mat + 0.08 * rng.standard_normal(mat.shape)
-    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    target = (n_star / n) * np.eye(n)
-    for _ in range(4000):
-        a = mat.T @ mat
-        gap = a - target
-        if np.abs(gap).max() < 1e-13:
-            break
-        mat = mat - (0.45 * n / n_star) * mat @ gap
-        mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    else:
-        raise FrameError(f"tight-frame flow failed to converge for n={n}")
-    return mat
+
+# random symmetric directions per round of the sampled-shell radius check
+_SHELL_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -104,7 +63,6 @@ class PrimitiveFrame:
     base_point: np.ndarray        # (n, n)
     inverse_gram: np.ndarray      # (n_star, n_star): coefficients = inv_gram @ vec(G)
     radius: float
-    coefficient_norms: np.ndarray  # nuclear norms of the dual matrices W_i
 
     @property
     def n_star(self) -> int:
@@ -119,8 +77,7 @@ class PrimitiveFrame:
         return np.einsum("...i,ikl->...kl", coeffs, outer)
 
 
-def build_frame(n: int, g0=None, gamma: float = 2.0,
-                shell_samples: int = 256, seed: int = 0) -> PrimitiveFrame:
+def build_frame(n: int, g0=None, gamma: float = 2.0) -> PrimitiveFrame:
     """Frame adapted to the base point G0 (default Id) inside its gamma-band.
 
     Directions are the tight frame pushed through G0^(1/2), so the
@@ -129,17 +86,15 @@ def build_frame(n: int, g0=None, gamma: float = 2.0,
     min_i L_i(G0) / (1 + |W_i|_nuclear) and is then verified (and shrunk if
     float slop demands) on a sampled shell.
     """
-    if n < 2:
-        raise FrameError("dimension must be at least 2")
-    n_star = n * (n + 1) // 2
+    if n != 2:
+        raise FrameError(f"frames are built for surfaces only (n = 2), got n = {n}")
     g0 = np.eye(n) if g0 is None else np.asarray(g0, dtype=float)
     evals, evecs = np.linalg.eigh(g0)
     if evals.min() < 1.0 / gamma - 1e-12 or evals.max() > gamma + 1e-12:
         raise FrameError(f"base point eigenvalues {evals} leave the 1/{gamma}..{gamma} band")
     sqrt_g0 = (evecs * np.sqrt(evals)) @ evecs.T
 
-    xi = _unit_tight_directions(n, n_star)
-    pushed = xi @ sqrt_g0.T
+    pushed = _EQUIANGULAR @ sqrt_g0.T
     directions = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
 
     outer = np.einsum("ik,il->ikl", directions, directions)
@@ -150,8 +105,7 @@ def build_frame(n: int, g0=None, gamma: float = 2.0,
         raise FrameError(f"degenerate frame: outer products nearly dependent (cond={cond:.3g})")
     inv = np.linalg.inv(gram)
 
-    frame = PrimitiveFrame(n, directions, g0, inv, radius=0.0,
-                           coefficient_norms=np.zeros(n_star))
+    frame = PrimitiveFrame(n, directions, g0, inv, radius=0.0)
     c0 = frame.coefficients(g0)
     if c0.min() <= 0:
         raise FrameError("coefficients at the base point are not positive")
@@ -162,11 +116,11 @@ def build_frame(n: int, g0=None, gamma: float = 2.0,
     nuc = _dual_nuclear_norms(inv, n)
     radius = float(np.min(c0 / (1.0 + nuc)))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(64):
         ok = True
         for _ in range(4):
-            d = rng.standard_normal((shell_samples, n, n))
+            d = rng.standard_normal((_SHELL_SAMPLES, n, n))
             d = 0.5 * (d + np.swapaxes(d, -1, -2))
             norm = np.linalg.norm(d, ord=2, axis=(-2, -1))
             shell = g0 + radius * d / norm[:, None, None]
@@ -180,7 +134,7 @@ def build_frame(n: int, g0=None, gamma: float = 2.0,
     else:
         raise FrameError("could not certify a positivity radius")
 
-    return PrimitiveFrame(n, directions, g0, inv, radius, nuc)
+    return PrimitiveFrame(n, directions, g0, inv, radius)
 
 
 def _dual_nuclear_norms(inv, n):

@@ -195,14 +195,6 @@ class MetricField:
             lo, hi = min(lo, float(slab_lo.min())), max(hi, float(slab_hi.max()))
         return lo, hi
 
-    def check_spd(self, gamma: float):
-        """Verify 1/gamma <= eigenvalues <= gamma at every node."""
-        lo, hi = self.spd_band()
-        if lo < 1.0 / gamma - 1e-12 or hi > gamma + 1e-12:
-            raise ValueError(
-                f"metric eigenvalues [{lo:.6g}, {hi:.6g}] leave the band "
-                f"[{1.0 / gamma:.6g}, {gamma:.6g}]")
-
 
 @dataclass(frozen=True)
 class ImmersionField:
@@ -414,29 +406,15 @@ def derivative_sup(values, chart, names, collar=0):
 
     names are taken from "x", "y", "xx", "xy", "yy"; no whole derivative
     field is built.  collar > 0 leaves out the nodes within collar rows or
-    columns of the frame.
+    columns of the frame, and the slabs that hold only such rows.
     """
-    hx, hy = chart.spacing
-    p = chart.periodic
     nx, ny = values.shape[:2]
-    slabs = _slabs(values)
-    dx, out = np.empty_like(values[slabs[0]]), np.empty_like(values[slabs[0]])
+    slabs = [s for s in _slabs(values) if max(s.start, collar) < min(s.stop, nx - collar)]
     best = 0.0
-    for s in slabs:
-        lo, hi = max(s.start, collar), min(s.stop, nx - collar)
-        if lo >= hi:
-            continue
-        k = s.stop - s.start
-        d = out[:k]
-        for name in names:
-            if name == "xy":  # d_y of the slab's d_x
-                _slab(values, s, 0, hx, 1, p, dx[:k])
-                _slab(dx[:k], slice(0, k), 1, hy, 1, p, d)
-            else:
-                axis = 0 if name[0] == "x" else 1
-                _slab(values, s, axis, (hx, hy)[axis], len(name), p, d)
-            best = max(best, float(np.max(np.abs(d[lo - s.start:hi - s.start,
-                                                    collar:ny - collar]))))
+    for s, derivs in slab_derivatives(values, chart, names, slabs):
+        rows = slice(max(s.start, collar) - s.start, min(s.stop, nx - collar) - s.start)
+        for d in derivs:
+            best = max(best, float(np.max(np.abs(d[rows, collar:ny - collar]))))
     return best
 
 
@@ -670,13 +648,8 @@ def norm_report(f, thetas: Sequence[float] = ()) -> NormReport:
 class ShortnessReport:
     classification: str  # "strictly_short" | "short" | "not_short"
     min_eigenvalue: float
-    min_eig_field: np.ndarray
     strong_short: bool | None = None
     strong_margin: float | None = None
-
-    @property
-    def is_short(self) -> bool:
-        return self.classification in ("strictly_short", "short")
 
 
 def check_short(u: ImmersionField, g: MetricField, rho: ScalarField | None = None,
@@ -689,9 +662,7 @@ def check_short(u: ImmersionField, g: MetricField, rho: ScalarField | None = Non
     """
     _require_same_chart(u, g)
     _require_same_chart(pb, g)
-    d = MetricField(g.chart, g.values - pb.values)
-    lo, _ = d.eigenvalues()
-    m = float(lo.min())
+    m = MetricField(g.chart, g.values - pb.values).spd_band()[0]
     if m > tol:
         cls = "strictly_short"
     elif m >= -tol:
@@ -705,4 +676,4 @@ def check_short(u: ImmersionField, g: MetricField, rho: ScalarField | None = Non
         lower = MetricField(g.chart, 0.5 * g.values + h.values)
         margin = min(upper.spd_band()[0], lower.spd_band()[0])
         strong = bool(margin >= -tol)
-    return ShortnessReport(cls, m, lo, strong, margin)
+    return ShortnessReport(cls, m, strong, margin)

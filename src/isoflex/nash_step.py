@@ -14,15 +14,21 @@ of a conformal factorization; the strong-short bootstrap drives a frame
 decomposition through a stage to put a strictly short immersion into the
 factorized form g - u#e = delta (g + h).
 
-All defect norms quote a boundary collar on clamped charts: the one-sided
+Each layer measures one defect, against the metric it was asked to add:
+a step against pb_u + rho^2 grad(Phi) (x) grad(Phi), a stage against
+pb_u + sum_k rho_k^2 grad(Phi_k) (x) grad(Phi_k), and the metric addition
+against pb_u + rho^2 (g + h).  A stage and the metric addition chain
+unmeasured steps (_corrugate through _chain), so neither measures the
+defects of its steps nor, for the metric addition, that of its stage.  All
+defect norms quote a boundary collar on clamped charts: the one-sided
 stencil rows and the mollifier's reach are excluded from measurement (the
 collar width follows from the mollification scale; fields are still
 produced everywhere).
 
 Each immersion is pulled back once: step and stage take u#e as pb_u (the
-metric addition pulls u back if not handed it), and an outcome hands v#e on
-to the next step, the stage and metric-addition defects, the bootstrap and
-the inductive pass.  A pullback handed on is never written.
+metric addition pulls u back if not handed it), and each unmeasured step
+hands v#e on to the next step, the measured defect, the bootstrap and the
+inductive pass.  A pullback handed on is never written.
 
 Memory: of a step's intermediates only u~, grad(Phi) and the phase lam Phi
 are whole fields; the Jacobian of u~ (formed again in each of two passes),
@@ -30,16 +36,17 @@ the Gram product, xi~, xi, zeta, rho~, Gamma and sup |v - u| are evaluated
 one slab of rows at a time (grid._slabs) and written straight into v, every
 node getting the floating-point operations of a whole-array evaluation.
 Every other whole field of a step, a stage or a metric addition is dropped
-after its last reader: a stage does not keep a step's defect, and the metric
-addition keeps only the phases and theta rho~ of its factorization.  On a
-1024^2 clamped chart a step handed u#e peaks 107 MB (12.8 fields of nx * ny
-float64) above its entry, against 496 MB for the whole-array step.
+after its last reader: the one defect is written over its target, and the
+metric addition keeps only the phases and theta rho~ of its factorization.
+On a 1024^2 clamped chart a step handed u#e peaks 101 MB (12.0 fields of
+nx * ny float64) above its entry, against 496 MB for the whole-array step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +137,7 @@ class StageParams:
 class StepOutcome:
     v: ImmersionField
     pullback: MetricField          # v#e, shared with later readers: never written
-    defect: MetricField            # pullback(v) - target, full field
-    defect_sup: float              # measured away from the collar
+    defect_sup: float              # pullback(v) - target, measured away from the collar
     defect_c1: float
     displacement: float            # sup |v - u|, euclidean per node
     support_ok: bool
@@ -181,7 +187,8 @@ def _primitive(rho: ScalarField, gphi: np.ndarray) -> np.ndarray:
     """Components of the primitive metric rho^2 grad(Phi) (x) grad(Phi)."""
     r2, gx, gy, out = rho.values ** 2, gphi[..., 0], gphi[..., 1], np.empty(gphi.shape[:2] + (3,))
     for c, (a, b) in enumerate(((gx, gx), (gx, gy), (gy, gy))):  # one component at a time
-        np.multiply(r2, a * b, out=out[..., c])
+        np.multiply(a, b, out=out[..., c])
+        out[..., c] *= r2
     return out
 
 
@@ -191,16 +198,17 @@ def _gradient_range(gphi: np.ndarray):
     return float(mag.min()), float(mag.max())
 
 
-def _measure_defect(defect: MetricField, ell: float):
-    """(collar, sup, C1) of a defect field away from the boundary collar.
+def _measure_defect(pb: MetricField, target: np.ndarray, ell: float):
+    """(collar, sup, C1) of the defect pb - target away from the boundary collar.
 
-    The collar on clamped charts covers the mollifier's reach ell plus the
-    one-sided stencil rows; the C1 part adds first differences.
+    The defect is written over target.  The collar on clamped charts covers
+    the mollifier's reach ell plus the one-sided stencil rows; the C1 part
+    adds first differences.
     """
-    chart = defect.chart
+    chart = pb.chart
     collar = 0 if chart.periodic else int(np.ceil(ell / max(chart.spacing))) + 2
     nx, ny = chart.resolution
-    vals = defect.values
+    vals = MetricField(chart, np.subtract(pb.values, target, out=target)).values
     sup = float(np.max(np.abs(vals[collar:nx - collar, collar:ny - collar])))
     dc1 = derivative_sup(vals, chart, ("x", "y"), collar)
     return collar, sup, sup + dc1
@@ -238,9 +246,21 @@ def _phase_is_commensurate(phi: PhaseField, lam: float, tol=1e-9):
     return bool(np.max(np.abs(turns - np.round(turns))) < tol)
 
 
-def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
-         table: CorrugationTable, pb_u: MetricField) -> StepOutcome:
-    """One corrugation step adding rho^2 grad(Phi) (x) grad(Phi); pb_u is u#e."""
+class _Corrugated(NamedTuple):
+    """A corrugated map whose defect is not measured: each layer measures
+    its own against the target it was asked to add."""
+
+    v: ImmersionField
+    pullback: MetricField  # v#e
+    gamma_bar: float       # band radius of v#e
+    displacement: float    # sup |v - u|
+    meta: dict             # carries moved_outside_support
+
+
+def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.ndarray,
+               p: StepParams, table: CorrugationTable, pb_u: MetricField) -> _Corrugated:
+    """One unmeasured step adding rho^2 grad(Phi) (x) grad(Phi); gphi is
+    grad(Phi) and pb_u is u#e."""
     chart = u.chart
     h = max(chart.spacing)
     problems = []
@@ -258,7 +278,6 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
         problems.append(
             f"input pullback band {gb:.4g} exceeds declared gamma={p.gamma:.4g}")
 
-    gphi = phi.gradient()
     mag_lo, mag_hi = _gradient_range(gphi)
     if mag_lo < 1.0 / p.M - 1e-12 or mag_hi > p.M + 1e-12:
         problems.append(
@@ -307,32 +326,67 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
     v = ImmersionField(chart, v_vals, u.linear)
 
     outside = rho.values == 0.0
-    if outside.any():
-        moved = np.max(np.abs(v_vals[outside] - u.values[outside]))
-        support_ok = bool(moved < 1e-14)
-    else:
-        moved = 0.0
-        support_ok = True
+    moved = np.max(np.abs(v_vals[outside] - u.values[outside]), initial=0.0)
 
-    target = pb_u.values + _primitive(rho, gphi)
-    del gphi
     pb_v = pullback_metric(v)
-    defect = MetricField(chart, pb_v.values - target)
-    del target
-    collar, defect_sup, defect_c1 = _measure_defect(defect, ell)
-
     gb_v, lo_v, hi_v = _band(pb_v)
     if lo_v <= 0:
         raise ShortnessLostError(
             f"corrugated immersion degenerate (pullback min eigenvalue {lo_v:.3g})")
+    return _Corrugated(v, pb_v, gb_v, displacement, {
+        "amplitude_max": amp_hi, "moved_outside_support": float(moved),
+        "pullback_band": (float(lo_v), float(hi_v)), "mollification_scale": ell})
 
-    return StepOutcome(
-        v=v, pullback=pb_v, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
-        displacement=displacement, support_ok=support_ok, gamma_bar=gb_v,
-        meta={"collar": collar, "amplitude_max": amp_hi,
-              "moved_outside_support": float(moved),
-              "pullback_band": (float(lo_v), float(hi_v)),
-              "mollification_scale": ell})
+
+def _chain(u: ImmersionField, terms, p: StepParams, s: StageParams,
+           table: CorrugationTable, pb_u: MetricField):
+    """The unmeasured steps of a stage, one per (rho_k, Phi_k) term at
+    frequencies lam * K^k; returns (the corrugated map, the live terms).
+
+    Zero-amplitude terms corrugate nothing (Gamma(0, .) = 0) and are skipped
+    outright rather than spending frequency budget.
+    """
+    s.validate_against(p)
+    gb = _band(pb_u)[0]  # band of the current map's pullback
+    pb, current = pb_u, u
+    history = []
+    live_terms = [(r, ph) for r, ph in terms if float(np.max(np.abs(r.values))) > 0.0]
+    for k, (rho_k, phi_k) in enumerate(live_terms):
+        lam_k = p.lam * s.K ** k
+        phi_used, shift = commensurate_phase(phi_k, lam_k)
+        p_k = replace(p, lam=lam_k, gamma=max(p.gamma, gb * 1.02))
+        try:
+            c = _corrugate(current, rho_k, phi_used, phi_used.gradient(), p_k, table, pb)
+        except ShortnessLostError as exc:
+            raise ShortnessLostError(f"term {k}: {exc}", term_index=k) from exc
+        current, pb, gb = c.v, c.pullback, c.gamma_bar
+        history.append({"lam": lam_k, "gamma_bar": gb, "phase_shift": shift,
+                        "amplitude_max": c.meta["amplitude_max"]})
+
+    outside = np.ones(u.chart.resolution, dtype=bool)
+    for rho_k, _ in terms:
+        outside &= rho_k.values == 0.0
+    moved = float(np.max(np.abs(current.values[outside] - u.values[outside]), initial=0.0))
+    return _Corrugated(current, pb, gb, _displacement(current.values, u.values), {
+        "steps": history, "moved_outside_support": moved,
+        "skipped_zero_terms": len(terms) - len(live_terms)}), live_terms
+
+
+def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
+         table: CorrugationTable, pb_u: MetricField) -> StepOutcome:
+    """One corrugation step adding rho^2 grad(Phi) (x) grad(Phi); pb_u is u#e.
+
+    The defect is measured against pb_u + rho^2 grad(Phi) (x) grad(Phi).
+    """
+    gphi = phi.gradient()
+    c = _corrugate(u, rho, phi, gphi, p, table, pb_u)
+    target = _primitive(rho, gphi)
+    del gphi
+    target += pb_u.values
+    collar, defect_sup, defect_c1 = _measure_defect(c.pullback, target, 1.0 / p.lam)
+    return StepOutcome(c.v, c.pullback, defect_sup, defect_c1, c.displacement,
+                       c.meta["moved_outside_support"] < 1e-14, c.gamma_bar,
+                       {"collar": collar, **c.meta})
 
 
 def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
@@ -340,60 +394,20 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
     """Apply one step per (rho_k, Phi_k) term with frequencies lam * K^k to u,
     whose pullback u#e is pb_u.
 
-    The outcome's defect compares the final pullback against
+    The defect is measured once, on the final pullback, against
     pullback(u) + sum_k rho_k^2 grad(Phi_k) (x) grad(Phi_k) with the phases
     as given; phase rounding on the torus and every intermediate error land
-    in the measured defect.
+    in it.
     """
-    s.validate_against(p)
-    chart = u.chart
-    if not terms:
-        zero = MetricField(chart, np.zeros((*chart.resolution, 3)))
-        return StepOutcome(u, pb_u, zero, 0.0, 0.0, 0.0, True, _band(pb_u)[0])
-
-    gb_in = _band(pb_u)[0]  # band of the current map's pullback
-    pb, current = pb_u, u
-    history = []
-    # zero-amplitude terms corrugate nothing (Gamma(0, .) = 0) and are
-    # skipped outright rather than spending frequency budget
-    live_terms = [(r, ph) for r, ph in terms if float(np.max(np.abs(r.values))) > 0.0]
-    skipped = len(terms) - len(live_terms)
-    for k, (rho_k, phi_k) in enumerate(live_terms):
-        lam_k = p.lam * s.K ** k
-        phi_used, shift = commensurate_phase(phi_k, lam_k)
-        p_k = replace(p, lam=lam_k, gamma=max(p.gamma, gb_in * 1.02))
-        try:
-            out = step(current, rho_k, phi_used, p_k, table, pb)
-        except ShortnessLostError as exc:
-            raise ShortnessLostError(f"term {k}: {exc}", term_index=k) from exc
-        current, pb, gb_in = out.v, out.pullback, out.gamma_bar
-        history.append({"lam": lam_k, "defect_sup": out.defect_sup,
-                        "gamma_bar": out.gamma_bar, "phase_shift": shift,
-                        "amplitude_max": out.meta["amplitude_max"]})
-        del out  # the step's defect field is not read
-
+    c, live_terms = _chain(u, terms, p, s, table, pb_u)
     # the target is summed after the steps, which it would outlive
     target = pb_u.values.copy()
     for rho_k, phi_k in live_terms:
         target += _primitive(rho_k, phi_k.gradient())
-    defect = MetricField(chart, pb.values - target)
-    collar, defect_sup, defect_c1 = _measure_defect(defect, 1.0 / p.lam)
-
-    outside = np.ones(chart.resolution, dtype=bool)
-    for rho_k, _ in terms:
-        outside &= rho_k.values == 0.0
-    if outside.any():
-        moved = float(np.max(np.abs(current.values[outside] - u.values[outside])))
-        support_ok = moved < 1e-14
-    else:
-        moved, support_ok = 0.0, True
-
-    return StepOutcome(
-        v=current, pullback=pb, defect=defect, defect_sup=defect_sup, defect_c1=defect_c1,
-        displacement=_displacement(current.values, u.values), support_ok=support_ok,
-        gamma_bar=_band(pb)[0],
-        meta={"steps": history, "moved_outside_support": moved, "collar": collar,
-              "skipped_zero_terms": skipped})
+    collar, defect_sup, defect_c1 = _measure_defect(c.pullback, target, 1.0 / p.lam)
+    return StepOutcome(c.v, c.pullback, defect_sup, defect_c1, c.displacement,
+                       c.meta["moved_outside_support"] < 1e-14, c.gamma_bar,
+                       {**c.meta, "collar": collar})
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +505,8 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     conformal_tol = 1e-6 if chart.periodic else 1e-2 * float(np.max(np.abs(target_sm.values)))
     fac = solve_conformal(target_sm, residual_tol=conformal_tol)
     del target_sm
-    # the stage reads only the phases and theta rho~; the factorization's
-    # fields (mu, residual, gradients, det J) are dropped before it runs
+    # the steps read only the phases and theta rho~; the factorization's
+    # fields (mu, residual, gradients, det J) are dropped before they run
     phi1, phi2, amp = fac.phi1, fac.phi2, fac.theta.values
     conformal_stats, conformal_residual = fac.stats, fac.residual_sup
     del fac
@@ -515,31 +529,25 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
                    c0=min(c0, base / nu_tilde))
     sp = StageParams(K=K, kappa=kappa, c1=min(c1, K / (nu_tilde / nu) * 0.5))
 
-    out = stage(u, terms, p, sp, table, pb_u)
+    c, _ = _chain(u, terms, p, sp, table, pb_u)
+    collar, dsup, dc1 = _measure_defect(
+        c.pullback, pb_u.values + (rho.values ** 2)[..., None] * (g.values + h.values), ell)
 
-    target = pb_u.values + (rho.values ** 2)[..., None] * (g.values + h.values)
-    # written over the stage's own defect, which is not read
-    defect = MetricField(chart, np.subtract(out.pullback.values, target, out=out.defect.values))
-    del target
-    collar, dsup, dc1 = _measure_defect(defect, ell)
-
-    moved = np.abs(out.v.values - u.values).max(axis=-1) > 1e-14
+    moved = np.abs(c.v.values - u.values).max(axis=-1) > 1e-14
     inflation = _support_inflation(moved, rho.values != 0.0, chart)
     support_ok = inflation <= ell + 1.5 * hmax
 
-    meta = dict(out.meta)
-    meta.update({
+    return StepOutcome(c.v, c.pullback, dsup, dc1, c.displacement, support_ok, c.gamma_bar, {
+        **c.meta,
         "hypotheses": hypothesis_report,
         "top_frequency": base * K,
         "ell": ell, "base_frequency": base, "K": K, "alpha": alpha,
         "support_inflation": inflation,
         "stage_constant": dsup / (delta * lam ** (1.0 - kappa)),
-        "displacement_constant": out.displacement / (sd * lam ** -kappa),
+        "displacement_constant": c.displacement / (sd * lam ** -kappa),
         "conformal": conformal_stats, "conformal_residual": conformal_residual,
         "collar": collar,
     })
-    return replace(out, defect=defect, defect_sup=dsup, defect_c1=dc1,
-                   support_ok=support_ok, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +582,15 @@ def torus_primitive_coefficients(m: MetricField):
 
 
 def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
-                     table: CorrugationTable, delta_star: float | None = None,
-                     lam: float | None = None, K: float | None = None,
-                     c0: float = 1.0, alpha_star: float | None = None):
+                     table: CorrugationTable, delta_star: float | None = None):
     """Put a strictly short immersion into the form g - u#e = delta*(g + h).
 
     Decomposes g - u#e - delta* g into primitive metrics (integer torus
     frame on periodic charts, the lemma frame on clamped ones) and adds the
-    sum through one stage.  Returns (u~, u~#e, h~, delta*, report); h~ =
-    -E/delta* with E the measured stage defect.
+    sum through one stage, from the lowest wave the chart carries with a
+    growth factor that takes all remaining frequency budget (the error of
+    the stage shrinks like 1/K).  Returns (u~, u~#e, h~, delta*, report);
+    h~ = -E/delta* with E the measured stage defect.
     """
     from .decomposition import build_frame
     from .grid import c1_seminorm, sup_norm
@@ -646,17 +654,8 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
 
     hmax = max(chart.spacing)
     ceiling = 2.0 * np.pi / (NODES_PER_WAVELENGTH * hmax)
-    if lam is None:
-        # lowest wave the chart carries; the error of the stage shrinks
-        # like 1/K, so the growth factor takes all remaining budget
-        lam = 2.0 * np.pi / max(chart.extent)
-        if not chart.periodic:
-            lam *= 2.0
-    if chart.periodic:
-        quantum = 2.0 * np.pi / max(chart.extent)
-        lam = max(1.0, math.floor(lam / quantum)) * quantum
-    if K is None:
-        K = max(2.0, (0.98 * ceiling / lam) ** (1.0 / max(n_active - 1, 1)))
+    lam = 2.0 * np.pi / max(chart.extent) * (1.0 if chart.periodic else 2.0)
+    K = max(2.0, (0.98 * ceiling / lam) ** (1.0 / max(n_active - 1, 1)))
     top = lam * K ** max(n_active - 1, 0)
     if 2.0 * np.pi / (top * hmax) < NODES_PER_WAVELENGTH * (1.0 - 1e-9):  # as step() tests
         fit = [math.ceil(NODES_PER_WAVELENGTH * top * e / (2.0 * np.pi) - 1e-9)
@@ -673,7 +672,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
     gamma_eff = _band(pb)[0] * 1.05 + 1e-9
     p = StepParams(lam=lam, eps=eps, delta=eps, nu=nu, nu_tilde=nu,
                    M=1.3 * max(float(np.linalg.norm(d)) for d in directions) + 0.5,
-                   gamma=gamma_eff, c0=min(c0, lam / nu))
+                   gamma=gamma_eff, c0=min(1.0, lam / nu))
     sp = StageParams(K=K, kappa=1.0, c1=0.5 * K * nu / nu)
 
     out = stage(u, terms, p, sp, table, pb)
@@ -691,8 +690,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
             f"bootstrap error term violates the strong-short band: |h~| reaches "
             f"{np.max(np.abs(h_t.values)):.4g}")
 
-    if alpha_star is None:
-        alpha_star = 1.0 / (8.0 * n_terms)
+    alpha_star = 1.0 / (8.0 * n_terms)
     report = {
         "delta_star": delta_star, "terms": n_terms, "trivial": False,
         "base_frequency": lam, "K": K,

@@ -141,8 +141,20 @@ def parse_scenario(path) -> Scenario:
     def get(section, key, default=None):
         return cp.get(section, key, fallback=default)
 
+    def number(section, key, default, kind=float):
+        """kind(value) of a key; a value that does not parse is a problem
+        and the default stands in for it."""
+        text = get(section, key)
+        if text is None:
+            return default
+        try:
+            return kind(text)
+        except ValueError:
+            problems.append(f"cannot parse {key} {text!r} in [{section}]")
+            return default
+
     name = get("scenario", "name", "unnamed")
-    seed = int(get("scenario", "seed", "0"))
+    seed = number("scenario", "seed", 0, int)
 
     extent = (1.0, 1.0)
     try:
@@ -201,35 +213,22 @@ def parse_scenario(path) -> Scenario:
     map_kind = get("map", "kind", "flat")
     if map_kind != "flat":
         problems.append(f"unknown map kind {map_kind!r}; the initial map is flat")
-    try:
-        map_scale = float(get("map", "scale", "1.0"))
-    except ValueError:
-        problems.append(f"cannot parse map scale {get('map', 'scale')!r}")
-        map_scale = 1.0
+    map_scale = number("map", "scale", 1.0)
 
-    try:
-        theta = float(get("schedule", "theta", "0.15"))
-        if not 0.0 < theta < 0.2:
-            problems.append(
-                f"theta = {theta} rejected: admissible exponents are 0 < theta < 1/5")
-    except ValueError:
-        problems.append(f"cannot parse theta {get('schedule', 'theta')!r}")
-        theta = 0.15
-    try:
-        alpha = float(get("schedule", "alpha", "0.1"))
-        if not 0.0 < alpha < 1.0:
-            problems.append(f"alpha = {alpha} outside (0, 1)")
-    except ValueError:
-        problems.append(f"cannot parse alpha {get('schedule', 'alpha')!r}")
-        alpha = 0.1
-    a_base = float(get("schedule", "a", "4.0"))
+    theta = number("schedule", "theta", 0.15)
+    if not 0.0 < theta < 0.2:
+        problems.append(
+            f"theta = {theta} rejected: admissible exponents are 0 < theta < 1/5")
+    alpha = number("schedule", "alpha", 0.1)
+    if not 0.0 < alpha < 1.0:
+        problems.append(f"alpha = {alpha} outside (0, 1)")
+    a_base = number("schedule", "a", 4.0)
     if a_base < 1.0:
         problems.append(f"amplitude base A = {a_base} must be >= 1")
-    depth = int(get("schedule", "depth", "4"))
+    depth = number("schedule", "depth", 4, int)
     if depth < 1:
         problems.append("depth must be at least 1")
-    delta_star = get("schedule", "delta_star")
-    delta_star = float(delta_star) if delta_star is not None else None
+    delta_star = number("schedule", "delta_star", None)
     if delta_star is not None and not 0.0 < delta_star <= 0.125:
         problems.append(f"delta_star = {delta_star} outside (0, 1/8]")
 

@@ -334,7 +334,8 @@ class TestKernelReference:
         sup = _ref_sup(d.values[inner])
         dc1 = _ref_sup(_ref_diff1(d.values, 0, hx, p)[inner],
                        _ref_diff1(d.values, 1, hy, p)[inner])
-        assert _measure_defect(d, ell) == (c, sup, sup + dc1)
+        # the defect pb - 0 is written over the zero target
+        assert _measure_defect(d, np.zeros((*shape, 3)), ell) == (c, sup, sup + dc1)
 
 
 class TestMetricField:
@@ -344,13 +345,6 @@ class TestMetricField:
         lo, hi = m.eigenvalues()
         assert np.allclose(lo, 1.0)
         assert np.allclose(hi, 3.0)
-
-    def test_spd_band_check(self):
-        c = square(16)
-        m = MetricField.constant(c, np.diag([4.0, 1.0]))
-        m.check_spd(4.0)
-        with pytest.raises(ValueError):
-            m.check_spd(2.0)
 
 
 KERNEL_VARIANTS = ["renormalize", "extrapolate"]

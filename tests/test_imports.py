@@ -1,5 +1,7 @@
-"""Every top-level import of a package module is used in that module, and
-every module-level private name is used somewhere in the package."""
+"""Every top-level import of a package module is used in that module, every
+module-level private name is used somewhere in the package, and every public
+function or method is read somewhere in the package or named, with its
+reader, in READ_OUTSIDE_SRC."""
 
 import ast
 from pathlib import Path
@@ -50,16 +52,22 @@ def _private_definitions(tree):
                 yield name, node.lineno
 
 
-def unused_private_names(sources: dict) -> list[str]:
-    """Module-level `_name` definitions that no module of `sources` reads."""
-    trees = {name: ast.parse(src) for name, src in sources.items()}
+def _read_names(trees) -> set:
+    """Names loaded, or read as attributes, anywhere in the parsed modules."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
+    return read
+
+
+def unused_private_names(sources: dict) -> list[str]:
+    """Module-level `_name` definitions that no module of `sources` reads."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = _read_names(trees.values())
     return [f"{module} line {line}: {name}"
             for module, tree in trees.items()
             for name, line in _private_definitions(tree) if name not in read]
@@ -76,3 +84,47 @@ def test_private_checker_flags_unused_name():
 
 def test_no_unused_private_name():
     assert unused_private_names(PACKAGE) == []
+
+
+# public functions and methods that no module of the package reads, each
+# with the reader outside src/ that keeps it
+READ_OUTSIDE_SRC = {
+    "corrugation.CorrugationTable.identity_residual": "acceptance criterion 1",
+    "decomposition.PrimitiveFrame.reconstruct": "acceptance criterion 3",
+    "induction.rho_recursion_audit": "acceptance criteria 8 and 10, bench clamped_skeleton",
+    "io.import_mesh": "the mesh read-back of tests/test_io.py",
+    "io.weld_vertices": "the mesh read-back of tests/test_io.py",
+    "io.edge_face_counts": "the mesh read-back of tests/test_io.py",
+    "grid.ImmersionField.displaced": "the tests",
+    "grid.ImmersionField.min_singular_value": "bench/tracer.py TARGETS",
+}
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub.name
+
+
+def unread_public_names(sources: dict) -> list[str]:
+    """`module.name` of public functions and methods that no module of
+    `sources` reads (by name or as an attribute)."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = _read_names(trees.values())
+    return [f"{module.removesuffix('.py')}.{qual}"
+            for module, tree in trees.items()
+            for qual, name in _public_definitions(tree) if name not in read]
+
+
+def test_public_checker_flags_unread_name():
+    src = "def f(): pass\ndef g(): pass\nclass C:\n    def m(self): pass\n" \
+          "    def n(self): pass\n    def _p(self): pass\ng()\nC().n()\n"
+    assert unread_public_names({"m.py": src}) == ["m.f", "m.C.m"]
+
+
+def test_every_public_name_has_a_reader():
+    assert sorted(unread_public_names(PACKAGE)) == sorted(READ_OUTSIDE_SRC)

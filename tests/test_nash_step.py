@@ -179,12 +179,11 @@ def _ref_step(u, rho, phi, p, table):
     target = pb_u.values + (rho.values ** 2)[..., None] * np.stack(
         [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
     pb_v = pullback_metric(v)
-    defect = MetricField(chart, pb_v.values - target)
-    collar, defect_sup, defect_c1 = _measure_defect(defect, ell)
+    collar, defect_sup, defect_c1 = _measure_defect(pb_v, target, ell)
     outside = rho.values == 0.0
     moved = np.max(np.abs(v.values[outside] - u.values[outside])) if outside.any() else 0.0
     gb_v, lo_v, hi_v = _band(pb_v)
-    return {"v": v.values, "defect": defect.values, "defect_sup": defect_sup,
+    return {"v": v.values, "defect_sup": defect_sup,
             "defect_c1": defect_c1, "support_ok": bool(moved < 1e-14), "gamma_bar": gb_v,
             "displacement": float(np.max(np.linalg.norm(v.values - u.values, axis=-1))),
             "meta": {"collar": collar, "amplitude_max": float(amplitude.max()),
@@ -218,7 +217,6 @@ class TestStepReference:
         ref = _ref_step(u, rho, phi, p, table)
         assert np.array_equal(out.v.values, ref["v"])
         assert out.v.linear is u.linear
-        assert np.array_equal(out.defect.values, ref["defect"])
         for name in ("defect_sup", "defect_c1", "support_ok", "gamma_bar", "displacement"):
             assert getattr(out, name) == ref[name], name
         assert out.meta == ref["meta"]
@@ -438,7 +436,7 @@ class TestAddMetric2d:
         again = add_metric_2d(*args, **kw)
         assert len(calls) == 6
         assert np.array_equal(again.v.values, out.v.values)
-        assert np.array_equal(again.defect.values, out.defect.values)
+        assert (again.defect_sup, again.defect_c1) == (out.defect_sup, out.defect_c1)
 
     def test_held_pullback_is_read(self, table, monkeypatch):
         import isoflex.nash_step as nash_step
@@ -463,8 +461,7 @@ class TestAddMetric2d:
         assert len(calls) == 2 and all(v is not u for v in calls)
         assert np.array_equal(pb_u.values, held)  # a shared pullback is never written
         assert np.array_equal(got.v.values, want.v.values)
-        assert np.array_equal(got.defect.values, want.defect.values)
-        assert got.defect_sup == want.defect_sup
+        assert (got.defect_sup, got.defect_c1) == (want.defect_sup, want.defect_c1)
 
     def test_norms_computed_only_when_read(self, table, monkeypatch):
         # the outcome carries sup |v - u|; the norms of v cost a
@@ -503,6 +500,38 @@ class TestAddMetric2d:
         ell = lam ** -1.5
         assert out.meta["support_inflation"] <= ell + 1.5 * max(c.spacing)
         assert out.support_ok
+
+
+class TestMeasuredOnce:
+    def test_each_layer_measures_only_its_own_defect(self, table, monkeypatch):
+        # the steps of a stage are not measured: a two-term metric addition
+        # measures against rho^2 (g + h) alone, and the four-term bootstrap
+        # stage of a flat torus (two terms live) against the sum of its
+        # primitives alone
+        import isoflex.nash_step as nash_step
+
+        calls = []
+
+        def counting(pb, target, ell):
+            calls.append(pb)
+            return _measure_defect(pb, target, ell)
+
+        monkeypatch.setattr(nash_step, "_measure_defect", counting)
+        c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
+        u = ImmersionField.flat(c, scale=0.9)
+        g = MetricField.constant(c, np.eye(2))
+        h = MetricField.constant(c, np.zeros((2, 2)))
+        rho = ScalarField.constant(c, 0.9 * np.sqrt(0.05))
+        out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table)
+        assert len(out.meta["steps"]) == 2
+        assert len(calls) == 1 and calls[0] is out.pullback
+
+        calls.clear()
+        c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
+        g = MetricField.constant(c, 1.44 * np.eye(2))
+        _, pb_t, _, _, rep = bootstrap_strong(ImmersionField.flat(c), g, 4.0, table)
+        assert rep["terms"] == 4 and rep["stage_defect_sup"] > 0.0
+        assert len(calls) == 1 and calls[0] is pb_t
 
 
 def _cap(n, extent):
@@ -562,7 +591,7 @@ class TestBootstrap:
         import isoflex.nash_step as nash_step
 
         calls = []
-        monkeypatch.setattr(nash_step, "step", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(nash_step, "_corrugate", lambda *a, **k: calls.append(a))
         u, g = _cap(128, 0.5)
         with pytest.raises(UnderResolvedError, match="frequency ceiling") as exc:
             bootstrap_strong(u, g, 4.0, table)

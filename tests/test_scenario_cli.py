@@ -104,6 +104,13 @@ key = 1
                      "unknown section"):
             assert frag in text
 
+    def test_unparsable_seed_and_delta_star_reported(self, tmp_path):
+        bad = MINIMAL_TORUS + "\n[scenario]\nseed = x1\n\n[schedule]\ndelta_star = an eighth\n"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(write(tmp_path, bad))
+        assert exc.value.problems == ["cannot parse seed 'x1' in [scenario]",
+                                      "cannot parse delta_star 'an eighth' in [schedule]"]
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = MINIMAL_TORUS + "\n[map]\nwarp = 3\n"
         with pytest.raises(ScenarioError, match="unknown key"):
@@ -184,6 +191,17 @@ class TestCli:
                    "--out", str(out), "--depth", depth])
         assert rc == 3
         assert "depth must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_numbers_are_config_errors_together(self, tmp_path, capsys):
+        bad = MINIMAL_TORUS + "\n[schedule]\na = four\ndepth = two\ntheta = 0.3\n"
+        out = tmp_path / "out"
+        rc = main(["run", "--scenario", str(write(tmp_path, bad)), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        for frag in ("cannot parse a 'four' in [schedule]",
+                     "cannot parse depth 'two' in [schedule]", "theta = 0.3 rejected"):
+            assert frag in err
         assert not out.exists()
 
     def test_factor_escape_is_config_error(self, tmp_path, capsys):
