@@ -41,12 +41,13 @@ def _dump_json(payload, path):
     Path(path).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
-# Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy, scipy) plus
-# a cost per grid node.  Both are fitted to the VmHWM of runs on the flat
-# 256^2 and 512^2 tori with g = 1.44 I: 143.1 and 227.6 MiB (medians of 3),
-# the same at depth 1 and 4 to 0.2% (Linux x86-64, numpy 2.4).
-RSS_FIXED_BYTES = 120_500_000
-RSS_BYTES_PER_NODE = 451
+# Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy, scipy.fft
+# and scipy.special) plus a cost per grid node.  Both are fitted to the
+# VmHWM of runs on the flat 256^2 and 512^2 tori with g = 1.44 I: 89.2 and
+# 148.0 MiB (medians of 3), the same at depth 1 and 4 to 0.3% (Linux
+# x86-64, numpy 2.4, scipy 1.17).
+RSS_FIXED_BYTES = 72_900_000
+RSS_BYTES_PER_NODE = 314
 
 
 def _memory_estimate(resolution):

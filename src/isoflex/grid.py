@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 PERIODIC = "periodic"
 CLAMPED = "clamped"
@@ -468,6 +468,26 @@ def _bump_kernel(chart: GridChart, ell: float):
     return w / w.sum()
 
 
+def _clamped_conv(shape, w, valid=False):
+    """Linear convolution with w of arrays of the given shape, by real FFTs
+    padded to a fast length; w is transformed once, here.  The result is
+    the centred window of the input's shape, or of the nodes the kernel
+    covers whole when valid is set."""
+    full = [n + k - 1 for n, k in zip(shape, w.shape)]
+    fshape = [scipy.fft.next_fast_len(n, True) for n in full]
+    w_hat = scipy.fft.rfftn(w, fshape, axes=(0, 1))
+    keep = [n - k + 1 if valid else n for n, k in zip(shape, w.shape)]
+    window = tuple(slice((m - n) // 2, (m - n) // 2 + n) for m, n in zip(full, keep))
+
+    def conv(a):
+        # data times kernel, in that order: a complex product is not
+        # bitwise commutative
+        return scipy.fft.irfftn(scipy.fft.rfftn(a, fshape, axes=(0, 1)) * w_hat,
+                                fshape, axes=(0, 1))[window]
+
+    return conv
+
+
 def mollify(f, ell: float, clamped_mode: str = "renormalize"):
     """Componentwise convolution with the quartic bump of radius ell.
 
@@ -499,15 +519,18 @@ def mollify(f, ell: float, clamped_mode: str = "renormalize"):
         for c in range(comps.shape[-1]):
             out[..., c] = np.fft.irfft2(np.fft.rfft2(comps[..., c]) * kern_hat, s=(nx, ny))
     elif clamped_mode == "renormalize":
-        mass = fftconvolve(np.ones(chart.resolution), w, mode="same")
+        conv = _clamped_conv(chart.resolution, w)
+        mass = conv(np.ones(chart.resolution))
         for c in range(comps.shape[-1]):
-            out[..., c] = fftconvolve(comps[..., c], w, mode="same") / mass
+            out[..., c] = conv(comps[..., c]) / mass
     else:
         rx, ry = (w.shape[0] - 1) // 2, (w.shape[1] - 1) // 2
+        nx, ny = chart.resolution
+        conv = _clamped_conv((nx + 2 * rx, ny + 2 * ry), w, valid=True)
         for c in range(comps.shape[-1]):
             padded = np.pad(comps[..., c], ((rx, rx), (ry, ry)),
                             mode="reflect", reflect_type="odd")
-            out[..., c] = fftconvolve(padded, w, mode="valid")
+            out[..., c] = conv(padded)
     out = out if vals.ndim == 3 else out[..., 0]
     if isinstance(f, ScalarField):
         return ScalarField(chart, out)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from isoflex.grid import (
     CLAMPED,
@@ -13,6 +14,7 @@ from isoflex.grid import (
     NormReport,
     ScalarField,
     UnderResolvedError,
+    _bump_kernel,
     _diff,
     _diff1,
     _slabs,
@@ -431,6 +433,52 @@ class TestMollify:
         assert np.allclose(mollify(m, 0.2).values, m.values, atol=1e-12)
         u = ImmersionField.flat(c)
         assert np.array_equal(mollify(u, 0.2).linear, u.linear)
+
+
+def _ref_clamped_mollify(f, ell, mode):
+    """The clamped mollifier as scipy.signal.fftconvolve computes it."""
+    w = _bump_kernel(f.chart, ell)
+    comps = f.values[..., None] if f.values.ndim == 2 else f.values
+    out = np.empty_like(comps)
+    if mode == "renormalize":
+        mass = fftconvolve(np.ones(f.chart.resolution), w, mode="same")
+        for c in range(comps.shape[-1]):
+            out[..., c] = fftconvolve(comps[..., c], w, mode="same") / mass
+    else:
+        rx, ry = (w.shape[0] - 1) // 2, (w.shape[1] - 1) // 2
+        for c in range(comps.shape[-1]):
+            padded = np.pad(comps[..., c], ((rx, rx), (ry, ry)),
+                            mode="reflect", reflect_type="odd")
+            out[..., c] = fftconvolve(padded, w, mode="valid")
+    return out if f.values.ndim == 3 else out[..., 0]
+
+
+class TestClampedMollifyReference:
+    """The clamped mollifier gives the floats of fftconvolve, to the bit."""
+
+    @staticmethod
+    def _field(kind, chart, rng):
+        if kind == "scalar":
+            return ScalarField(chart, rng.standard_normal(chart.resolution))
+        values = rng.standard_normal((*chart.resolution, 3))
+        if kind == "metric":
+            return MetricField(chart, values)
+        return ImmersionField(chart, values, rng.standard_normal((3, 2)))
+
+    @pytest.mark.parametrize("mode", KERNEL_VARIANTS)
+    @pytest.mark.parametrize("kind", ["scalar", "metric", "immersion"])
+    @pytest.mark.parametrize("resolution, ell", [
+        ((64, 48), 0.1), ((48, 64), 0.1), ((333, 333), 0.05),
+        # kernel radius 30 x 23 nodes on a 64 x 48 chart
+        ((64, 48), 0.49),
+    ])
+    def test_bit_identical_to_fftconvolve(self, mode, kind, resolution, ell):
+        chart = GridChart((1.0, 1.0), resolution, CLAMPED)
+        f = self._field(kind, chart, np.random.default_rng(11))
+        out = mollify(f, ell, clamped_mode=mode)
+        assert np.array_equal(out.values, _ref_clamped_mollify(f, ell, mode))
+        if kind == "immersion":
+            assert np.array_equal(out.linear, f.linear)
 
 
 def brute_force_holder_1d(vals, xs, theta):

@@ -1,9 +1,13 @@
 """Every top-level import of a package module is used in that module, every
-module-level private name is used somewhere in the package, and every public
+module-level private name is used somewhere in the package, every public
 function or method is read somewhere in the package or named, with its
-reader, in READ_OUTSIDE_SRC."""
+reader, in READ_OUTSIDE_SRC, and importing the package leaves out the
+heavy scipy subpackages it never needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +132,21 @@ def test_public_checker_flags_unread_name():
 
 def test_every_public_name_has_a_reader():
     assert sorted(unread_public_names(PACKAGE)) == sorted(READ_OUTSIDE_SRC)
+
+
+# imported by no module of the package: scipy.signal, which pulls in
+# scipy.stats, costs about 1 s of import and 48 MB of resident memory in
+# every process that loads it (2-core x86-64, scipy 1.17)
+UNLOADED = ("scipy.signal", "scipy.stats")
+
+
+def test_package_import_leaves_out_heavy_scipy():
+    # a fresh interpreter: the test run itself has imported scipy.signal
+    names = ", ".join(f"isoflex.{p.stem}" for p in MODULES)
+    code = (f"import sys\nimport {names}\n"
+            f"print(sorted(m for m in {UNLOADED!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
