@@ -57,11 +57,11 @@ def _memory_estimate(resolution):
 def cmd_run(args) -> int:
     from .corrugation import CorrugationDomainError, build_corrugation
     from .decomposition import BeltramiError, FrameError
-    from .grid import ChartError, UnderResolvedError, check_short
+    from .grid import ChartError, ShortnessReport, UnderResolvedError
     from .induction import ScheduleError, run_global
     from .io import export_mesh
     from .nash_step import ShortnessLostError, StepPreconditionError
-    from .scenario import ScenarioError, parse_scenario
+    from .scenario import ScenarioError, depth_problem, parse_scenario
 
     refusals = (StepPreconditionError, ShortnessLostError, UnderResolvedError,
                 CorrugationDomainError, ChartError, FrameError, BeltramiError,
@@ -74,8 +74,9 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     depth = args.depth if args.depth is not None else scenario.depth
-    if depth < 1:
-        print(f"--depth {depth} rejected: depth must be at least 1", file=sys.stderr)
+    problem = depth_problem(depth, scenario.delta_star)
+    if problem:
+        print(f"--depth {depth} rejected: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,7 +125,8 @@ def cmd_run(args) -> int:
         return EXIT_INTERNAL
 
     export_mesh(state.u, out_dir / "final.obj")
-    shortness = check_short(state.u, g, state.rho, state.h, pb=state.pullback)
+    cert = report["final"]["certificate"]
+    shortness = ShortnessReport.classify(cert["short_min_eig"], cert["strong_band_margin"])
 
     with open(out_dir / "history.jsonl", "w") as fh:
         for p in report["passes"]:

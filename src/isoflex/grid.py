@@ -674,6 +674,15 @@ class ShortnessReport:
     strong_short: bool | None = None
     strong_margin: float | None = None
 
+    @classmethod
+    def classify(cls, min_eig: float, margin: float | None,
+                 tol: float = 1e-12) -> "ShortnessReport":
+        """The report for min eig(g - u#e) and the strong-band margin
+        min eig(g/2 -+ h), None where no factorization was checked."""
+        kind = ("strictly_short" if min_eig > tol else "short" if min_eig >= -tol
+                else "not_short")
+        return cls(kind, min_eig, None if margin is None else bool(margin >= -tol), margin)
+
 
 def check_short(u: ImmersionField, g: MetricField, rho: ScalarField | None = None,
                 h: MetricField | None = None, tol: float = 1e-12, *,
@@ -686,17 +695,10 @@ def check_short(u: ImmersionField, g: MetricField, rho: ScalarField | None = Non
     _require_same_chart(u, g)
     _require_same_chart(pb, g)
     m = MetricField(g.chart, g.values - pb.values).spd_band()[0]
-    if m > tol:
-        cls = "strictly_short"
-    elif m >= -tol:
-        cls = "short"
-    else:
-        cls = "not_short"
-    strong = margin = None
+    margin = None
     if rho is not None and h is not None:
         _require_same_chart(g, h)
         upper = MetricField(g.chart, 0.5 * g.values - h.values)
         lower = MetricField(g.chart, 0.5 * g.values + h.values)
         margin = min(upper.spd_band()[0], lower.spd_band()[0])
-        strong = bool(margin >= -tol)
-    return ShortnessReport(cls, m, strong, margin)
+    return ShortnessReport.classify(m, margin, tol)

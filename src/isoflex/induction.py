@@ -6,7 +6,9 @@ The exponent algebra (the growth exponent b, the degraded Hoelder and
 auxiliary exponents, the amplitude-base power) is exact rational
 arithmetic; the executed frequency ladder is planned against the grid's
 resolvable ceiling and the run truncates with a certificate rather than
-aliasing when frequencies outrun the grid.
+aliasing when frequencies outrun the grid.  One certificate gives every
+verdict on an adapted state: the driver's, and each kept stage's at the
+pass exponents.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from .grid import (
     slab_derivatives,
 )
 from .nash_step import (
-    NODES_PER_WAVELENGTH,
     ShortnessLostError,
     StepPreconditionError,
     add_metric_2d,
     bootstrap_strong,
+    frequency_ceiling,
 )
 
 RHO_FLOOR = 1e-6               # rho-power bounds skip nodes with rho below this
@@ -192,18 +194,26 @@ class DeskLadder:
         return 1.0 / self.lam_q(q + 1)
 
 
+def _power_or_inf(x: float, q: int) -> float:
+    """x ** q, saturating at inf where the float power overflows."""
+    try:
+        return x ** q
+    except OverflowError:
+        return math.inf
+
+
 def desk_ladder(schedule: Schedule, delta1: float, chart: GridChart, depth: int,
                 base_frequency: float | None = None,
                 tube_radius: float | None = None) -> DeskLadder:
     deltas = tuple(delta1 * 0.25 ** q for q in range(depth + 3))
-    ceiling = 2.0 * np.pi / (NODES_PER_WAVELENGTH * max(chart.spacing))
+    ceiling = frequency_ceiling(chart)
     if base_frequency is None:
         base_frequency = 2.0 * np.pi / max(chart.extent)
     # greedy: the first stage takes the whole resolvable band (the
     # cross-step coupling makes each stage cost a ~30-50x frequency
     # ratio, so no split of a desk grid's band buys a second stage)
     stage_growth = max(2.0, ceiling / base_frequency)
-    lams = tuple(base_frequency * stage_growth ** q for q in range(depth + 3))
+    lams = tuple(base_frequency * _power_or_inf(stage_growth, q) for q in range(depth + 3))
     kappa = 1.0 + (2.0 * float(schedule.theta) / float(schedule.b)) * (
         float(schedule.b) - 1.0 + float(schedule.alpha))
     radii = None
@@ -301,7 +311,7 @@ class CutoffPair:
     chi: ScalarField
     chi_tilde: ScalarField
     audit: dict
-    inner_tube: np.ndarray | None = None  # dist(., Sigma) < r* r_(q+1)
+    inner_tube: np.ndarray  # dist(., Sigma) < r* r_(q+1)
 
 
 def _skeleton_distances(sigma: SkeletonSet, s_set: SkeletonSet, chart: GridChart):
@@ -383,9 +393,10 @@ def update_rho(rho_q: ScalarField, chi_q: ScalarField, delta_q2: float) -> Scala
                        np.sqrt(rho_q.values ** 2 * (1.0 - c2) + delta_q2 * c2))
 
 
-def check_rho_lemma(rho_seq, chi_seq, chit_seq, ladder, rho0: ScalarField,
-                    tol: float = 1e-12, inner_seq=None) -> list[dict]:
-    """Node-wise verification of the amplitude-recursion properties.
+def _rho_lemma(q: int, rho_q: ScalarField, rho_next: ScalarField, cut: CutoffPair,
+               ladder, rho0: ScalarField) -> dict:
+    """Node-wise check of the amplitude-recursion lemma at level q, made
+    once rho_(q+1) = update_rho(rho_q, cut.chi, delta_(q+2)) is known.
 
     (i)   (3/2) delta_(q+2)^(1/2) <= rho_q <= 2 delta_(q+1)^(1/2) on supp chi~_q
     (ii)  rho_(q+1) <= rho_q everywhere
@@ -394,41 +405,20 @@ def check_rho_lemma(rho_seq, chi_seq, chit_seq, ladder, rho0: ScalarField,
           saturated regions, where the implication would be vacuous-false)
     (iv)  rho_q >= delta_(q+1)^(1/2) forces chi_q = 1 or dist > r* r_(q+1)
     """
-    out = []
-    # a truncated pass may have computed cut-offs for one more q than it
-    # completed amplitude updates for
-    for q in range(min(len(chi_seq), len(rho_seq) - 1)):
-        rho_q, chi_q, chit_q = rho_seq[q], chi_seq[q], chit_seq[q]
-        d1 = ladder.delta_q(q + 1)
-        d2 = ladder.delta_q(q + 2)
-        rec = {"q": q}
-        supp = chit_q.values > 0
-        if supp.any():
-            rv = rho_q.values[supp]
-            rec["i_lower"] = bool(np.all(rv >= 1.5 * math.sqrt(d2) * (1 - 1e-9)))
-            rec["i_upper"] = bool(np.all(rv <= 2.0 * math.sqrt(d1) * (1 + 1e-9)))
-        else:
-            rec["i_lower"] = rec["i_upper"] = True
-        rec["ii_monotone"] = bool(np.all(
-            rho_seq[q + 1].values <= rho_q.values + tol))
-        small = rho_q.values < math.sqrt(d1) * (1 - 1e-9)
-        rec["iii_untouched"] = bool(np.all(
-            np.abs(rho_q.values[small] - rho0.values[small]) <= tol)) if small.any() else True
-        big = rho_q.values >= math.sqrt(d1) * (1 - 1e-12)
-        if big.any():
-            sat = chi_q.values >= 1.0 - 1e-12
-            if inner_seq is not None and inner_seq[q] is not None:
-                far = ~inner_seq[q]
-            else:
-                far = chit_q.values == 0.0
-            rec["iv_saturated_or_far"] = bool(np.all(sat[big] | far[big]))
-        else:
-            rec["iv_saturated_or_far"] = True
-        rec["ok"] = all(rec[k] for k in
-                        ("i_lower", "i_upper", "ii_monotone", "iii_untouched",
-                         "iv_saturated_or_far"))
-        out.append(rec)
-    return out
+    r1, r2 = math.sqrt(ladder.delta_q(q + 1)), math.sqrt(ladder.delta_q(q + 2))
+    on_supp = rho_q.values[cut.chi_tilde.values > 0]
+    small = rho_q.values < r1 * (1 - 1e-9)
+    big = rho_q.values >= r1 * (1 - 1e-12)
+    saturated = cut.chi.values >= 1.0 - 1e-12
+    checks = {
+        "i_lower": bool(np.all(on_supp >= 1.5 * r2 * (1 - 1e-9))),
+        "i_upper": bool(np.all(on_supp <= 2.0 * r1 * (1 + 1e-9))),
+        "ii_monotone": bool(np.all(rho_next.values <= rho_q.values + 1e-12)),
+        "iii_untouched": bool(np.all(
+            np.abs(rho_q.values[small] - rho0.values[small]) <= 1e-12)),
+        "iv_saturated_or_far": bool(np.all(saturated[big] | ~cut.inner_tube[big])),
+    }
+    return {"q": q, **checks, "ok": all(checks.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -451,52 +441,59 @@ class AdaptedState:
     pullback: MetricField | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def _node_derivatives(u: ImmersionField, rho: ScalarField, h: MetricField | None = None):
-    """Yield (s, max |D^2 u|, |grad rho|, max_c |grad h_c| or None) per slab of rows s."""
-    fields = [(u, ("xx", "xy", "yy")), (rho, ("x", "y"))] + [(h, ("x", "y"))] * (h is not None)
+def _node_derivatives(u: ImmersionField, rho: ScalarField, h: MetricField):
+    """Yield (s, max |D^2 u|, |grad rho|, max_c |grad h_c|) per slab of rows s."""
     slabs = _slabs(u.values)
-    for (s, (uxx, uxy, uyy)), (_, (rx, ry)), *dh in zip(*(
-            slab_derivatives(f.values, u.chart, names, slabs) for f, names in fields)):
+    for (s, (uxx, uxy, uyy)), (_, (rx, ry)), (_, (hx, hy)) in zip(
+            slab_derivatives(u.values, u.chart, ("xx", "xy", "yy"), slabs),
+            slab_derivatives(rho.values, u.chart, ("x", "y"), slabs),
+            slab_derivatives(h.values, u.chart, ("x", "y"), slabs)):
         hess = np.maximum(np.abs(uxx), np.maximum(np.abs(uxy), np.abs(uyy))).max(axis=-1)
-        grad_h = [np.sqrt(hx * hx + hy * hy).max(axis=-1) for _, (hx, hy) in dh] or [None]
-        yield s, hess, np.sqrt(rx * rx + ry * ry), grad_h[0]
+        yield s, hess, np.sqrt(rx * rx + ry * ry), np.sqrt(hx * hx + hy * hy).max(axis=-1)
+
+
+def _certificate(u: ImmersionField, pb: MetricField, rho: ScalarField, h: MetricField,
+                 g: MetricField, log_A: float, theta: float,
+                 rho_floor: float = RHO_FLOOR) -> dict:
+    """Node-wise checks of an adapted state at exponents (A, theta); pb is u#e.
+
+    The residual of g - u#e = rho^2 (g + h) and shortness are hard facts;
+    the strong band -g/2 <= h <= g/2 and the rho-power bounds on D^2 u,
+    grad rho (A rho^(1 - 1/theta)) and grad h (A rho^(-1/theta)) are
+    recorded.  The bounds compare logs, since A^(b^2) soon leaves float
+    range; nodes with rho at or below rho_floor are skipped, matching the
+    off-Sigma scope of the bounds.
+    """
+    chart = u.chart
+    resid = g.values - pb.values - (rho.values ** 2)[..., None] * (g.values + h.values)
+    strong = min(MetricField(chart, 0.5 * g.values - h.values).spd_band()[0],
+                 MetricField(chart, 0.5 * g.values + h.values).spd_band()[0])
+    out = {
+        "factorization_residual": float(np.max(np.abs(resid))),
+        "short_min_eig": MetricField(chart, g.values - pb.values).spd_band()[0],
+        "strong_band_ok": bool(strong >= -1e-9),
+        "strong_band_margin": strong,
+    }
+    mask = rho.values > rho_floor
+    if mask.any() and theta > 0:
+        keys = ("hess_u_ok", "grad_rho_ok", "grad_h_ok")
+        powers = (1.0 - 1.0 / theta, 1.0 - 1.0 / theta, -1.0 / theta)
+        out.update(dict.fromkeys(keys, True))
+        for s, *fields in _node_derivatives(u, rho, h):
+            m = mask[s]
+            log_rho = np.log(rho.values[s][m])
+            for key, d, p in zip(keys, fields, powers):
+                out[key] &= bool(np.all(
+                    np.log(np.maximum(d[m], 1e-300)) <= log_A + p * log_rho + 1e-9))
+    return out
 
 
 def certify_adapted(state: AdaptedState, g: MetricField,
                     rho_floor: float = RHO_FLOOR) -> dict:
-    """Node-wise checks of the adapted-state invariants.
-
-    The factorization residual and shortness are hard facts; the strong
-    band -g/2 <= h <= g/2 and the rho-power gradient bounds are recorded
-    with their worst margins (nodes with rho below the floor are skipped,
-    matching the off-Sigma scope of the bounds).
-    """
-    chart = state.u.chart
+    """The certificate of an adapted state at its own exponents (A, theta)."""
     pb = pullback_metric(state.u) if state.pullback is None else state.pullback
-    resid = g.values - pb.values - (state.rho.values ** 2)[..., None] * (
-        g.values + state.h.values)
-    short_lo = MetricField(chart, g.values - pb.values).spd_band()[0]
-    strong_lo = MetricField(chart, 0.5 * g.values - state.h.values).spd_band()[0]
-    strong_hi = MetricField(chart, 0.5 * g.values + state.h.values).spd_band()[0]
-
-    mask = state.rho.values > rho_floor
-    out = {
-        "factorization_residual": float(np.max(np.abs(resid))),
-        "short_min_eig": short_lo,
-        "strong_band_ok": bool(min(strong_lo, strong_hi) >= -1e-9),
-        "strong_band_margin": min(strong_lo, strong_hi),
-    }
-    if mask.any() and state.theta > 0:
-        expo = 1.0 - 1.0 / state.theta
-        out.update(hess_u_ok=True, grad_rho_ok=True, grad_h_ok=True)
-        for s, hess, grad_rho, grad_h in _node_derivatives(state.u, state.rho, state.h):
-            m, r = mask[s], state.rho.values[s]
-            bound = state.A * r[m] ** expo + 1e-9
-            out["hess_u_ok"] &= bool(np.all(hess[m] <= bound))
-            out["grad_rho_ok"] &= bool(np.all(grad_rho[m] <= bound))
-            out["grad_h_ok"] &= bool(np.all(
-                grad_h[m] <= state.A * r[m] ** (-1.0 / state.theta) + 1e-9))
-    return out
+    return _certificate(state.u, pb, state.rho, state.h, g, math.log(state.A),
+                        state.theta, rho_floor)
 
 
 @dataclass
@@ -509,20 +506,23 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                    config: PassConfig, incoming_top: float = 0.0):
     """Run the cut-off / add-metric / amplitude-update loop for q = 0..depth-1.
 
-    Every iterate is verified: the factorization identity, shortness, the
-    locality of the update, the displacement budget, the strong band and
-    the rho-power bounds; shortness or budget failures roll the iterate
+    Shortness, locality and displacement-budget failures roll the iterate
     back and truncate the pass with an explicit reason instead of
-    delivering an aliased state.  Returns (new state, history, truncation).
+    delivering an aliased state.  A kept stage is verified by the driver's
+    certificate at the pass exponents A^(b^2), theta / b^2 (factorization,
+    shortness, strong band, rho-power bounds) and by its level's rho-lemma
+    record.  Returns (new state, history, truncation).
     """
     chart = state.u.chart
     hmax = max(chart.spacing)
-    ceiling = 2.0 * np.pi / (NODES_PER_WAVELENGTH * hmax)
-    gamma_g = max(g.spd_band()[1], 1.0 / g.spd_band()[0])
+    ceiling = frequency_ceiling(chart)
+    g_lo, g_hi = g.spd_band()
+    gamma_g = max(g_hi, 1.0 / g_lo)
+    b2 = ladder.b ** 2
+    log_a_pass, theta_pass = b2 * math.log(ladder.A), ladder.theta / b2
 
     u, rho, h, pb_u = state.u, state.rho, state.h, state.pullback
-    rho_seq, chi_seq, chit_seq, inner_seq = [rho], [], [], []
-    history = []
+    history, lemma = [], []
     truncation = None
     distances = _skeleton_distances(sigma, state.s_set, chart)
 
@@ -541,13 +541,10 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         cut = cutoffs(rho, sigma, state.s_set, q, ladder, distances=distances)
         chi, chit = cut.chi, cut.chi_tilde
         rec["cutoff_audit"] = cut.audit
-        chi_seq.append(chi)
-        chit_seq.append(chit)
-        inner_seq.append(cut.inner_tube)
 
         live = chit.values > 0
         if not live.any():
-            rho_seq.append(rho)
+            lemma.append(_rho_lemma(q, rho, rho, cut, ladder, state.rho))
             rec["active"] = False
             history.append(rec)
             continue
@@ -626,41 +623,33 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
             break
 
         rho_next = update_rho(rho, chi, d2)
-        mask = live
         h_next_vals = h.values.copy()
-        denom = (rho_next.values[mask] ** 2)[:, None]
-        h_next_vals[mask] = (g.values[mask] - pb_v.values[mask]
-                             - denom * g.values[mask]) / denom
-        h_next = MetricField(chart, h_next_vals)
+        denom = (rho_next.values[live] ** 2)[:, None]
+        h_next_vals[live] = (g.values[live] - pb_v.values[live]
+                             - denom * g.values[live]) / denom
 
         # locality: nothing outside supp chi~ may move
         frozen = ~live
-        if frozen.any():
-            moved_out = float(np.max(np.abs(v.values[frozen] - u.values[frozen])))
-            if moved_out > 1e-13:
-                truncation = {"q": q, "reason": "locality violated",
-                              "detail": f"update leaked {moved_out:.2e} outside supp chi~"}
-                break
-        else:
-            moved_out = 0.0
+        moved_out = float(np.max(np.abs(v.values[frozen] - u.values[frozen]), initial=0.0))
+        if moved_out > 1e-13:
+            truncation = {"q": q, "reason": "locality violated",
+                          "detail": f"update leaked {moved_out:.2e} outside supp chi~"}
+            break
 
         # consistency of the h update with its closed form
         # h' = ((1 - chi^2) rho^2 (g+h) + delta chi^2 g - E) / rho'^2 - g
         e_vals = pb_v.values - pb_u.values - amp_sq[..., None] * (
             g.values + h_t.values)
-        pred = (1.0 - chi.values[mask] ** 2)[:, None] * (
-            (rho.values[mask] ** 2)[:, None] * (g.values[mask] + h.values[mask])) \
-            + d2 * (chi.values[mask] ** 2)[:, None] * g.values[mask] - e_vals[mask]
-        pred = pred / denom - g.values[mask]
-        rec["h_update_consistency"] = float(np.max(np.abs(pred - h_next_vals[mask])))
+        pred = (1.0 - chi.values[live] ** 2)[:, None] * (
+            (rho.values[live] ** 2)[:, None] * (g.values[live] + h.values[live])) \
+            + d2 * (chi.values[live] ** 2)[:, None] * g.values[live] - e_vals[live]
+        pred = pred / denom - g.values[live]
+        rec["h_update_consistency"] = float(np.max(np.abs(pred - h_next_vals[live])))
 
-        resid = g.values - pb_v.values - (rho_next.values ** 2)[..., None] * (
-            g.values + h_next_vals)
-        rec["factorization_residual"] = float(np.max(np.abs(resid)))
-        rec["short_min_eig"] = short_lo
-        strong_lo = MetricField(chart, 0.5 * g.values - h_next.values).spd_band()[0]
-        strong_hi = MetricField(chart, 0.5 * g.values + h_next.values).spd_band()[0]
-        rec["strong_band_ok"] = bool(min(strong_lo, strong_hi) >= -1e-9)
+        h_next = MetricField(chart, h_next_vals)
+        cert = _certificate(v, pb_v, rho_next, h_next, g, log_a_pass, theta_pass)
+        rec.update((k, cert[k]) for k in ("factorization_residual", "short_min_eig",
+                                          "strong_band_ok"))
         rec["h_sup"] = float(np.max(np.abs(h_next_vals)))
         rec["defect_sup"] = out.defect_sup
         rec["stage_meta"] = {k: out.meta[k] for k in
@@ -673,19 +662,11 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         rec["rho_bands"] = {"min": float(rho_next.values.min()),
                             "max": float(rho_next.values.max())}
 
-        # rho-power bounds at the pass exponents ((3)_q / (4)_q analogues);
-        # compared in log space, the bounds blow up rapidly as rho drops
-        b2 = ladder.b ** 2
-        theta = ladder.theta
-        live_pow = rho_next.values > RHO_FLOOR
-        if live_pow.any() and theta > 0:
-            rec["cond3_hess_ok"] = rec["cond3_grad_rho_ok"] = True
-            for sl, hess, gr, _ in _node_derivatives(v, rho_next):
-                m = live_pow[sl]
-                log_bound = b2 * math.log(ladder.A) + (1.0 - b2 / theta) * np.log(
-                    rho_next.values[sl][m]) + 1e-9
-                for key, d in (("cond3_hess_ok", hess), ("cond3_grad_rho_ok", gr)):
-                    rec[key] &= bool(np.all(np.log(np.maximum(d[m], 1e-300)) <= log_bound))
+        # rho-power bounds at the pass exponents ((3)_q / (4)_q analogues)
+        for key, name in (("cond3_hess_ok", "hess_u_ok"), ("cond3_grad_rho_ok", "grad_rho_ok"),
+                          ("cond3_grad_h_ok", "grad_h_ok")):
+            if name in cert:
+                rec[key] = cert[name]
 
         if not state.s_set.is_empty:
             on_s = distances[1] <= hmax
@@ -696,17 +677,15 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
             rec["factorization_residual"] < 1e-9 and rec["short_min_eig"] > 0
             and rec.get("cond3_hess_ok", True) and rec.get("cond3_grad_rho_ok", True)
             and moved_out < 1e-13)
+        lemma.append(_rho_lemma(q, rho, rho_next, cut, ladder, state.rho))
         u, rho, h, pb_u = v, rho_next, h_next, pb_v
         incoming_top = out.meta.get("top_frequency", base * growth)
-        rho_seq.append(rho)
         history.append(rec)
 
     if truncation is not None:
         # the stage that truncated is recorded, rolled back
         rec.update(active=False, truncated=True)
         history.append(rec)
-    lemma = check_rho_lemma(rho_seq, chi_seq, chit_seq, ladder, state.rho,
-                            inner_seq=inner_seq) if chi_seq else []
     new_state = AdaptedState(
         u, rho, h, sigma,
         A=state.A ** float(schedule.b ** 2),
@@ -726,18 +705,14 @@ def rho_recursion_audit(rho0: ScalarField, sigma: SkeletonSet, s_set: SkeletonSe
     only, so its node-wise properties can be certified deeper than a grid
     can corrugate.  Returns (rho sequence, per-q lemma records).
     """
-    rho = rho0
-    rho_seq, chi_seq, chit_seq, inner_seq = [rho0], [], [], []
+    rho_seq, records = [rho0], []
     distances = _skeleton_distances(sigma, s_set, rho0.chart)
     for q in range(depth):
+        rho = rho_seq[-1]
         cut = cutoffs(rho, sigma, s_set, q, ladder, distances=distances)
-        chi_seq.append(cut.chi)
-        chit_seq.append(cut.chi_tilde)
-        inner_seq.append(cut.inner_tube)
-        rho = update_rho(rho, cut.chi, ladder.delta_q(q + 2))
-        rho_seq.append(rho)
-    return rho_seq, check_rho_lemma(rho_seq, chi_seq, chit_seq, ladder, rho0,
-                                    inner_seq=inner_seq)
+        rho_seq.append(update_rho(rho, cut.chi, ladder.delta_q(q + 2)))
+        records.append(_rho_lemma(q, rho, rho_seq[-1], cut, ladder, rho0))
+    return rho_seq, records
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +772,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
             "level": level, "A_exact_ladder": a_sched, "A_executed": state.A,
             "b": str(sched.b), "theta": str(theta_p), "alpha": str(alpha_p),
             "lam1_exact": sched.lam_q(1),
-            "exact_ladder_resolvable": sched.lam_q(1) <= 2 * np.pi / (
-                NODES_PER_WAVELENGTH * max(chart.spacing)),
+            "exact_ladder_resolvable": sched.lam_q(1) <= frequency_ceiling(chart),
         })
         if sigma.is_empty:
             report["passes"].append({"level": level, "skipped": "empty skeleton"})

@@ -53,6 +53,7 @@ import numpy as np
 from .corrugation import CorrugationDomainError, CorrugationTable
 from .decomposition import PhaseField, solve_conformal
 from .grid import (
+    GridChart,
     ImmersionField,
     MetricField,
     NormReport,
@@ -68,6 +69,12 @@ from .grid import (
 )
 
 NODES_PER_WAVELENGTH = 16
+
+
+def frequency_ceiling(chart: GridChart) -> float:
+    """The highest frequency the chart resolves at NODES_PER_WAVELENGTH
+    nodes per wavelength along its coarser axis."""
+    return 2.0 * np.pi / (NODES_PER_WAVELENGTH * max(chart.spacing))
 
 
 class StepPreconditionError(ValueError):
@@ -653,7 +660,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
     n_active = max(1, sum(1 for a, _ in terms if float(np.max(a.values)) > 0.0))
 
     hmax = max(chart.spacing)
-    ceiling = 2.0 * np.pi / (NODES_PER_WAVELENGTH * hmax)
+    ceiling = frequency_ceiling(chart)
     lam = 2.0 * np.pi / max(chart.extent) * (1.0 if chart.periodic else 2.0)
     K = max(2.0, (0.98 * ceiling / lam) ** (1.0 / max(n_active - 1, 1)))
     top = lam * K ** max(n_active - 1, 0)

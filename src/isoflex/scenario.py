@@ -120,7 +120,27 @@ class Scenario:
 
 
 def _floats(text):
-    return [float(t) for t in text.replace(",", " ").split()]
+    """The numbers of a whitespace- or comma-separated list, at least one."""
+    values = [float(t) for t in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError("no numbers")
+    return values
+
+
+def depth_problem(depth: int, delta_star: float | None) -> str | None:
+    """Why a pass depth is refused, or None: a pass of depth d reads the
+    amplitude levels delta_1 4^(-q) up to q = d, with delta_1 = delta* (at
+    most 1/8 where the bootstrap picks it), and none may underflow to 0."""
+    if depth < 1:
+        return "depth must be at least 1"
+    delta1 = 0.125 if delta_star is None else delta_star
+    deepest = 1
+    while delta1 * 0.25 ** (deepest + 1) > 0.0:
+        deepest += 1
+    if depth > deepest:
+        return (f"depth must be at most {deepest}: deeper amplitude levels "
+                f"delta_1 4^(-q) underflow to 0 at delta_1 = {delta1:g}")
+    return None
 
 
 def parse_scenario(path) -> Scenario:
@@ -142,41 +162,32 @@ def parse_scenario(path) -> Scenario:
         return cp.get(section, key, fallback=default)
 
     def number(section, key, default, kind=float):
-        """kind(value) of a key; a value that does not parse is a problem
-        and the default stands in for it."""
+        """kind(value) of a key, for every number of a scenario; a value
+        that does not parse, or holds a nan or an inf, is a problem and
+        the default stands in for it."""
         text = get(section, key)
         if text is None:
             return default
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
             problems.append(f"cannot parse {key} {text!r} in [{section}]")
             return default
+        if kind is not int and not np.all(np.isfinite(value)):
+            problems.append(f"{key} {text!r} in [{section}] is not finite")
+            return default
+        return value
 
     name = get("scenario", "name", "unnamed")
     seed = number("scenario", "seed", 0, int)
 
-    extent = (1.0, 1.0)
-    try:
-        ext = _floats(get("chart", "extent", "1.0 1.0"))
-        if len(ext) == 1:
-            ext = ext * 2
-        extent = (ext[0], ext[1])
-        if min(extent) <= 0:
-            problems.append(f"extent {extent} must be positive")
-    except ValueError:
-        problems.append(f"cannot parse chart extent {get('chart', 'extent')!r}")
-
-    resolution = (128, 128)
-    try:
-        res = [int(v) for v in _floats(get("chart", "resolution", "128 128"))]
-        if len(res) == 1:
-            res = res * 2
-        resolution = (res[0], res[1])
-        if min(resolution) < 8:
-            problems.append(f"resolution {resolution} below the 8-node minimum")
-    except ValueError:
-        problems.append(f"cannot parse resolution {get('chart', 'resolution')!r}")
+    # one number stands for both axes
+    extent = tuple((number("chart", "extent", [1.0], _floats) * 2)[:2])
+    if min(extent) <= 0:
+        problems.append(f"extent {extent} must be positive")
+    resolution = tuple(int(v) for v in (number("chart", "resolution", [128], _floats) * 2)[:2])
+    if min(resolution) < 8:
+        problems.append(f"resolution {resolution} below the 8-node minimum")
 
     boundary = get("chart", "boundary", CLAMPED)
     if boundary not in (CLAMPED, PERIODIC):
@@ -186,16 +197,13 @@ def parse_scenario(path) -> Scenario:
     matrix = (1.0, 0.0, 1.0)
     factor = None
     if metric_kind == "constant":
-        try:
-            vals = _floats(get("metric", "matrix", "1 0 1"))
-            if len(vals) != 3:
-                problems.append("metric matrix needs three entries: a11 a12 a22")
-            else:
-                matrix = tuple(vals)
-                if matrix[0] * matrix[2] - matrix[1] ** 2 <= 0 or matrix[0] <= 0:
-                    problems.append(f"metric matrix {matrix} is not positive definite")
-        except ValueError:
-            problems.append(f"cannot parse metric matrix {get('metric', 'matrix')!r}")
+        vals = number("metric", "matrix", list(matrix), _floats)
+        if len(vals) != 3:
+            problems.append("metric matrix needs three entries: a11 a12 a22")
+        else:
+            matrix = tuple(vals)
+            if matrix[0] * matrix[2] - matrix[1] ** 2 <= 0 or matrix[0] <= 0:
+                problems.append(f"metric matrix {matrix} is not positive definite")
     elif metric_kind == "conformal":
         factor = get("metric", "factor")
         if not factor:
@@ -226,11 +234,12 @@ def parse_scenario(path) -> Scenario:
     if a_base < 1.0:
         problems.append(f"amplitude base A = {a_base} must be >= 1")
     depth = number("schedule", "depth", 4, int)
-    if depth < 1:
-        problems.append("depth must be at least 1")
     delta_star = number("schedule", "delta_star", None)
     if delta_star is not None and not 0.0 < delta_star <= 0.125:
         problems.append(f"delta_star = {delta_star} outside (0, 1/8]")
+        delta_star = None  # reported; the depth is judged at the default 1/8
+    if problem := depth_problem(depth, delta_star):
+        problems.append(problem)
 
     vertices, edges = (), ()
     skel_kind = get("skeleton", "kind", "none")

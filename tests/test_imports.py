@@ -100,6 +100,7 @@ READ_OUTSIDE_SRC = {
     "io.weld_vertices": "the mesh read-back of tests/test_io.py",
     "io.edge_face_counts": "the mesh read-back of tests/test_io.py",
     "grid.ImmersionField.displaced": "the tests",
+    "grid.check_short": "bench/tracer.py TARGETS and tests/test_grid.py",
     "grid.ImmersionField.min_singular_value": "bench/tracer.py TARGETS",
 }
 

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from isoflex.induction import (
     PassConfig,
     ScheduleError,
     SkeletonSet,
+    _certificate,
     _node_derivatives,
     build_schedule,
     certify_adapted,
@@ -98,6 +101,21 @@ class TestScheduleAlgebra:
         assert nxt.theta < sched.theta
         assert nxt.b == growth_exponent(theta_p, alpha_p)
         assert 1 < nxt.b < sched.b
+
+
+def test_desk_ladder_frequencies_saturate_at_inf():
+    # 256^2: the stage growth is 16, and 16^q overflows a float past q = 255
+    c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
+    sched = build_schedule(1e9, Fraction(3, 20), Fraction(1, 10), 0.125)
+    ladder = desk_ladder(sched, 0.125, c, depth=300)
+    short = desk_ladder(sched, 0.125, c, depth=200)
+    growth = ladder.lam[1] / ladder.lam[0]
+    assert growth == 16.0
+    assert ladder.lam[:len(short.lam)] == short.lam
+    finite = [lam for lam in ladder.lam if math.isfinite(lam)]
+    assert len(finite) < len(ladder.lam) == 303
+    assert all(lam == math.inf for lam in ladder.lam[len(finite):])
+    assert finite == [ladder.lam[0] * growth ** q for q in range(len(finite))]
 
 
 class TestRhoRecursion:
@@ -469,3 +487,117 @@ def test_state_pullback_only_from_its_producer():
     assert other.pullback is None
     assert certify_adapted(other, g) == _ref_certify_adapted(other, g, 1e-6)
     assert certify_adapted(held, g) == _ref_certify_adapted(held, g, 1e-6)
+
+
+# One certificate for every verdict: the pass's kept stages and its rho-lemma
+# records are the driver's own checks, made at the pass's exponents.
+
+COND3 = {"cond3_hess_ok": "hess_u_ok", "cond3_grad_rho_ok": "grad_rho_ok",
+         "cond3_grad_h_ok": "grad_h_ok"}
+
+
+@pytest.fixture(scope="module")
+def torus512(table):
+    """run_global on the 512^2 delta* = 1/8 torus at depth 3, which keeps
+    one stage; with the desk ladder its pass ran on."""
+    c = GridChart((1.0, 1.0), (512, 512), PERIODIC)
+    g = MetricField.constant(c, 1.44 * np.eye(2))
+    u0 = ImmersionField.flat(c, scale=np.sqrt(1.44 * 0.875))
+    state, report = run_global(g, u0, theta0=0.15, alpha0=0.1, a0=4.0, depth=3,
+                               table=table, bootstrap_delta_star=0.125)
+    rho0 = ScalarField.constant(c, math.sqrt(0.125))
+    sched_rec = report["schedules"][2]
+    delta1 = float(np.max(rho0.values) ** 2)
+    sched = build_schedule(sched_rec["A_exact_ladder"], Fraction(sched_rec["theta"]),
+                           Fraction(sched_rec["alpha"]), delta1, depth=6)
+    return g, state, report, rho0, desk_ladder(sched, delta1, c, 3)
+
+
+def test_kept_stage_record_is_the_certificate_at_pass_exponents(torus512):
+    g, state, report, _, ladder = torus512
+    kept = [s for s in report["passes"][2]["stages"] if s.get("active")]
+    assert len(kept) == 1
+    rec = kept[0]
+    # the final state is the kept stage's (v, v#e, rho_(q+1), h_(q+1))
+    b2 = ladder.b ** 2
+    cert = _certificate(state.u, state.pullback, state.rho, state.h, g,
+                        b2 * math.log(ladder.A), ladder.theta / b2)
+    for key in ("factorization_residual", "short_min_eig", "strong_band_ok"):
+        assert rec[key] == cert[key]
+    for key, name in COND3.items():
+        assert rec[key] is cert[name]
+    keys = list(rec)
+    assert keys.index("cond3_grad_h_ok") == keys.index("cond3_grad_rho_ok") + 1
+    assert keys.index("cond3_grad_rho_ok") == keys.index("cond3_hess_ok") + 1
+
+
+def test_certificate_takes_log_a_past_float_range():
+    # A = e^800 is no float; the bounds are compared from log A alone
+    c = GridChart((1.0, 1.0), (48, 40), PERIODIC)
+    x, y = c.mesh()
+    rng = np.random.default_rng(3)
+    u = ImmersionField.flat(c, scale=0.9).displaced(1e-3 * rng.standard_normal((48, 40, 3)))
+    rho = ScalarField(c, 0.3 + 0.02 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+    h = MetricField(c, 1e-2 * rng.standard_normal((48, 40, 3)))
+    g = MetricField.constant(c, np.eye(2))
+    pb = pullback_metric(u)
+    with pytest.raises(OverflowError):
+        math.exp(800.0)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        big = _certificate(u, pb, rho, h, g, 800.0, 0.15)
+        small = _certificate(u, pb, rho, h, g, -800.0, 0.15)
+    assert all(big[name] is True for name in COND3.values())
+    assert all(small[name] is False for name in COND3.values())
+
+
+def _clamped_triangle_pass(table, sigma_kind):
+    """One skeleton pass on the 256^2 clamped triangle state; with the
+    ladder and the (rho_0, sigma, S) it ran on."""
+    n, tri = 256, ((0.35, 0.35), (0.65, 0.35), (0.5, 0.62))
+    c = GridChart((1.0, 1.0), (n, n), CLAMPED)
+    g = MetricField.constant(c, 1.21 * np.eye(2))
+    u0 = ImmersionField.flat(c, scale=np.sqrt(1.21 * 0.875))
+    s_set = SkeletonSet(0, points=tri)
+    sigma = (SkeletonSet(1, points=tri, segments=((tri[0], tri[1]), (tri[1], tri[2]),
+                                                  (tri[2], tri[0])))
+             if sigma_kind == "edges" else SkeletonSet(0, points=tri[:1]))
+    rho0 = ScalarField(c, np.minimum(np.sqrt(0.125), 0.9 * np.sqrt(s_set.distance_field(c))))
+    h0 = (g.values - pullback_metric(u0).values) / np.maximum(
+        rho0.values ** 2, 1e-30)[..., None] - g.values
+    h0[rho0.values == 0.0] = 0.0
+    state = AdaptedState(u0, rho0, MetricField(c, h0), s_set, A=4.0, theta=0.15, alpha=0.1)
+    theta, alpha = Fraction(3, 20), Fraction(1, 10)
+    sched = build_schedule(max(4.0, minimal_adequate_a(theta, alpha, 0.125)),
+                           theta, alpha, 0.125)
+    ladder = desk_ladder(sched, 0.125, c, depth=2, base_frequency=4 * np.pi,
+                         tube_radius=0.09 if sigma_kind == "edges" else 0.05)
+    new_state, history, _ = inductive_pass(state, sigma, sched, ladder, 2, g,
+                                           PassConfig(table=table))
+    return new_state.certificate["rho_lemma"], history, ladder, (rho0, sigma, s_set)
+
+
+def _completed_levels(history):
+    return sum(1 for rec in history if not rec.get("truncated"))
+
+
+class TestPassRhoLemma:
+    def test_whole_chart_torus_is_an_audit_prefix(self, torus512):
+        _, _, report, rho0, ladder = torus512
+        main = report["passes"][2]
+        lemma = main["rho_lemma"]
+        _, audit = rho_recursion_audit(rho0, SkeletonSet(2, whole=True),
+                                       SkeletonSet.empty(), ladder, 3)
+        assert len(lemma) == _completed_levels(main["stages"]) == 1
+        assert lemma == audit[:len(lemma)]
+
+    @pytest.mark.parametrize("sigma_kind, levels", [("edges", 0), ("vertex", 1)])
+    def test_clamped_skeleton_is_an_audit_prefix(self, table, sigma_kind, levels):
+        # edges: cut-offs made at q = 0, then the frequency ceiling truncates,
+        # so the level has no record; vertex: q = 0 leaves supp chi~ empty
+        # and is recorded, q = 1 stops at the amplitude floor
+        lemma, history, ladder, (rho0, sigma, s_set) = _clamped_triangle_pass(table, sigma_kind)
+        assert "cutoff_audit" in history[0]
+        _, audit = rho_recursion_audit(rho0, sigma, s_set, ladder, 2)
+        assert len(lemma) == _completed_levels(history) == levels
+        assert lemma == audit[:levels]

@@ -10,7 +10,8 @@ import pytest
 import isoflex
 import isoflex.induction
 from isoflex.cli import main
-from isoflex.scenario import ScenarioError, parse_scenario
+from isoflex.grid import check_short
+from isoflex.scenario import ScenarioError, depth_problem, parse_scenario
 
 MINIMAL_TORUS = """
 [chart]
@@ -157,7 +158,92 @@ edges =
             parse_scenario(write(tmp_path, bad))
 
 
+    def test_depth_bound_is_where_the_amplitude_levels_underflow(self):
+        # a pass of depth d reads delta_1 4^(-q) up to q = d
+        for delta_star in (None, 0.125, 2.0 ** -20):
+            delta1 = 0.125 if delta_star is None else delta_star
+            deepest = max(d for d in range(1, 600) if delta1 * 0.25 ** d > 0.0)
+            assert delta1 * 0.25 ** (deepest + 1) == 0.0
+            assert depth_problem(deepest, delta_star) is None
+            assert f"at most {deepest}" in depth_problem(deepest + 1, delta_star)
+        assert depth_problem(0, None) == "depth must be at least 1"
+
+
+NON_FINITE = """
+[chart]
+extent = nan 1
+resolution = inf 64
+boundary = periodic
+
+[metric]
+kind = constant
+matrix = 1.44 0.0 inf
+
+[map]
+scale = nan
+
+[schedule]
+a = nan
+delta_star = -inf
+depth = 1000000
+"""
+
+
 class TestCli:
+    def test_non_finite_numbers_are_config_errors_together(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--scenario", str(write(tmp_path, NON_FINITE)), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        for frag in ("extent 'nan 1' in [chart] is not finite",
+                     "resolution 'inf 64' in [chart] is not finite",
+                     "matrix '1.44 0.0 inf' in [metric] is not finite",
+                     "scale 'nan' in [map] is not finite",
+                     "a 'nan' in [schedule] is not finite",
+                     "delta_star '-inf' in [schedule] is not finite",
+                     "depth must be at most"):
+            assert frag in err
+        assert not out.exists()
+
+    def test_deep_ladder_truncates_on_the_frequency_ceiling(self, tmp_path):
+        # the flat map on a 256^2 torus: lam_q saturates at inf instead of
+        # overflowing, and the pass truncates at q = 0 as at depth 1
+        p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "256 256"))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(p), "--out", str(out), "--depth", "300"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passes"][-1]["truncation"]["reason"] == "frequency ceiling"
+        assert summary["failed_assertions"] == []
+
+    def test_depth_past_amplitude_underflow_refused_at_parse(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--scenario", str(write(tmp_path, MINIMAL_TORUS)),
+                   "--out", str(out), "--depth", "1000000"])
+        assert rc == 3
+        assert "--depth 1000000 rejected: depth must be at most" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shortness_is_check_short_on_the_final_state(self, tmp_path, monkeypatch):
+        # summary.json's shortness comes from the final certificate
+        run_global = isoflex.induction.run_global
+        seen = {}
+
+        def keeping(g, *args, **kwargs):
+            seen["g"] = g
+            seen["state"], report = run_global(g, *args, **kwargs)
+            return seen["state"], report
+
+        monkeypatch.setattr(isoflex.induction, "run_global", keeping)
+        p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "256 256")
+                  + "\n[schedule]\ndepth = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(p), "--out", str(out)]) == 0
+        state = seen["state"]
+        want = check_short(state.u, seen["g"], state.rho, state.h, pb=state.pullback)
+        got = json.loads((out / "summary.json").read_text())["shortness"]
+        assert got == {"classification": want.classification,
+                       "min_eigenvalue": want.min_eigenvalue,
+                       "strong_short": want.strong_short}
     def test_missing_scenario_is_config_error(self, tmp_path, capsys):
         rc = main(["run", "--scenario", str(tmp_path / "absent.ini"),
                    "--out", str(tmp_path / "out")])
