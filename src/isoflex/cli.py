@@ -27,18 +27,26 @@ EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _plain(obj):
+    """obj with numpy values as Python ones and inf, -inf, nan as strings."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return str(obj)
-    return str(obj)
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    return str(obj) if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
+def _json(payload, **kwargs):
+    """Strict JSON of payload, with str() of anything JSON has no form for."""
+    return json.dumps(_plain(payload), allow_nan=False, default=str, **kwargs)
 
 
 def _dump_json(payload, path):
-    Path(path).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
+    Path(path).write_text(_json(payload, indent=2) + "\n")
 
 
 # Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy, scipy.fft
@@ -84,7 +92,7 @@ def cmd_run(args) -> int:
 
     resolved = dict(scenario.resolved)
     resolved.update({"depth": depth, "seed": seed})
-    print(json.dumps({"scenario": resolved}, default=_json_default))
+    print(_json({"scenario": resolved}))
 
     if args.dry_run:
         from .induction import build_schedule, minimal_adequate_a
@@ -131,8 +139,7 @@ def cmd_run(args) -> int:
     with open(out_dir / "history.jsonl", "w") as fh:
         for p in report["passes"]:
             for stage in p.get("stages", []):
-                fh.write(json.dumps({"level": p["level"], **stage},
-                                    default=_json_default) + "\n")
+                fh.write(_json({"level": p["level"], **stage}) + "\n")
 
     failed = []
     for p in report["passes"]:
@@ -165,8 +172,7 @@ def cmd_run(args) -> int:
         "seed": seed,
     }
     _dump_json(summary, out_dir / "summary.json")
-    print(json.dumps({"final": report["final"], "failed_assertions": failed},
-                     default=_json_default))
+    print(_json({"final": report["final"], "failed_assertions": failed}))
     return EXIT_ASSERTION if failed else EXIT_OK
 
 
@@ -199,12 +205,12 @@ def cmd_step_bench(args) -> int:
                "c2_norm": out.v_norms.c2_norm, "gamma_bar": out.gamma_bar,
                "support_ok": out.support_ok, "wall_time": time.time() - t0}
         records.append(rec)
-        print(json.dumps(rec, default=_json_default))
+        print(_json(rec))
     if len(records) >= 2:
         lams = np.log([r["lam"] for r in records])
         defs = np.log([r["sup_defect"] for r in records])
         slope = float(np.polyfit(lams, defs, 1)[0])
-        print(json.dumps({"slope": slope}))
+        print(_json({"slope": slope}))
     return EXIT_OK
 
 
@@ -228,12 +234,12 @@ def cmd_conformal_check(args) -> int:
                                     trig(0.5 * args.amplitude),
                                     1.0 + trig(args.amplitude))
     fac = solve_conformal(h, residual_tol=np.inf)
-    print(json.dumps({
+    print(_json({
         "resolution": args.resolution, "amplitude": args.amplitude,
         "residual_sup": fac.residual_sup,
         "residual_mean": float(np.mean(np.abs(fac.residual.values))),
         "iterations": fac.iterations, "contraction": fac.contraction,
-        "min_det_jacobian": fac.min_det(), **fac.stats}, default=_json_default))
+        "min_det_jacobian": fac.min_det(), **fac.stats}))
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridChart, MetricField, ScalarField
+from .grid import GridChart, MetricField, ScalarField, _slabs
 
 
 class FrameError(ValueError):
@@ -229,7 +229,7 @@ class ConformalFactorization:
 
     @property
     def residual_sup(self) -> float:
-        return float(np.max(np.abs(self.residual.values)))
+        return _slab_sup_abs(self.residual.values)
 
     def min_det(self) -> float:
         return float(self.det_jacobian.min())
@@ -254,6 +254,22 @@ def _ifft2_in_place(w):
     np.fft.ifft(w, axis=0, out=w)
 
 
+def _slab_sup_abs(w):
+    """np.max(np.abs(w)) from one row slab at a time (same value, NaN kept)."""
+    return float(np.max([np.max(np.abs(w[s])) for s in _slabs(w)]))
+
+
+def _apply_multiplier(w, kx, ky, multiplier):
+    """w <- multiplier(kx + i ky) w, 0 on the mean mode, one row slab at a time."""
+    iky = 1j * ky[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in _slabs(w):
+            m = multiplier(kx[s, None] + iky)
+            if s.start == 0:
+                m[0, 0] = 0.0
+            np.multiply(m, w[s], out=w[s])
+
+
 # Beltrami contraction: at most BELTRAMI_MAX_ITER iterations, stopping once
 # an iterate moves by less than BELTRAMI_TOL.  A clamped chart is padded on
 # each side by PAD_FRACTION of its nodes along that axis (even, at least 8).
@@ -274,19 +290,20 @@ def solve_conformal(h: MetricField, residual_tol: float = 1e-6) -> ConformalFact
     identity is returned as a field; exceeding residual_tol is an error
     carrying that field.
 
-    The iteration runs in place: besides mu and the Beurling multiplier it
-    holds p and one work array, which takes (1 + p) mu, its transform and
-    then p_new, while p takes p_new - p for the change.  The dz_bar^-1
-    multiplier is built after the loop, and dz Phi, dz_bar Phi are cropped
-    to the chart before the gradients and det DPhi are formed.  A 1024^2
-    clamped chart (padded to 1536^2) peaks 189 MB above the entry, five
-    padded complex fields, against 594 MB for the whole-array solve.
+    The iteration holds three padded complex fields: mu, p and one work
+    array, which takes (1 + p) mu, its transform and then p_new, while p
+    takes p_new - p for the change.  The Fourier multipliers, sup |mu| and
+    the change are formed one row slab at a time.  After the loop dz Phi
+    and dz_bar Phi are cropped to the chart, and dz_bar Phi is transformed
+    in place into Phi's periodic part.  A 1024^2 clamped chart (padded to
+    1536^2, 4.5 fields of nx * ny float64 per padded complex field) peaks
+    134 MB, 16.0 fields, above the entry: 13.5 in the loop, the rest in the
+    cropped outputs and the residual.  The whole-array solve took 594 MB.
     """
     chart = h.chart
-    mu_core, mu_report = beltrami_coefficient(h)
+    mu, mu_report = beltrami_coefficient(h)
 
     if chart.periodic:
-        mu = mu_core
         nx, ny = chart.resolution
         lx, ly = chart.extent
         crop = (slice(None), slice(None))
@@ -295,23 +312,20 @@ def solve_conformal(h: MetricField, residual_tol: float = 1e-6) -> ConformalFact
         px, py = ((int(round(PAD_FRACTION * nx0)) // 2) * 2,
                   (int(round(PAD_FRACTION * ny0)) // 2) * 2)
         px, py = max(px, 8), max(py, 8)
-        mu = np.pad(mu_core, ((px, px), (py, py)), mode="reflect")
-        mu = mu * _taper_window(nx0, px)[:, None] * _taper_window(ny0, py)[None, :]
+        mu = np.pad(mu, ((px, px), (py, py)), mode="reflect")
+        mu *= _taper_window(nx0, px)[:, None]
+        mu *= _taper_window(ny0, py)[None, :]
         nx, ny = mu.shape
         hx, hy = chart.spacing
         lx, ly = nx * hx, ny * hy
         crop = (slice(px, px + nx0), slice(py, py + ny0))
 
-    sup_mu = float(np.max(np.abs(mu)))
+    sup_mu = _slab_sup_abs(mu)
     if sup_mu >= 1.0:
         raise BeltramiError(f"sup |mu| = {sup_mu:.6f} >= 1: input is not uniformly elliptic")
 
     kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=lx / nx)
     ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=ly / ny)
-    zeta = kx[:, None] + 1j * ky[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beurling = np.where(zeta == 0, 0.0, np.conj(zeta) / zeta)
-    del zeta
 
     # each iteration works in one array w: (1 + p) mu, its transform, then
     # p_new; p then takes p_new - p for the change and w becomes the next p.
@@ -324,10 +338,10 @@ def solve_conformal(h: MetricField, residual_tol: float = 1e-6) -> ConformalFact
         w = mu * (1.0 + p)
         np.fft.fft2(w, out=w)
         w[0, 0] = 0.0
-        np.multiply(beurling, w, out=w)
+        _apply_multiplier(w, kx, ky, lambda z: np.divide(np.conj(z), z, out=z))
         _ifft2_in_place(w)
         np.subtract(w, p, out=p)
-        change = float(np.max(np.abs(p)))
+        change = _slab_sup_abs(p)
         if np.isfinite(last_change) and last_change > 0:
             contraction = change / last_change
         p = w
@@ -339,20 +353,19 @@ def solve_conformal(h: MetricField, residual_tol: float = 1e-6) -> ConformalFact
                 contraction=contraction)
         last_change = change
     iterations = it
-    del beurling
 
-    dzbar = mu * (1.0 + p)  # dz_bar Phi (mean part is the b z_bar term)
+    phi_per = mu * (1.0 + p)  # dz_bar Phi (mean part is the b z_bar term)
+    dz = 1.0 + p[crop]  # dz Phi
+    del p, w  # w is p after the loop
+    # the taper is 1 on the core, so the cropped mu is the chart's own mu
+    mu_core = mu if chart.periodic else mu[crop].copy()
     del mu
-    b = complex(np.mean(dzbar))
-    phi_per = np.fft.fft2(dzbar)
+    dzbar = phi_per[crop].copy()
+    b = complex(np.mean(phi_per))
+    np.fft.fft2(phi_per, out=phi_per)
     phi_per[0, 0] = 0.0
-    # the dz_bar^-1 multiplier 1/(i zeta/2), zero on the mean mode
-    inv_dzbar = 0.5j * (kx[:, None] + 1j * ky[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0, inv_dzbar, out=inv_dzbar)
-    inv_dzbar[0, 0] = 0.0
-    np.multiply(inv_dzbar, phi_per, out=phi_per)
-    del inv_dzbar
+    # the dz_bar^-1 multiplier 1/(i zeta/2)
+    _apply_multiplier(phi_per, kx, ky, lambda z: np.divide(1.0, 0.5j * z, out=z))
     _ifft2_in_place(phi_per)
 
     pr = phi_per[crop]
@@ -364,10 +377,6 @@ def solve_conformal(h: MetricField, residual_tol: float = 1e-6) -> ConformalFact
         phi2 = PhaseField(chart, (0.0, 0.0), phi2.values())
     del pr, phi_per
 
-    # crop back to the chart before the derivatives are formed
-    dz = 1.0 + p[crop]  # dz Phi
-    dzbar = dzbar[crop]
-    del p
     dx = dz + dzbar
     dy = 1j * (dz - dzbar)
     det_j = np.abs(dz) ** 2 - np.abs(dzbar) ** 2
@@ -376,17 +385,17 @@ def solve_conformal(h: MetricField, residual_tol: float = 1e-6) -> ConformalFact
     grad_phi2 = np.stack([dx.imag, dy.imag], axis=-1)
     del dx, dy
 
-    det_h = h.det()
     if det_j.min() <= 0:
         raise BeltramiError(f"Jacobian determinant hit {det_j.min():.3e}: solve degenerate")
-    theta_sq = np.sqrt(det_h) / det_j
+    theta_sq = np.sqrt(h.det()) / det_j
     theta = ScalarField(chart, np.sqrt(theta_sq))
 
-    res = h.values - theta_sq[..., None] * np.stack([
-        grad_phi1[..., 0] ** 2 + grad_phi2[..., 0] ** 2,
-        grad_phi1[..., 0] * grad_phi1[..., 1] + grad_phi2[..., 0] * grad_phi2[..., 1],
-        grad_phi1[..., 1] ** 2 + grad_phi2[..., 1] ** 2,
-    ], axis=-1)
+    # h - theta^2 (grad Phi_1 (x)^2 + grad Phi_2 (x)^2), one component at a time
+    res = np.empty_like(h.values)
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+        np.subtract(h.values[..., k], theta_sq * (grad_phi1[..., i] * grad_phi1[..., j]
+                                                  + grad_phi2[..., i] * grad_phi2[..., j]),
+                    out=res[..., k])
     residual = MetricField(chart, res)
 
     out = ConformalFactorization(

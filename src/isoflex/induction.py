@@ -238,6 +238,11 @@ class SkeletonSet:
     segments: tuple = ()           # ((x0,y0),(x1,y1)) pairs
     whole: bool = False
 
+    def __post_init__(self):  # distance_field divides by each segment's vv
+        for (ax, ay), (bx, by) in self.segments:
+            if (bx - ax) * (bx - ax) + (by - ay) * (by - ay) == 0.0:
+                raise ValueError(f"skeleton segment {(ax, ay)} -> {(bx, by)} has zero length")
+
     @classmethod
     def empty(cls):
         return cls(dimension_level=0)
@@ -252,15 +257,15 @@ class SkeletonSet:
             return np.zeros(chart.resolution)
         if self.is_empty:
             return np.full(chart.resolution, np.inf)
-        x, y = chart.mesh()
+        x, y = np.ix_(*chart.axes())  # node coordinates, broadcast
         best = np.full(chart.resolution, np.inf)
         for px, py in self.points:
-            best = np.minimum(best, np.hypot(x - px, y - py))
+            np.minimum(best, np.hypot(x - px, y - py), out=best)
         for (ax, ay), (bx, by) in self.segments:
             vx, vy = bx - ax, by - ay
             vv = vx * vx + vy * vy
             t = np.clip(((x - ax) * vx + (y - ay) * vy) / vv, 0.0, 1.0)
-            best = np.minimum(best, np.hypot(x - (ax + t * vx), y - (ay + t * vy)))
+            np.minimum(best, np.hypot(x - (ax + t * vx), y - (ay + t * vy)), out=best)
         return best
 
     def feature_separation(self) -> float:
@@ -282,9 +287,14 @@ class SkeletonSet:
 
 
 def smoothstep(s):
-    """Quintic C^2 ramp: exactly 0 below 0, exactly 1 above 1."""
-    t = np.clip(s, 0.0, 1.0)
-    return np.clip(t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t), 0.0, 1.0)
+    """Quintic C^2 ramp: exactly 0 below 0, exactly 1 above 1 (the clip's,
+    and NaN kept); the quintic is evaluated only where 0 < s < 1."""
+    s = np.asarray(s, dtype=float)
+    out = np.clip(s, 0.0, 1.0, out=np.empty_like(s))
+    ramp = (s > 0.0) & (s < 1.0)
+    t = s[ramp]
+    out[ramp] = np.clip(t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t), 0.0, 1.0)
+    return out[()]  # a scalar for 0-d input, as from the ufuncs
 
 
 def _phi(s):        # 0 below 8/5, 1 at 2 and above

@@ -30,11 +30,11 @@ metric addition pulls u back if not handed it), and each unmeasured step
 hands v#e on to the next step, the measured defect, the bootstrap and the
 inductive pass.  A pullback handed on is never written.
 
-Memory: of a step's intermediates only u~, grad(Phi) and the phase lam Phi
-are whole fields; the Jacobian of u~ (formed again in each of two passes),
-the Gram product, xi~, xi, zeta, rho~, Gamma and sup |v - u| are evaluated
-one slab of rows at a time (grid._slabs) and written straight into v, every
-node getting the floating-point operations of a whole-array evaluation.
+Memory: of a step's intermediates only u~ and grad(Phi) are whole fields;
+the Jacobian of u~ (formed once, in one sweep), the Gram product, xi~, xi,
+zeta, rho~, the phase lam Phi, Gamma and sup |v - u| are evaluated one slab
+of rows at a time (grid._slabs) and written straight into v, every node
+getting the floating-point operations of a whole-array evaluation.
 Every other whole field of a step, a stage or a metric addition is dropped
 after its last reader: the one defect is written over its target, and the
 metric addition keeps only the phases and theta rho~ of its factorization.
@@ -177,11 +177,8 @@ def _band(metric: MetricField):
     return max(hi, 1.0 / lo), lo, hi
 
 
-def _corrugation(jx, jy, gphi, rho, phase, lam, table):
-    """(Gamma_1 xi + Gamma_2 zeta)/lam on a slab of nodes, amplitude |xi~| rho."""
-    gram, det, _, _ = _gram(jx, jy)
-    xi_t, xi_sq = _xi_tilde(jx, jy, gram, det, gphi)
-    amplitude = np.sqrt(xi_sq) * rho
+def _corrugation(jx, jy, xi_t, xi_sq, amplitude, phase, lam, table):
+    """(Gamma_1 xi + Gamma_2 zeta)/lam on a slab, from xi~, |xi~|^2 and |xi~| rho."""
     xi = xi_t / xi_sq[..., None]
     zeta_t = np.cross(jx, jy)
     zeta_norm = np.linalg.norm(zeta_t, axis=-1)
@@ -264,6 +261,27 @@ class _Corrugated(NamedTuple):
     meta: dict             # carries moved_outside_support
 
 
+def _phase_rows(phi: PhaseField, lam: float, s):
+    """lam Phi on the rows s, the floats of (lam * phi.values())[s]."""
+    ax, ay = phi.chart.axes()
+    return lam * (phi.linear[0] * ax[s, None] + phi.linear[1] * ay[None, :]
+                  + phi.periodic_values[s])
+
+
+def _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, p: StepParams, table: CorrugationTable):
+    """Refuse a step by the mollified Gram spectrum and amplitude ranges."""
+    cond = eig_hi / max(eig_lo, 1e-300)
+    if eig_lo <= 0 or cond > 1e6:
+        raise StepPreconditionError(
+            f"mollified pullback near-singular (condition number {cond:.3g})")
+    try:
+        table.check_amplitude(np.array([amp_lo, amp_hi]))
+    except CorrugationDomainError as exc:
+        raise CorrugationDomainError(
+            f"{exc}; lower eps (amplitude^2 scale, currently {p.eps:.4g}) or enlarge "
+            "the corrugation table") from exc
+
+
 def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.ndarray,
                p: StepParams, table: CorrugationTable, pb_u: MetricField) -> _Corrugated:
     """One unmeasured step adding rho^2 grad(Phi) (x) grad(Phi); gphi is
@@ -298,38 +316,33 @@ def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.nd
 
     ell = 1.0 / p.lam
     u_smooth = mollify(u, ell, clamped_mode="extrapolate") if ell >= 2 * h else u
-    slabs = _slabs(u.values)
 
-    # first pass: the Gram band and the range of the amplitude rho~ = |xi~| rho,
-    # so that both refusals below see the whole chart before any table is read
+    # one sweep gathers the Gram band and the range of rho~ = |xi~| rho and,
+    # while the ranges so far pass both refusals, writes v = u + (Gamma_1 xi
+    # + Gamma_2 zeta)/lam (xi = xi~/|xi~|^2, zeta = n/|xi~|, n the unit normal
+    # of u~); the refusals are raised after it, so that they see the whole chart
+    v_vals = np.empty_like(u.values)
     eig_lo, eig_hi, amp_lo, amp_hi = np.inf, -np.inf, np.inf, -np.inf
-    for s, jx, jy in jacobian_slabs(u_smooth, slabs):
+    displacement, live = 0.0, True
+    for s, jx, jy in jacobian_slabs(u_smooth, _slabs(u.values)):
         gram, det, lo, hi = _gram(jx, jy)
         eig_lo, eig_hi = min(eig_lo, float(lo.min())), max(eig_hi, float(hi.max()))
-        if eig_lo > 0:  # else refused below, before det is divided by
-            amp = np.sqrt(_xi_tilde(jx, jy, gram, det, gphi[s])[1]) * rho.values[s]
+        if eig_lo > 0:  # else refused, before det is divided by
+            xi_t, xi_sq = _xi_tilde(jx, jy, gram, det, gphi[s])
+            amp = np.sqrt(xi_sq) * rho.values[s]
             amp_lo, amp_hi = min(amp_lo, float(amp.min())), max(amp_hi, float(amp.max()))
-    cond = eig_hi / max(eig_lo, 1e-300)
-    if eig_lo <= 0 or cond > 1e6:
-        raise StepPreconditionError(
-            f"mollified pullback near-singular (condition number {cond:.3g})")
-    phase = p.lam * phi.values()
-    try:
-        table.check_amplitude(np.array([amp_lo, amp_hi]))
-    except CorrugationDomainError as exc:
-        raise CorrugationDomainError(
-            f"{exc}; lower eps (amplitude^2 scale, currently {p.eps:.4g}) or enlarge "
-            "the corrugation table") from exc
-
-    # second pass: xi = xi~/|xi~|^2, zeta = n/|xi~| (n the unit normal of u~)
-    # and v = u + (Gamma_1 xi + Gamma_2 zeta)/lam, written into v slab by slab
-    v_vals = np.empty_like(u.values)
-    displacement = 0.0
-    for s, jx, jy in jacobian_slabs(u_smooth, slabs):
-        offset = _corrugation(jx, jy, gphi[s], rho.values[s], phase[s], p.lam, table)
-        np.add(u.values[s], offset, out=v_vals[s])
-        displacement = max(displacement, _displacement(v_vals[s], u.values[s]))
-    del u_smooth, phase
+        if live:
+            try:
+                _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, p, table)
+            except (StepPreconditionError, CorrugationDomainError):
+                live = False
+        if live:
+            phase = _phase_rows(phi, p.lam, s)
+            offset = _corrugation(jx, jy, xi_t, xi_sq, amp, phase, p.lam, table)
+            np.add(u.values[s], offset, out=v_vals[s])
+            displacement = max(displacement, _displacement(v_vals[s], u.values[s]))
+    del u_smooth
+    _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, p, table)
     v = ImmersionField(chart, v_vals, u.linear)
 
     outside = rho.values == 0.0

@@ -252,6 +252,8 @@ def parse_scenario(path) -> Scenario:
             for e in edges:
                 if len(e) != 2 or not all(0 <= i < len(vertices) for i in e):
                     problems.append(f"edge {e} references missing vertices")
+                elif sum((b - a) * (b - a) for a, b in zip(vertices[e[0]], vertices[e[1]])) == 0:
+                    problems.append(f"edge {e} has zero length")
             for v in vertices:
                 if len(v) != 2:
                     problems.append(f"vertex {v} needs two coordinates")

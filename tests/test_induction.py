@@ -35,6 +35,7 @@ from isoflex.induction import (
     minimal_adequate_a,
     rho_recursion_audit,
     run_global,
+    smoothstep,
     update_rho,
 )
 
@@ -248,6 +249,70 @@ class TestSkeleton:
         c = GridChart((1.0, 1.0), (16, 16), CLAMPED)
         assert np.all(np.isinf(SkeletonSet.empty().distance_field(c)))
         assert np.all(SkeletonSet(2, whole=True).distance_field(c) == 0.0)
+
+    @pytest.mark.parametrize("segment", [((0.3, 0.3), (0.3, 0.3)),
+                                         ((1e-200, 0.5), (2e-200, 0.5))])
+    def test_zero_length_segment_refused(self, segment):
+        # its squared length is 0, so its projection parameter would be 0/0
+        # (or +-inf) and make nodes NaN: every node for a point segment
+        with pytest.raises(ValueError, match="zero length"):
+            SkeletonSet(1, segments=(segment,))
+
+    @pytest.mark.parametrize("boundary", [CLAMPED, PERIODIC])
+    def test_distance_field_matches_whole_mesh_reference(self, boundary):
+        c = GridChart((1.0, 1.3), (75, 53), boundary)
+        tri = ((0.35, 0.35), (0.65, 0.35), (0.5, 0.62))
+        for sk in (SkeletonSet(0, points=tri),
+                   SkeletonSet(1, segments=((tri[0], tri[1]), (tri[2], tri[1]))),
+                   SkeletonSet(1, points=tri, segments=((tri[0], tri[1]), (tri[1], tri[2]),
+                                                        (tri[2], tri[0])))):
+            got = sk.distance_field(c)
+            assert got.tobytes() == _ref_distance_field(sk, c).tobytes()
+
+
+# The whole-mesh cut-off builders that the broadcast and ramp-only ones
+# replaced, kept as references: every node must get the same float.
+
+def _ref_distance_field(sk, chart):
+    x, y = chart.mesh()
+    best = np.full(chart.resolution, np.inf)
+    for px, py in sk.points:
+        best = np.minimum(best, np.hypot(x - px, y - py))
+    for (ax, ay), (bx, by) in sk.segments:
+        vx, vy = bx - ax, by - ay
+        vv = vx * vx + vy * vy
+        t = np.clip(((x - ax) * vx + (y - ay) * vy) / vv, 0.0, 1.0)
+        best = np.minimum(best, np.hypot(x - (ax + t * vx), y - (ay + t * vy)))
+    return best
+
+
+def _ref_smoothstep(s):
+    t = np.clip(s, 0.0, 1.0)
+    return np.clip(t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t), 0.0, 1.0)
+
+
+class TestSmoothstep:
+    def test_matches_whole_array_reference(self):
+        s = np.random.default_rng(5).uniform(-0.5, 1.5, (75, 53))
+        s.flat[:9] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 5e-324, 1.0 - 2 ** -53, -1e-300]
+        assert smoothstep(s).tobytes() == _ref_smoothstep(s).tobytes()
+
+    @pytest.mark.parametrize("value", [-0.5, -0.0, 0.0, 0.3, 1.0, 2.0, np.nan])
+    def test_zero_d_input(self, value):
+        got, want = smoothstep(value), _ref_smoothstep(value)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert smoothstep(np.asarray(value)).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("boundary", [CLAMPED, PERIODIC])
+    def test_cutoffs_of_a_skeleton_distance(self, boundary):
+        # the ramps as cutoffs applies them, on a distance field that puts
+        # nodes on both flats and the ramp
+        c = GridChart((1.0, 1.3), (75, 53), boundary)
+        d = SkeletonSet(1, points=((0.5, 0.6),), segments=(((0.2, 0.3), (0.8, 0.4)),)).distance_field(c)
+        for s in ((d - 0.05) / 0.1, (d - 0.1) * 2.5, 1.0 - d / 0.2):
+            assert 0 < np.count_nonzero((s > 0) & (s < 1)) < s.size
+            assert smoothstep(s).tobytes() == _ref_smoothstep(s).tobytes()
 
 
 class TestPipeline:

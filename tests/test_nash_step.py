@@ -253,8 +253,50 @@ class TestStepReference:
             _ref_step(u, rho, phi, p, table)
         assert str(got.value) == str(want.value)
 
+    def test_degenerate_jacobian_refused_after_the_sweep(self, table, slab_budget):
+        # d_y u vanishes on the last rows and the amplitude leaves the table
+        # on the first ones: the whole-chart near-singular refusal still
+        # comes first, with the whole array's condition number.  pb_u is the
+        # flat map's, so that the input band check lets the sweep run
+        c = GridChart((1.0, 1.3), (75, 53), CLAMPED)
+        x, y = c.mesh()
+        u = ImmersionField(c, np.stack([x, y * np.clip((0.8 - x) / 0.3, 0.0, 1.0) ** 2, 0 * x],
+                                       axis=-1))
+        rho = ScalarField(c, np.where(x < 0.2, 1.2, 0.05))
+        gram, _, lo, _ = _gram(*u.jacobian())
+        assert lo[-1].max() <= 0 < lo[0].min()
+        assert np.max(rho.values[0] * np.sqrt(1.0 / gram[0, :, 0])) > table.s_max
+        phi = PhaseField.linear_phase(c, (1.0, 0.0))
+        p = StepParams(lam=4 * np.pi, eps=0.04, delta=0.04, nu=1.0, nu_tilde=1.0,
+                       M=4.0, gamma=4.0)
+        with pytest.raises(StepPreconditionError, match="near-singular") as got:
+            step(u, rho, phi, p, table, pullback_metric(ImmersionField.flat(c)))
+        with pytest.raises(StepPreconditionError) as want:
+            _ref_step(u, rho, phi, p, table)
+        assert str(got.value) == str(want.value)
+
+    def test_one_jacobian_sweep_per_corrugation(self, table, monkeypatch):
+        # the Gram band, the amplitude range and v come from one sweep of
+        # the Jacobian of u~
+        import isoflex.nash_step as nash_step
+
+        sweeps = []
+        slabs = nash_step.jacobian_slabs
+
+        def counted(u, s):
+            sweeps.append(u)
+            return slabs(u, s)
+
+        monkeypatch.setattr(nash_step, "jacobian_slabs", counted)
+        u, rho, phi, p = _oblong_step_inputs(CLAMPED)
+        step(u, rho, phi, p, table, pullback_metric(u))
+        assert len(sweeps) == 1
+        terms = [(rho, phi), (rho, PhaseField(u.chart, (0.0, 1.0), 0 * rho.values))]
+        stage(u, terms, p, StageParams(K=1.2), table, pullback_metric(u))
+        assert len(sweeps) == 3
+
     def test_step_builds_no_whole_jacobian(self, table, monkeypatch):
-        # the Jacobian of u~ is formed slab by slab, once in each pass
+        # the Jacobian of u~ is formed slab by slab, in one sweep
         calls = []
         jacobian = ImmersionField.jacobian
 

@@ -147,6 +147,30 @@ edges = 0-1; 1-2; 2-0
         assert len(levels[1].segments) == 3
         assert levels[2].whole
 
+    def test_zero_length_edges_reported(self, tmp_path, capsys):
+        # an edge from a vertex to itself, between two equal vertices, or so
+        # short that its squared length underflows would give the skeleton
+        # NaN distances
+        bad = write(tmp_path, """
+[chart]
+resolution = 64 64
+boundary = clamped
+
+[skeleton]
+kind = triangulation
+vertices = 0.3 0.3; 0.3 0.3; 0.5 0.65; 1e-200 0.5; 2e-200 0.5
+edges = 0-0; 0-1; 1-2; 3-4
+""")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(bad)
+        assert err.value.problems == ["edge (0, 0) has zero length",
+                                      "edge (0, 1) has zero length",
+                                      "edge (3, 4) has zero length"]
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 3
+        assert "edge (0, 1) has zero length" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_skeleton_needs_clamped_chart(self, tmp_path):
         bad = MINIMAL_TORUS + """
 [skeleton]
@@ -370,6 +394,26 @@ class TestCli:
         assert summary["dry_run"]
         assert summary["memory_bytes_estimate"] > 0
         assert "exact_ladder" in summary
+
+    def test_dry_run_summary_is_strict_json(self, tmp_path):
+        # the exact ladder leaves float range at this depth: its lam entries
+        # are written as "inf", never as a bare Infinity
+        p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "256 256") + """
+[schedule]
+theta = 0.15
+alpha = 0.1
+a = 4.0
+""")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(p), "--out", str(out), "--dry-run",
+                     "--depth", "300"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        lam = summary["exact_ladder"]["lam"]
+        assert "inf" in lam and all(v == "inf" or np.isfinite(v) for v in lam)
 
     def test_small_run_end_to_end(self, tmp_path):
         scenario = """
