@@ -182,6 +182,8 @@ def cmd_step_bench(args) -> int:
     from .grid import CLAMPED, GridChart, ImmersionField, ScalarField, pullback_metric
     from .nash_step import StepParams, step
 
+    if not 0.0 < args.eps <= 1.0:  # eps is the squared amplitude of the bump
+        raise ValueError(f"need 0 < eps <= 1, got eps={args.eps}")
     table = build_corrugation()
     n = args.resolution
     chart = GridChart((1.0, 1.0), (n, n), CLAMPED)
@@ -197,8 +199,7 @@ def cmd_step_bench(args) -> int:
     phi = PhaseField.linear_phase(chart, (1.0, 0.0))
     records = []
     for lam in args.lambdas:
-        p = StepParams(lam=lam, eps=eps, delta=eps, nu=6.0, nu_tilde=6.0,
-                       M=4.0, gamma=4.0, c0=min(1.0, lam / 6.0))
+        p = StepParams(lam=lam, eps=eps, M=4.0, gamma=4.0)
         t0 = time.time()
         out = step(u, rho, phi, p, table, pb_u)
         rec = {"lam": lam, "sup_defect": out.defect_sup, "c1_defect": out.defect_c1,

@@ -197,9 +197,11 @@ class PhaseField:
     linear: tuple[float, float]
     periodic_values: np.ndarray
 
-    def values(self) -> np.ndarray:
-        x, y = self.chart.mesh()
-        return self.linear[0] * x + self.linear[1] * y + self.periodic_values
+    def values(self, rows=slice(None)) -> np.ndarray:
+        """w . x + p on the rows `rows` of nodes, broadcast from the axes."""
+        ax, ay = self.chart.axes()
+        return (self.linear[0] * ax[rows, None] + self.linear[1] * ay[None, :]
+                + self.periodic_values[rows])
 
     def gradient(self) -> np.ndarray:
         g = ScalarField(self.chart, self.periodic_values).gradient()

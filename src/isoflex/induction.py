@@ -38,6 +38,7 @@ from .nash_step import (
     StepPreconditionError,
     add_metric_2d,
     bootstrap_strong,
+    commensurate_base,
     frequency_ceiling,
 )
 
@@ -516,6 +517,9 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                    config: PassConfig, incoming_top: float = 0.0):
     """Run the cut-off / add-metric / amplitude-update loop for q = 0..depth-1.
 
+    Each stage's base frequency and growth K are planned here, against the
+    grid ceiling, and add_metric_2d runs that plan; the new state's
+    certificate carries the top frequency of its map as "top_frequency".
     Shortness, locality and displacement-budget failures roll the iterate
     back and truncate the pass with an explicit reason instead of
     delivering an aliased state.  A kept stage is verified by the driver's
@@ -590,10 +594,10 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
 
         # the new corrugation must ride above whatever the map already
         # carries (else its mollification wipes the inherited oscillations)
-        # and above the data scale lam_nom^kappa (the corollary's own
-        # frequency floor c0 lam^kappa with c0 >= 1)
-        base = max(ladder.lam_q(q + 1), 1.3 * incoming_top,
-                   1.05 * lam_nom ** ladder.kappa)
+        # and above the data scale lam_nom^kappa; the growth is planned from
+        # the base the stage runs, snapped on the torus
+        base = commensurate_base(chart, max(ladder.lam_q(q + 1), 1.3 * incoming_top,
+                                            1.05 * lam_nom ** ladder.kappa))
         growth = 0.999 * ceiling / base
         if growth < 2.0:
             truncation = {"q": q, "reason": "frequency ceiling",
@@ -608,8 +612,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         try:
             out = add_metric_2d(
                 u, rho_t, g, h_t, delta_eff, lam_nom, kappa_eff, config.table,
-                c0=base / lam_nom ** kappa_eff, c1=growth / lam_nom ** (kappa_eff - 1.0),
-                strict_hypotheses=False, pb_u=pb_u)
+                strict_hypotheses=False, pb_u=pb_u, base=base, K=growth)
         except (StepPreconditionError, ShortnessLostError, UnderResolvedError) as exc:
             truncation = {"q": q, "reason": "stage failed", "detail": str(exc)}
             break
@@ -664,8 +667,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         rec["defect_sup"] = out.defect_sup
         rec["stage_meta"] = {k: out.meta[k] for k in
                              ("base_frequency", "K", "ell", "support_inflation",
-                              "stage_constant", "conformal_residual")
-                             if k in out.meta}
+                              "stage_constant", "conformal_residual")}
         rec["displacement"] = disp
         rec["displacement_constant"] = disp * ladder.lam_q(q + 1) / math.sqrt(d1)
         rec["moved_outside"] = moved_out
@@ -689,7 +691,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
             and moved_out < 1e-13)
         lemma.append(_rho_lemma(q, rho, rho_next, cut, ladder, state.rho))
         u, rho, h, pb_u = v, rho_next, h_next, pb_v
-        incoming_top = out.meta.get("top_frequency", base * growth)
+        incoming_top = base * growth
         history.append(rec)
 
     if truncation is not None:
@@ -702,7 +704,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         theta=float(schedule.theta_prime),
         alpha=float(schedule.alpha_prime),
         certificate={"history": history, "rho_lemma": lemma,
-                     "truncation": truncation})
+                     "truncation": truncation, "top_frequency": incoming_top})
     object.__setattr__(new_state, "pullback", pb_u)
     return new_state, history, truncation
 
@@ -792,11 +794,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
         state, history, truncation = inductive_pass(
             state, sigma, sched, ladder, depth, g, config,
             incoming_top=current_top)
-        for s_rec in history:
-            if s_rec.get("active"):
-                current_top = max(current_top,
-                                  s_rec["stage_meta"].get("base_frequency", 0.0)
-                                  * s_rec["stage_meta"].get("K", 1.0))
+        current_top = state.certificate["top_frequency"]
         pass_disp = float(np.max(np.linalg.norm(state.u.values - prev_u.values, axis=-1)))
         total_disp += pass_disp
         # a pass that kept no stage hands back the same immersion object

@@ -86,58 +86,20 @@ class StepPreconditionError(ValueError):
 
 
 class ShortnessLostError(RuntimeError):
-    def __init__(self, message, term_index=None):
-        super().__init__(message)
-        self.term_index = term_index
+    """A corrugated map degenerated or left the shortness it was to keep."""
 
 
 @dataclass(frozen=True)
 class StepParams:
-    """Frequency and scale bookkeeping for a single corrugation step.
-
-    lam >= c0 sqrt(delta/eps) nu_tilde is the frequency constraint the step
-    needs; eps bounds the squared amplitude of the added primitive, delta
-    the regularity scale of u (|u|_2 <= M delta^(1/2) nu).
-    """
+    """What a single corrugation step reads: its frequency lam, the bound M
+    on |grad Phi| (and on 1/|grad Phi|), the declared band gamma of the
+    input pullback, and eps, the amplitude^2 scale quoted when the
+    amplitude leaves the corrugation table."""
 
     lam: float
     eps: float
-    delta: float
-    nu: float
-    nu_tilde: float
     M: float = 4.0
     gamma: float = 8.0
-    c0: float = 1.0
-
-    def __post_init__(self):
-        problems = []
-        if not (0 < self.eps <= self.delta <= 1.0):
-            problems.append(f"need 0 < eps <= delta <= 1, got eps={self.eps}, delta={self.delta}")
-        if self.nu > self.nu_tilde:
-            problems.append(f"need nu <= nu_tilde, got {self.nu} > {self.nu_tilde}")
-        floor = self.c0 * math.sqrt(self.delta / self.eps) * self.nu_tilde
-        if self.lam < floor * (1 - 1e-12):
-            problems.append(
-                f"frequency lam={self.lam:.6g} below c0 sqrt(delta/eps) nu_tilde = {floor:.6g}")
-        if problems:
-            raise StepPreconditionError(problems)
-
-
-@dataclass(frozen=True)
-class StageParams:
-    """K: frequency growth between steps; kappa: mollification exponent."""
-
-    K: float
-    kappa: float = 1.5
-    c1: float = 1.0
-
-    def validate_against(self, p: StepParams):
-        if self.K * (1 + 1e-12) <= self.c1 * p.nu_tilde / p.nu:
-            raise StepPreconditionError(
-                f"growth factor K={self.K} must exceed c1 nu_tilde/nu = "
-                f"{self.c1 * p.nu_tilde / p.nu:.6g}")
-        if self.kappa < 1.0:
-            raise StepPreconditionError(f"kappa={self.kappa} below 1")
 
 
 @dataclass(frozen=True)
@@ -218,6 +180,15 @@ def _measure_defect(pb: MetricField, target: np.ndarray, ell: float):
     return collar, sup, sup + dc1
 
 
+def commensurate_base(chart: GridChart, base: float) -> float:
+    """The base frequency a stage runs on this chart: on the torus the nearest
+    positive multiple of 2 pi / L (L the longer period), else base itself."""
+    if not chart.periodic:
+        return base
+    quantum = 2.0 * np.pi / max(chart.extent)
+    return max(1.0, round(base / quantum)) * quantum
+
+
 def commensurate_phase(phi: PhaseField, lam: float, max_shift_fraction: float = 0.25):
     """Round the linear part so lam * Phi wraps by multiples of 2 pi.
 
@@ -259,13 +230,6 @@ class _Corrugated(NamedTuple):
     gamma_bar: float       # band radius of v#e
     displacement: float    # sup |v - u|
     meta: dict             # carries moved_outside_support
-
-
-def _phase_rows(phi: PhaseField, lam: float, s):
-    """lam Phi on the rows s, the floats of (lam * phi.values())[s]."""
-    ax, ay = phi.chart.axes()
-    return lam * (phi.linear[0] * ax[s, None] + phi.linear[1] * ay[None, :]
-                  + phi.periodic_values[s])
 
 
 def _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, p: StepParams, table: CorrugationTable):
@@ -337,7 +301,7 @@ def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.nd
             except (StepPreconditionError, CorrugationDomainError):
                 live = False
         if live:
-            phase = _phase_rows(phi, p.lam, s)
+            phase = p.lam * phi.values(s)
             offset = _corrugation(jx, jy, xi_t, xi_sq, amp, phase, p.lam, table)
             np.add(u.values[s], offset, out=v_vals[s])
             displacement = max(displacement, _displacement(v_vals[s], u.values[s]))
@@ -358,7 +322,7 @@ def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.nd
         "pullback_band": (float(lo_v), float(hi_v)), "mollification_scale": ell})
 
 
-def _chain(u: ImmersionField, terms, p: StepParams, s: StageParams,
+def _chain(u: ImmersionField, terms, p: StepParams, K: float,
            table: CorrugationTable, pb_u: MetricField):
     """The unmeasured steps of a stage, one per (rho_k, Phi_k) term at
     frequencies lam * K^k; returns (the corrugated map, the live terms).
@@ -366,19 +330,18 @@ def _chain(u: ImmersionField, terms, p: StepParams, s: StageParams,
     Zero-amplitude terms corrugate nothing (Gamma(0, .) = 0) and are skipped
     outright rather than spending frequency budget.
     """
-    s.validate_against(p)
     gb = _band(pb_u)[0]  # band of the current map's pullback
     pb, current = pb_u, u
     history = []
     live_terms = [(r, ph) for r, ph in terms if float(np.max(np.abs(r.values))) > 0.0]
     for k, (rho_k, phi_k) in enumerate(live_terms):
-        lam_k = p.lam * s.K ** k
+        lam_k = p.lam * K ** k
         phi_used, shift = commensurate_phase(phi_k, lam_k)
         p_k = replace(p, lam=lam_k, gamma=max(p.gamma, gb * 1.02))
         try:
             c = _corrugate(current, rho_k, phi_used, phi_used.gradient(), p_k, table, pb)
         except ShortnessLostError as exc:
-            raise ShortnessLostError(f"term {k}: {exc}", term_index=k) from exc
+            raise ShortnessLostError(f"term {k}: {exc}") from exc
         current, pb, gb = c.v, c.pullback, c.gamma_bar
         history.append({"lam": lam_k, "gamma_bar": gb, "phase_shift": shift,
                         "amplitude_max": c.meta["amplitude_max"]})
@@ -392,6 +355,14 @@ def _chain(u: ImmersionField, terms, p: StepParams, s: StageParams,
         "skipped_zero_terms": len(terms) - len(live_terms)}), live_terms
 
 
+def _measured(c: _Corrugated, target: np.ndarray, ell: float) -> StepOutcome:
+    """The outcome of c, its defect measured against target (written over)."""
+    collar, defect_sup, defect_c1 = _measure_defect(c.pullback, target, ell)
+    return StepOutcome(c.v, c.pullback, defect_sup, defect_c1, c.displacement,
+                       c.meta["moved_outside_support"] < 1e-14, c.gamma_bar,
+                       {"collar": collar, **c.meta})
+
+
 def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
          table: CorrugationTable, pb_u: MetricField) -> StepOutcome:
     """One corrugation step adding rho^2 grad(Phi) (x) grad(Phi); pb_u is u#e.
@@ -403,13 +374,10 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
     target = _primitive(rho, gphi)
     del gphi
     target += pb_u.values
-    collar, defect_sup, defect_c1 = _measure_defect(c.pullback, target, 1.0 / p.lam)
-    return StepOutcome(c.v, c.pullback, defect_sup, defect_c1, c.displacement,
-                       c.meta["moved_outside_support"] < 1e-14, c.gamma_bar,
-                       {"collar": collar, **c.meta})
+    return _measured(c, target, 1.0 / p.lam)
 
 
-def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
+def stage(u: ImmersionField, terms, p: StepParams, K: float,
           table: CorrugationTable, pb_u: MetricField) -> StepOutcome:
     """Apply one step per (rho_k, Phi_k) term with frequencies lam * K^k to u,
     whose pullback u#e is pb_u.
@@ -419,15 +387,12 @@ def stage(u: ImmersionField, terms, p: StepParams, s: StageParams,
     as given; phase rounding on the torus and every intermediate error land
     in it.
     """
-    c, live_terms = _chain(u, terms, p, s, table, pb_u)
+    c, live_terms = _chain(u, terms, p, K, table, pb_u)
     # the target is summed after the steps, which it would outlive
     target = pb_u.values.copy()
     for rho_k, phi_k in live_terms:
         target += _primitive(rho_k, phi_k.gradient())
-    collar, defect_sup, defect_c1 = _measure_defect(c.pullback, target, 1.0 / p.lam)
-    return StepOutcome(c.v, c.pullback, defect_sup, defect_c1, c.displacement,
-                       c.meta["moved_outside_support"] < 1e-14, c.gamma_bar,
-                       {**c.meta, "collar": collar})
+    return _measured(c, target, 1.0 / p.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +418,19 @@ def _support_inflation(moved_mask, supp_mask, chart):
 
 def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
                   h: MetricField, delta: float, lam: float, kappa: float,
-                  table: CorrugationTable, alpha: float | None = None,
-                  c0: float = 1.0, c1: float = 1.0,
-                  strict_hypotheses: bool = True, pb_u: MetricField | None = None
-                  ) -> StepOutcome:
+                  table: CorrugationTable, strict_hypotheses: bool = True,
+                  pb_u: MetricField | None = None, *, base: float | None = None,
+                  K: float | None = None) -> StepOutcome:
     """Add rho^2 (g + h) to the pullback metric of u (two conformal terms).
 
     rho, g, h are mollified at ell = lam^-kappa, the smoothed g~ + h~ is
-    conformally factorized, and a two-term stage with base frequency
-    c0 lam^kappa and growth K = max(2, c1 lam^(kappa-1)) adds
-    (theta rho~)^2 [grad Phi_1 (x)^2 + grad Phi_2 (x)^2].  The outcome's
-    defect is measured against the unmollified target rho^2 (g + h); the
-    mollification difference, the conformal residual and any torus phase
-    rounding all land there.
+    conformally factorized, and a two-term stage runs the base and growth K
+    its caller planned (by default commensurate_base(lam^kappa) and
+    max(2, lam^(kappa-1))) to add (theta rho~)^2 [grad Phi_1 (x)^2 +
+    grad Phi_2 (x)^2].  The defect is measured against the unmollified
+    rho^2 (g + h); the mollification difference, the conformal residual
+    and any torus phase rounding land there.  The h bounds take
+    lam^alpha = 2 gamma.
     """
     from .grid import c1_seminorm, c2_seminorm, sup_norm
 
@@ -484,11 +449,7 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
         problems.append("target metric g is not SPD")
     pb_u = pullback_metric(u) if pb_u is None else pb_u
     gamma = max(g_hi, 1.0 / max(g_lo, 1e-300), _band(pb_u)[0])
-
-    if alpha is None:
-        alpha = math.log(2.0 * gamma) / math.log(lam) if lam > 1 else 1.0
-    if 2.0 * gamma > lam ** alpha * (1 + 1e-9):
-        problems.append(f"2 gamma = {2 * gamma:.4g} exceeds lam^alpha = {lam ** alpha:.4g}")
+    alpha = math.log(2.0 * gamma) / math.log(lam) if lam > 1 else 1.0
 
     sd = math.sqrt(delta)
     checks = [
@@ -536,20 +497,13 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     ranges = [_gradient_range(ph.gradient()) for ph in (phi1, phi2)]
     m_eff = 1.2 * max(max(hi for _, hi in ranges), max(1.0 / lo for lo, _ in ranges))
 
-    nu = lam
-    nu_tilde = lam ** kappa
-    base = c0 * nu_tilde
-    if chart.periodic:
-        # snap the base frequency so integer multiples of 2 pi / L wrap
-        quantum = 2.0 * np.pi / max(chart.extent)
-        base = max(1.0, round(base / quantum)) * quantum
-    K = max(2.0, c1 * lam ** (kappa - 1.0) * (1 + 1e-9))
-    p = StepParams(lam=base, eps=delta, delta=delta, nu=nu, nu_tilde=nu_tilde,
-                   M=m_eff, gamma=gamma * (1 + 2 * sd) + 1e-6,
-                   c0=min(c0, base / nu_tilde))
-    sp = StageParams(K=K, kappa=kappa, c1=min(c1, K / (nu_tilde / nu) * 0.5))
+    if base is None:
+        base = commensurate_base(chart, lam ** kappa)
+    if K is None:
+        K = max(2.0, lam ** (kappa - 1.0) * (1 + 1e-9))
+    p = StepParams(lam=base, eps=delta, M=m_eff)
 
-    c, _ = _chain(u, terms, p, sp, table, pb_u)
+    c, _ = _chain(u, terms, p, K, table, pb_u)
     collar, dsup, dc1 = _measure_defect(
         c.pullback, pb_u.values + (rho.values ** 2)[..., None] * (g.values + h.values), ell)
 
@@ -613,7 +567,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
     h~ = -E/delta* with E the measured stage defect.
     """
     from .decomposition import build_frame
-    from .grid import c1_seminorm, sup_norm
+    from .grid import c1_seminorm
 
     chart = u.chart
     pb = pullback_metric(u)
@@ -687,15 +641,10 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
 
     eps = float(max(np.max(coeffs[..., j]) * (directions[j] @ directions[j])
                     for j in range(n_terms)))
-    eps = min(max(eps, 1e-8), 1.0)
-    nu = max(1.0, max(c1_seminorm(a) for a, _ in terms) / math.sqrt(eps))
-    gamma_eff = _band(pb)[0] * 1.05 + 1e-9
-    p = StepParams(lam=lam, eps=eps, delta=eps, nu=nu, nu_tilde=nu,
-                   M=1.3 * max(float(np.linalg.norm(d)) for d in directions) + 0.5,
-                   gamma=gamma_eff, c0=min(1.0, lam / nu))
-    sp = StageParams(K=K, kappa=1.0, c1=0.5 * K * nu / nu)
+    p = StepParams(lam=lam, eps=eps,
+                   M=1.3 * max(float(np.linalg.norm(d)) for d in directions) + 0.5)
 
-    out = stage(u, terms, p, sp, table, pb)
+    out = stage(u, terms, p, K, table, pb)
     u_t, pb_t = out.v, out.pullback
     moved, stage_defect_sup, support_ok = out.displacement, out.defect_sup, out.support_ok
     h_t = MetricField(chart, -(pb_t.values - pb.values - m0.values) / delta_star)

@@ -181,17 +181,24 @@ def parse_scenario(path) -> Scenario:
     name = get("scenario", "name", "unnamed")
     seed = number("scenario", "seed", 0, int)
 
-    # one number stands for both axes
-    extent = tuple((number("chart", "extent", [1.0], _floats) * 2)[:2])
+    def pair(key, default, whole=False):  # one number stands for both axes
+        values = number("chart", key, [default], _floats)
+        if len(values) > 2 or whole and any(v != int(v) for v in values):
+            problems.append(f"{key} takes one or two {'whole ' * whole}numbers, got {values}")
+        return tuple((values * 2)[:2])
+
+    chart_problems = len(problems)
+    extent = pair("extent", 1.0)
     if min(extent) <= 0:
         problems.append(f"extent {extent} must be positive")
-    resolution = tuple(int(v) for v in (number("chart", "resolution", [128], _floats) * 2)[:2])
+    resolution = tuple(int(v) for v in pair("resolution", 128, whole=True))
     if min(resolution) < 8:
         problems.append(f"resolution {resolution} below the 8-node minimum")
 
     boundary = get("chart", "boundary", CLAMPED)
     if boundary not in (CLAMPED, PERIODIC):
         problems.append(f"boundary must be clamped or periodic, got {boundary!r}")
+    chart = GridChart(extent, resolution, boundary) if len(problems) == chart_problems else None
 
     metric_kind = get("metric", "kind", "constant")
     matrix = (1.0, 0.0, 1.0)
@@ -209,10 +216,17 @@ def parse_scenario(path) -> Scenario:
         if not factor:
             problems.append("conformal metric needs a factor expression")
         else:
+            # at each chart node as Scenario.metric evaluates it (or the origin)
+            x, y = chart.mesh() if chart else (np.zeros((1, 1)), np.zeros((1, 1)))
             try:
-                probe = _eval_factor(factor, np.zeros((2, 2)), np.zeros((2, 2)))
-                if np.min(probe) <= 0:
-                    problems.append("conformal factor must be positive")
+                with np.errstate(all="ignore"):
+                    f = np.broadcast_to(_eval_factor(factor, x, y), x.shape)
+                bad = ~(np.isfinite(f) & (f > 0))
+                if bad.any():
+                    i = np.unravel_index(np.argmax(bad), bad.shape)
+                    problems.append(f"conformal factor must be finite and positive: it is "
+                                    f"not at {np.count_nonzero(bad)} of {bad.size} nodes, the "
+                                    f"first at x = {x[i]:.6g}, y = {y[i]:.6g}, where it is {f[i]:.6g}")
             except Exception as exc:
                 problems.append(f"conformal factor does not evaluate: {exc}")
     else:
@@ -249,6 +263,8 @@ def parse_scenario(path) -> Scenario:
                              get("skeleton", "vertices", "").split(";") if v.strip())
             edges = tuple(tuple(int(i) for i in e.replace("-", " ").split()) for e in
                           get("skeleton", "edges", "").split(";") if e.strip())
+            if not vertices:
+                problems.append("a triangulation skeleton needs at least one vertex")
             for e in edges:
                 if len(e) != 2 or not all(0 <= i < len(vertices) for i in e):
                     problems.append(f"edge {e} references missing vertices")

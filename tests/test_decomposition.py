@@ -214,6 +214,16 @@ class TestPhaseField:
         assert np.allclose(g[..., 0], 2.0)
         assert np.allclose(g[..., 1], 3.0)
 
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_values_broadcast_from_axes_equal_the_mesh_form(self, boundary):
+        c = GridChart((1.0, 1.3), (75, 53), boundary)
+        x, y = c.mesh()
+        p = PhaseField(c, (0.7, -1.9), 0.05 * np.sin(2 * np.pi * x) * np.cos(3 * y))
+        mesh_form = p.linear[0] * x + p.linear[1] * y + p.periodic_values
+        assert p.values().tobytes() == mesh_form.tobytes()
+        for rows in (slice(0, 1), slice(7, 30), slice(70, 75)):
+            assert p.values(rows).tobytes() == mesh_form[rows].tobytes()
+
 
 # The whole-array Beltrami solve that the in-place solve replaced, kept as
 # the reference.  Complex multiplication is not bitwise commutative (the

@@ -340,6 +340,25 @@ class TestPipeline:
         assert report["final"]["defect_relative"] < report["bootstrap"]["delta_star"]
         assert report["final"]["short_min_eig"] > 0
 
+    def test_torus_pass_runs_the_snapped_base(self, table):
+        # a ladder base of 9.5 is snapped to 4 pi on the unit torus before
+        # the growth is planned from it, so the planned top fits the grid
+        c = GridChart((1.0, 1.0), (512, 512), PERIODIC)
+        g = MetricField.constant(c, 1.44 * np.eye(2))
+        u0 = ImmersionField.flat(c, scale=math.sqrt(1.44 * 0.875))
+        state = AdaptedState(u0, ScalarField.constant(c, math.sqrt(0.125)),
+                             MetricField.constant(c, np.zeros((2, 2))), SkeletonSet.empty(),
+                             A=4.0, theta=0.15, alpha=0.1)
+        theta, alpha = Fraction(3, 20), Fraction(1, 10)
+        sched = build_schedule(max(4.0, minimal_adequate_a(theta, alpha, 0.125)),
+                               theta, alpha, 0.125)
+        ladder = desk_ladder(sched, 0.125, c, depth=1, base_frequency=9.5)
+        _, history, truncation = inductive_pass(state, SkeletonSet(2, whole=True), sched,
+                                                ladder, 1, g, PassConfig(table=table))
+        assert truncation is None
+        assert history[0]["active"]
+        assert history[0]["stage_meta"]["base_frequency"] == 4 * np.pi
+
     def test_literal_flat_start_runs_bootstrap(self, table):
         n = 256
         c = GridChart((1.0, 1.0), (n, n), PERIODIC)

@@ -19,7 +19,6 @@ from isoflex.grid import (
 )
 from isoflex.nash_step import (
     ShortnessLostError,
-    StageParams,
     StepParams,
     StepPreconditionError,
     _band,
@@ -38,9 +37,8 @@ def table():
     return build_corrugation()
 
 
-def flat_params(lam, eps=0.01, nu=6.0, **kw):
-    return StepParams(lam=lam, eps=eps, delta=eps, nu=nu, nu_tilde=nu,
-                      M=4.0, gamma=4.0, c0=min(1.0, lam / nu), **kw)
+def flat_params(lam, eps=0.01, **kw):
+    return StepParams(lam=lam, eps=eps, M=4.0, gamma=4.0, **kw)
 
 
 def bump_field(chart, eps, radius=0.3):
@@ -49,26 +47,6 @@ def bump_field(chart, eps, radius=0.3):
         return np.sqrt(eps) * np.where(r2 < 1, (1 - r2) ** 3, 0.0)
 
     return ScalarField.from_function(chart, fn)
-
-
-class TestStepParams:
-    def test_frequency_floor_enforced(self):
-        with pytest.raises(StepPreconditionError, match="frequency"):
-            StepParams(lam=1.0, eps=0.01, delta=1.0, nu=10.0, nu_tilde=10.0)
-
-    def test_eps_delta_ordering(self):
-        with pytest.raises(StepPreconditionError, match="eps"):
-            StepParams(lam=100.0, eps=0.5, delta=0.1, nu=1.0, nu_tilde=1.0)
-
-    def test_nu_ordering(self):
-        with pytest.raises(StepPreconditionError, match="nu"):
-            StepParams(lam=100.0, eps=0.1, delta=0.1, nu=5.0, nu_tilde=1.0)
-
-    def test_stage_growth_hypothesis(self):
-        p = StepParams(lam=100.0, eps=0.1, delta=0.1, nu=1.0, nu_tilde=10.0)
-        with pytest.raises(StepPreconditionError, match="growth"):
-            StageParams(K=5.0).validate_against(p)
-        StageParams(K=11.0).validate_against(p)
 
 
 class TestStep:
@@ -113,8 +91,7 @@ class TestStep:
         u = ImmersionField.flat(c)
         rho = ScalarField.constant(c, 1.2)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        p = StepParams(lam=64.0, eps=1.0, delta=1.0, nu=1.0, nu_tilde=1.0,
-                       M=4.0, gamma=4.0)
+        p = StepParams(lam=64.0, eps=1.0, M=4.0, gamma=4.0)
         with pytest.raises(CorrugationDomainError, match="eps"):
             step(u, rho, phi, p, table, pullback_metric(u))
 
@@ -203,8 +180,7 @@ def _oblong_step_inputs(boundary, rho0=0.05):
     u = ImmersionField.flat(chart, scale=1.1).displaced(wave)
     rho = ScalarField(chart, np.where(x < 0.2, 0.0, rho0 + 0.1 * x))
     phi = PhaseField(chart, (1.0, 0.0), 0.05 * np.sin(2 * np.pi * y / 1.3))
-    p = StepParams(lam=4 * np.pi, eps=0.04, delta=0.04, nu=1.0, nu_tilde=1.0,
-                   M=4.0, gamma=4.0)
+    p = StepParams(lam=4 * np.pi, eps=0.04, M=4.0, gamma=4.0)
     return u, rho, phi, p
 
 
@@ -267,8 +243,7 @@ class TestStepReference:
         assert lo[-1].max() <= 0 < lo[0].min()
         assert np.max(rho.values[0] * np.sqrt(1.0 / gram[0, :, 0])) > table.s_max
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        p = StepParams(lam=4 * np.pi, eps=0.04, delta=0.04, nu=1.0, nu_tilde=1.0,
-                       M=4.0, gamma=4.0)
+        p = StepParams(lam=4 * np.pi, eps=0.04, M=4.0, gamma=4.0)
         with pytest.raises(StepPreconditionError, match="near-singular") as got:
             step(u, rho, phi, p, table, pullback_metric(ImmersionField.flat(c)))
         with pytest.raises(StepPreconditionError) as want:
@@ -292,7 +267,7 @@ class TestStepReference:
         step(u, rho, phi, p, table, pullback_metric(u))
         assert len(sweeps) == 1
         terms = [(rho, phi), (rho, PhaseField(u.chart, (0.0, 1.0), 0 * rho.values))]
-        stage(u, terms, p, StageParams(K=1.2), table, pullback_metric(u))
+        stage(u, terms, p, 1.2, table, pullback_metric(u))
         assert len(sweeps) == 3
 
     def test_step_builds_no_whole_jacobian(self, table, monkeypatch):
@@ -354,7 +329,7 @@ class TestStage:
         c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
         u = ImmersionField.flat(c)
         p = flat_params(64.0)
-        out = stage(u, [], p, StageParams(K=2.0), table, pullback_metric(u))
+        out = stage(u, [], p, 2.0, table, pullback_metric(u))
         assert out.v is u
         assert out.defect_sup == 0.0
 
@@ -363,9 +338,8 @@ class TestStage:
         u = ImmersionField.flat(c)
         zero = ScalarField.constant(c, 0.0)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        p = StepParams(lam=2 * np.pi * 8, eps=0.01, delta=0.01, nu=1.0,
-                       nu_tilde=1.0, M=2.0, gamma=2.0)
-        out = stage(u, [(zero, phi), (zero, phi)], p, StageParams(K=2.0, c1=1.0), table,
+        p = StepParams(lam=2 * np.pi * 8, eps=0.01, M=2.0, gamma=2.0)
+        out = stage(u, [(zero, phi), (zero, phi)], p, 2.0, table,
                     pullback_metric(u))
         assert np.array_equal(out.v.values, u.values)
         assert out.meta["skipped_zero_terms"] == 2
@@ -375,10 +349,9 @@ class TestStage:
         u = ImmersionField.flat(c)
         fac = solve_conformal(MetricField.constant(c, 0.05 * np.eye(2)))
         amp = ScalarField(c, fac.theta.values)
-        p = StepParams(lam=2 * np.pi * 2, eps=0.05, delta=0.05, nu=1.0,
-                       nu_tilde=1.0, M=2.0, gamma=2.0)
+        p = StepParams(lam=2 * np.pi * 2, eps=0.05, M=2.0, gamma=2.0)
         out = stage(u, [(amp, fac.phi1), (amp, fac.phi2)], p,
-                    StageParams(K=16.0, c1=1.0), table, pullback_metric(u))
+                    16.0, table, pullback_metric(u))
         pb = pullback_metric(out.v)
         target = np.eye(2) + 0.05 * np.eye(2)
         err = np.abs(pb.values - np.array([target[0, 0], 0.0, target[1, 1]]))
@@ -528,6 +501,20 @@ class TestAddMetric2d:
         assert out.displacement == sup_norm(ImmersionField(c, out.v.values - u.values))
         assert out.v_norms == norm_report(out.v)
         assert calls == [out.v]
+
+    def test_planned_stage_runs_as_handed_over(self, table):
+        # a caller's (base, K) is what runs: no snap, no re-derivation
+        c = GridChart((1.0, 1.0), (256, 256), CLAMPED)
+        u = ImmersionField.flat(c, scale=0.9)
+        g = MetricField.constant(c, np.eye(2))
+        h = MetricField.constant(c, np.zeros((2, 2)))
+        rho = ScalarField.constant(c, 0.9 * np.sqrt(0.05))
+        base, K = 9.5 * np.pi, 3.0 + 1e-7
+        out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table,
+                            base=base, K=K)
+        assert out.meta["base_frequency"] == base and out.meta["K"] == K
+        assert [st["lam"] for st in out.meta["steps"]] == [base, base * K]
+        assert out.meta["top_frequency"] == base * K
 
     def test_support_inflation_bounded(self, table):
         c = GridChart((1.0, 1.0), (768, 768), CLAMPED)
@@ -696,9 +683,8 @@ class TestEquiangularStage:
         assert np.allclose(coeffs, 0.1 * 2.0 / 3.0, atol=1e-15)
         terms = [(ScalarField.constant(c, np.sqrt(co)), PhaseField.linear_phase(c, d))
                  for co, d in zip(coeffs, frame.directions)]
-        p = StepParams(lam=6.2, eps=0.1, delta=0.1, nu=1.0, nu_tilde=1.0,
-                       M=2.0, gamma=2.0, c0=1.0)
-        out = stage(u, terms, p, StageParams(K=5.0, c1=1.0), table, pullback_metric(u))
+        p = StepParams(lam=6.2, eps=0.1, M=2.0, gamma=2.0)
+        out = stage(u, terms, p, 5.0, table, pullback_metric(u))
         pb = pullback_metric(out.v)
         collar = out.meta["collar"]
         inner = (slice(collar, -collar),) * 2

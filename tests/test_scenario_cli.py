@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,36 @@ edges = 0-0; 0-1; 1-2; 3-4
         assert "edge (0, 1) has zero length" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("chart, problem", [
+        ("resolution = 64.9 64", "resolution takes one or two whole numbers, got [64.9, 64.0]"),
+        ("resolution = 64 64 99",
+         "resolution takes one or two whole numbers, got [64.0, 64.0, 99.0]"),
+        ("resolution = 64\nextent = 1 1 5", "extent takes one or two numbers, got [1.0, 1.0, 5.0]"),
+    ], ids=["fractional", "three-resolutions", "three-extents"])
+    def test_chart_numbers_are_not_dropped(self, tmp_path, chart, problem):
+        bad = MINIMAL_TORUS.replace("resolution = 64 64", chart)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(write(tmp_path, bad))
+        assert err.value.problems == [problem]
+
+    def test_one_chart_number_stands_for_both_axes(self, tmp_path):
+        sc = parse_scenario(write(tmp_path, MINIMAL_TORUS.replace(
+            "resolution = 64 64", "resolution = 48\nextent = 2")))
+        assert sc.resolution == (48, 48) and sc.extent == (2.0, 2.0)
+
+    def test_triangulation_needs_vertices(self, tmp_path):
+        bad = """
+[chart]
+resolution = 64 64
+
+[skeleton]
+kind = triangulation
+vertices =
+"""
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(write(tmp_path, bad))
+        assert err.value.problems == ["a triangulation skeleton needs at least one vertex"]
+
     def test_skeleton_needs_clamped_chart(self, tmp_path):
         bad = MINIMAL_TORUS + """
 [skeleton]
@@ -321,6 +352,30 @@ class TestCli:
         rc = main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "not allowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    @pytest.mark.parametrize("factor, first", [
+        ("0.5 - x",
+         "2048 of 4096 nodes, the first at x = 0.507937, y = 0, where it is -0.00793651"),
+        ("sqrt(x - 0.3)", "1216 of 4096 nodes, the first at x = 0, y = 0, where it is nan"),
+    ], ids=["negative", "nan"])
+    def test_factor_checked_at_every_chart_node(self, tmp_path, capsys, dry_run, factor, first):
+        # positive at the origin, or evaluating there, is not enough
+        p = write(tmp_path, MINIMAL_TORUS.replace("boundary = periodic", "boundary = clamped")
+                  .replace("kind = constant\nmatrix = 1.44 0.0 1.44",
+                           f"kind = conformal\nfactor = {factor}"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--scenario", str(p), "--out", str(out)] + dry_run)
+        assert rc == 3
+        assert ("conformal factor must be finite and positive: it is not at " + first
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_step_bench_eps_out_of_range_is_config_error(self, capsys):
+        assert main(["step-bench", "--lambdas", "24", "--resolution", "64", "--eps", "0"]) == 3
+        assert "need 0 < eps <= 1" in capsys.readouterr().err
 
     def test_truncated_pass_leaves_its_record(self, tmp_path):
         # the flat map on a 256^2 torus: the bootstrap takes the whole band,
