@@ -1,11 +1,12 @@
 """Command-line entry point: scenario runs, benchmarks, and dumps.
 
-Exit codes: 0 success; 2 assertion failure inside a run, or the engine
-refusing its input (a precondition, shortness, resolution, domain, chart,
-frame, Beltrami or schedule error); 3 configuration error; 4 internal
-error, with its traceback in summary.json.  Reports are JSON (summaries),
-JSON lines (per-stage history) and CSV (corrugation profiles); meshes are
-Wavefront-style text.
+Exit codes, one policy for every command: 0 success; 2 assertion failure
+inside a run, or the engine refusing its input (a precondition, shortness,
+resolution, domain, chart, frame, Beltrami or schedule error); 3 any other
+ValueError, a configuration error; 4 any other exception, an internal
+error, whose traceback a run writes to summary.json and the other commands
+to stderr.  Reports are JSON (summaries), JSON lines (per-stage history)
+and CSV (corrugation profiles); meshes are Wavefront-style text.
 """
 
 from __future__ import annotations
@@ -21,10 +22,24 @@ from pathlib import Path
 
 import numpy as np
 
+from . import induction
+from .corrugation import CorrugationDomainError, build_corrugation
+from .decomposition import BeltramiError, FrameError, PhaseField, solve_conformal
+from .grid import (CLAMPED, PERIODIC, ChartError, GridChart, ImmersionField, MetricField,
+                   ScalarField, ShortnessReport, UnderResolvedError, pullback_metric)
+from .io import export_mesh
+from .nash_step import ShortnessLostError, StepPreconditionError, step
+from .scenario import ScenarioError, depth_problem, parse_scenario
+
 EXIT_OK = 0
 EXIT_ASSERTION = 2
 EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
+
+# the engine refusing its input: exit EXIT_ASSERTION from every command
+REFUSALS = (StepPreconditionError, ShortnessLostError, UnderResolvedError,
+            CorrugationDomainError, ChartError, FrameError, BeltramiError,
+            induction.ScheduleError)
 
 
 def _plain(obj):
@@ -63,18 +78,6 @@ def _memory_estimate(resolution):
 
 
 def cmd_run(args) -> int:
-    from .corrugation import CorrugationDomainError, build_corrugation
-    from .decomposition import BeltramiError, FrameError
-    from .grid import ChartError, ShortnessReport, UnderResolvedError
-    from .induction import ScheduleError, run_global
-    from .io import export_mesh
-    from .nash_step import ShortnessLostError, StepPreconditionError
-    from .scenario import ScenarioError, depth_problem, parse_scenario
-
-    refusals = (StepPreconditionError, ShortnessLostError, UnderResolvedError,
-                CorrugationDomainError, ChartError, FrameError, BeltramiError,
-                ScheduleError)
-
     try:
         scenario = parse_scenario(args.scenario)
     except ScenarioError as exc:
@@ -95,11 +98,9 @@ def cmd_run(args) -> int:
     print(_json({"scenario": resolved}))
 
     if args.dry_run:
-        from .induction import build_schedule, minimal_adequate_a
-
-        a_min = minimal_adequate_a(scenario.theta, scenario.alpha, 0.125)
-        sched = build_schedule(max(scenario.a_base, a_min), scenario.theta,
-                               scenario.alpha, 0.125, depth=depth + 2)
+        a_min = induction.minimal_adequate_a(scenario.theta, scenario.alpha, 0.125)
+        sched = induction.build_schedule(max(scenario.a_base, a_min), scenario.theta,
+                                         scenario.alpha, 0.125, depth=depth + 2)
         _dump_json({
             "dry_run": True, "scenario": resolved,
             "memory_bytes_estimate": _memory_estimate(scenario.resolution),
@@ -115,12 +116,12 @@ def cmd_run(args) -> int:
     export_mesh(u0, out_dir / "initial.obj")
 
     try:
-        state, report = run_global(
+        state, report = induction.run_global(
             g, u0, scenario.theta, scenario.alpha, scenario.a_base, depth,
             table, skeleta=scenario.skeleta(),
             bootstrap_delta_star=scenario.delta_star)
     except Exception as exc:
-        refused = isinstance(exc, refusals)
+        refused = isinstance(exc, REFUSALS)
         record = {"scenario": resolved, "error": str(exc),
                   "wall_time": time.time() - t0}
         if not refused:
@@ -177,11 +178,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_step_bench(args) -> int:
-    from .corrugation import build_corrugation
-    from .decomposition import PhaseField
-    from .grid import CLAMPED, GridChart, ImmersionField, ScalarField, pullback_metric
-    from .nash_step import StepParams, step
-
     if not 0.0 < args.eps <= 1.0:  # eps is the squared amplitude of the bump
         raise ValueError(f"need 0 < eps <= 1, got eps={args.eps}")
     table = build_corrugation()
@@ -199,9 +195,8 @@ def cmd_step_bench(args) -> int:
     phi = PhaseField.linear_phase(chart, (1.0, 0.0))
     records = []
     for lam in args.lambdas:
-        p = StepParams(lam=lam, eps=eps, M=4.0, gamma=4.0)
         t0 = time.time()
-        out = step(u, rho, phi, p, table, pb_u)
+        out = step(u, rho, phi, lam, table, pb_u)
         rec = {"lam": lam, "sup_defect": out.defect_sup, "c1_defect": out.defect_c1,
                "c2_norm": out.v_norms.c2_norm, "gamma_bar": out.gamma_bar,
                "support_ok": out.support_ok, "wall_time": time.time() - t0}
@@ -216,9 +211,6 @@ def cmd_step_bench(args) -> int:
 
 
 def cmd_conformal_check(args) -> int:
-    from .decomposition import solve_conformal
-    from .grid import PERIODIC, GridChart, MetricField
-
     rng = np.random.default_rng(args.seed)
     chart = GridChart((1.0, 1.0), (args.resolution, args.resolution), PERIODIC)
     x, y = chart.mesh()
@@ -245,8 +237,6 @@ def cmd_conformal_check(args) -> int:
 
 
 def cmd_corrugation_dump(args) -> int:
-    from .corrugation import build_corrugation
-
     table = build_corrugation(s_max=args.s_max)
     t = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
     rows = [t]
@@ -305,9 +295,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except REFUSALS as exc:
+        print(f"{args.command} refused: {exc}", file=sys.stderr)
+        return EXIT_ASSERTION
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:  # hand the heap the command freed back to the OS (glibc only)
         with contextlib.suppress(AttributeError, OSError, TypeError):
             ctypes.CDLL(None).malloc_trim(0)

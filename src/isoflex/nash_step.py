@@ -45,7 +45,7 @@ nx * ny float64) above its entry, against 496 MB for the whole-array step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +69,8 @@ from .grid import (
 )
 
 NODES_PER_WAVELENGTH = 16
+MAX_PHASE_SHIFT = 0.25
+WRAP_TOL = 1e-9
 
 
 def frequency_ceiling(chart: GridChart) -> float:
@@ -87,19 +89,6 @@ class StepPreconditionError(ValueError):
 
 class ShortnessLostError(RuntimeError):
     """A corrugated map degenerated or left the shortness it was to keep."""
-
-
-@dataclass(frozen=True)
-class StepParams:
-    """What a single corrugation step reads: its frequency lam, the bound M
-    on |grad Phi| (and on 1/|grad Phi|), the declared band gamma of the
-    input pullback, and eps, the amplitude^2 scale quoted when the
-    amplitude leaves the corrugation table."""
-
-    lam: float
-    eps: float
-    M: float = 4.0
-    gamma: float = 8.0
 
 
 @dataclass(frozen=True)
@@ -158,12 +147,6 @@ def _primitive(rho: ScalarField, gphi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gradient_range(gphi: np.ndarray):
-    """(min, max) of |grad Phi| over the nodes, from the gradient field."""
-    mag = np.sqrt(gphi[..., 0] ** 2 + gphi[..., 1] ** 2)
-    return float(mag.min()), float(mag.max())
-
-
 def _measure_defect(pb: MetricField, target: np.ndarray, ell: float):
     """(collar, sup, C1) of the defect pb - target away from the boundary collar.
 
@@ -189,13 +172,14 @@ def commensurate_base(chart: GridChart, base: float) -> float:
     return max(1.0, round(base / quantum)) * quantum
 
 
-def commensurate_phase(phi: PhaseField, lam: float, max_shift_fraction: float = 0.25):
+def commensurate_phase(phi: PhaseField, lam: float):
     """Round the linear part so lam * Phi wraps by multiples of 2 pi.
 
     On the torus a corrugation phase must close up over each period; the
     linear part w is snapped to the lattice 2 pi Z^2 / (lam L).  The metric
     this phase carries shifts by O(|w' - w|), which the stage's measured
-    defect absorbs.  Returns (phase, shift) with shift the rounding size.
+    defect absorbs.  Returns (phase, shift) with shift the rounding size;
+    a shift above MAX_PHASE_SHIFT of |w| is refused.
     """
     chart = phi.chart
     if not chart.periodic:
@@ -206,19 +190,19 @@ def commensurate_phase(phi: PhaseField, lam: float, max_shift_fraction: float = 
     snapped = np.round(w / quanta) * quanta
     shift = float(np.max(np.abs(snapped - w)))
     scale = float(np.max(np.abs(w))) or 1.0
-    if shift > max_shift_fraction * scale:
+    if shift > MAX_PHASE_SHIFT * scale:
         raise StepPreconditionError(
             f"frequency lam={lam:.6g} too low to make the phase periodic: "
             f"rounding would move grad(Phi) by {shift:.3g} ({shift / scale:.1%})")
     return PhaseField(chart, (snapped[0], snapped[1]), phi.periodic_values), shift
 
 
-def _phase_is_commensurate(phi: PhaseField, lam: float, tol=1e-9):
+def _phase_is_commensurate(phi: PhaseField, lam: float):
     if not phi.chart.periodic:
         return True
     lx, ly = phi.chart.extent
     turns = np.array([phi.linear[0] * lam * lx, phi.linear[1] * lam * ly]) / (2 * np.pi)
-    return bool(np.max(np.abs(turns - np.round(turns))) < tol)
+    return bool(np.max(np.abs(turns - np.round(turns))) < WRAP_TOL)
 
 
 class _Corrugated(NamedTuple):
@@ -232,53 +216,44 @@ class _Corrugated(NamedTuple):
     meta: dict             # carries moved_outside_support
 
 
-def _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, p: StepParams, table: CorrugationTable):
+def _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, table: CorrugationTable):
     """Refuse a step by the mollified Gram spectrum and amplitude ranges."""
     cond = eig_hi / max(eig_lo, 1e-300)
     if eig_lo <= 0 or cond > 1e6:
         raise StepPreconditionError(
             f"mollified pullback near-singular (condition number {cond:.3g})")
-    try:
-        table.check_amplitude(np.array([amp_lo, amp_hi]))
-    except CorrugationDomainError as exc:
-        raise CorrugationDomainError(
-            f"{exc}; lower eps (amplitude^2 scale, currently {p.eps:.4g}) or enlarge "
-            "the corrugation table") from exc
+    table.check_amplitude(np.array([amp_lo, amp_hi]))
 
 
 def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.ndarray,
-               p: StepParams, table: CorrugationTable, pb_u: MetricField) -> _Corrugated:
-    """One unmeasured step adding rho^2 grad(Phi) (x) grad(Phi); gphi is
-    grad(Phi) and pb_u is u#e."""
+               lam: float, table: CorrugationTable, pb_u: MetricField) -> _Corrugated:
+    """One unmeasured step at frequency lam adding rho^2 grad(Phi) (x)
+    grad(Phi); gphi is grad(Phi) and pb_u is u#e.  It refuses a lam that is
+    not finite and positive, fewer than NODES_PER_WAVELENGTH nodes per
+    wavelength, a degenerate u#e, a torus phase that does not wrap at lam,
+    a near-singular mollified Gram matrix and an amplitude outside the table."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise StepPreconditionError(f"need a finite frequency lam > 0, got lam={lam}")
     chart = u.chart
     h = max(chart.spacing)
-    problems = []
 
-    wavelength_nodes = 2.0 * np.pi / (p.lam * h)
+    wavelength_nodes = 2.0 * np.pi / (lam * h)
     if wavelength_nodes < NODES_PER_WAVELENGTH * (1.0 - 1e-9):
         raise UnderResolvedError(
-            f"corrugation at lam={p.lam:.6g} has {wavelength_nodes:.1f} nodes per "
+            f"corrugation at lam={lam:.6g} has {wavelength_nodes:.1f} nodes per "
             f"wavelength; need >= {NODES_PER_WAVELENGTH}")
 
-    gb, lo, hi = _band(pb_u)
+    problems = []
+    lo = pb_u.spd_band()[0]
     if lo <= 0:
         problems.append(f"input pullback degenerate (min eigenvalue {lo:.3g})")
-    elif gb > p.gamma * (1 + 1e-9):
-        problems.append(
-            f"input pullback band {gb:.4g} exceeds declared gamma={p.gamma:.4g}")
-
-    mag_lo, mag_hi = _gradient_range(gphi)
-    if mag_lo < 1.0 / p.M - 1e-12 or mag_hi > p.M + 1e-12:
-        problems.append(
-            f"|grad Phi| range [{mag_lo:.4g}, {mag_hi:.4g}] leaves [1/M, M] "
-            f"with M={p.M}")
-    if not _phase_is_commensurate(phi, p.lam):
+    if not _phase_is_commensurate(phi, lam):
         problems.append("phase does not wrap the torus at this frequency; "
                         "run commensurate_phase first")
     if problems:
         raise StepPreconditionError(problems)
 
-    ell = 1.0 / p.lam
+    ell = 1.0 / lam
     u_smooth = mollify(u, ell, clamped_mode="extrapolate") if ell >= 2 * h else u
 
     # one sweep gathers the Gram band and the range of rho~ = |xi~| rho and,
@@ -297,16 +272,16 @@ def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.nd
             amp_lo, amp_hi = min(amp_lo, float(amp.min())), max(amp_hi, float(amp.max()))
         if live:
             try:
-                _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, p, table)
+                _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, table)
             except (StepPreconditionError, CorrugationDomainError):
                 live = False
         if live:
-            phase = p.lam * phi.values(s)
-            offset = _corrugation(jx, jy, xi_t, xi_sq, amp, phase, p.lam, table)
+            phase = lam * phi.values(s)
+            offset = _corrugation(jx, jy, xi_t, xi_sq, amp, phase, lam, table)
             np.add(u.values[s], offset, out=v_vals[s])
             displacement = max(displacement, _displacement(v_vals[s], u.values[s]))
     del u_smooth
-    _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, p, table)
+    _check_ranges(eig_lo, eig_hi, amp_lo, amp_hi, table)
     v = ImmersionField(chart, v_vals, u.linear)
 
     outside = rho.values == 0.0
@@ -322,29 +297,28 @@ def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.nd
         "pullback_band": (float(lo_v), float(hi_v)), "mollification_scale": ell})
 
 
-def _chain(u: ImmersionField, terms, p: StepParams, K: float,
+def _chain(u: ImmersionField, terms, base: float, K: float,
            table: CorrugationTable, pb_u: MetricField):
     """The unmeasured steps of a stage, one per (rho_k, Phi_k) term at
-    frequencies lam * K^k; returns (the corrugated map, the live terms).
+    frequencies base * K^k; returns (the corrugated map, the live terms).
 
     Zero-amplitude terms corrugate nothing (Gamma(0, .) = 0) and are skipped
     outright rather than spending frequency budget.
     """
-    gb = _band(pb_u)[0]  # band of the current map's pullback
     pb, current = pb_u, u
     history = []
     live_terms = [(r, ph) for r, ph in terms if float(np.max(np.abs(r.values))) > 0.0]
     for k, (rho_k, phi_k) in enumerate(live_terms):
-        lam_k = p.lam * K ** k
+        lam_k = base * K ** k
         phi_used, shift = commensurate_phase(phi_k, lam_k)
-        p_k = replace(p, lam=lam_k, gamma=max(p.gamma, gb * 1.02))
         try:
-            c = _corrugate(current, rho_k, phi_used, phi_used.gradient(), p_k, table, pb)
+            c = _corrugate(current, rho_k, phi_used, phi_used.gradient(), lam_k, table, pb)
         except ShortnessLostError as exc:
             raise ShortnessLostError(f"term {k}: {exc}") from exc
-        current, pb, gb = c.v, c.pullback, c.gamma_bar
-        history.append({"lam": lam_k, "gamma_bar": gb, "phase_shift": shift,
+        current, pb = c.v, c.pullback
+        history.append({"lam": lam_k, "gamma_bar": c.gamma_bar, "phase_shift": shift,
                         "amplitude_max": c.meta["amplitude_max"]})
+    gb = c.gamma_bar if live_terms else _band(pb_u)[0]  # band of the final pullback
 
     outside = np.ones(u.chart.resolution, dtype=bool)
     for rho_k, _ in terms:
@@ -363,36 +337,38 @@ def _measured(c: _Corrugated, target: np.ndarray, ell: float) -> StepOutcome:
                        {"collar": collar, **c.meta})
 
 
-def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, p: StepParams,
+def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, lam: float,
          table: CorrugationTable, pb_u: MetricField) -> StepOutcome:
-    """One corrugation step adding rho^2 grad(Phi) (x) grad(Phi); pb_u is u#e.
+    """One corrugation step at frequency lam adding rho^2 grad(Phi) (x)
+    grad(Phi); pb_u is u#e.  lam is all a step reads besides its data; its
+    refusals are those of _corrugate.
 
     The defect is measured against pb_u + rho^2 grad(Phi) (x) grad(Phi).
     """
     gphi = phi.gradient()
-    c = _corrugate(u, rho, phi, gphi, p, table, pb_u)
+    c = _corrugate(u, rho, phi, gphi, lam, table, pb_u)
     target = _primitive(rho, gphi)
     del gphi
     target += pb_u.values
-    return _measured(c, target, 1.0 / p.lam)
+    return _measured(c, target, 1.0 / lam)
 
 
-def stage(u: ImmersionField, terms, p: StepParams, K: float,
+def stage(u: ImmersionField, terms, base: float, K: float,
           table: CorrugationTable, pb_u: MetricField) -> StepOutcome:
-    """Apply one step per (rho_k, Phi_k) term with frequencies lam * K^k to u,
-    whose pullback u#e is pb_u.
+    """Apply one step per (rho_k, Phi_k) term with frequencies base * K^k to
+    u, whose pullback u#e is pb_u.
 
     The defect is measured once, on the final pullback, against
     pullback(u) + sum_k rho_k^2 grad(Phi_k) (x) grad(Phi_k) with the phases
     as given; phase rounding on the torus and every intermediate error land
     in it.
     """
-    c, live_terms = _chain(u, terms, p, K, table, pb_u)
+    c, live_terms = _chain(u, terms, base, K, table, pb_u)
     # the target is summed after the steps, which it would outlive
     target = pb_u.values.copy()
     for rho_k, phi_k in live_terms:
         target += _primitive(rho_k, phi_k.gradient())
-    return _measured(c, target, 1.0 / p.lam)
+    return _measured(c, target, 1.0 / base)
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +470,12 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     amp = ScalarField(chart, amp * mollify(rho, ell).values)
     terms = [(amp, phi1), (amp, phi2)]
 
-    ranges = [_gradient_range(ph.gradient()) for ph in (phi1, phi2)]
-    m_eff = 1.2 * max(max(hi for _, hi in ranges), max(1.0 / lo for lo, _ in ranges))
-
     if base is None:
         base = commensurate_base(chart, lam ** kappa)
     if K is None:
         K = max(2.0, lam ** (kappa - 1.0) * (1 + 1e-9))
-    p = StepParams(lam=base, eps=delta, M=m_eff)
 
-    c, _ = _chain(u, terms, p, K, table, pb_u)
+    c, _ = _chain(u, terms, base, K, table, pb_u)
     collar, dsup, dc1 = _measure_defect(
         c.pullback, pb_u.values + (rho.values ** 2)[..., None] * (g.values + h.values), ell)
 
@@ -639,12 +611,7 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
             f"K={K:.4g}) exceeds the resolvable {ceiling:.6g}; the smallest "
             f"resolution that fits is {fit[0]}x{fit[1]}")
 
-    eps = float(max(np.max(coeffs[..., j]) * (directions[j] @ directions[j])
-                    for j in range(n_terms)))
-    p = StepParams(lam=lam, eps=eps,
-                   M=1.3 * max(float(np.linalg.norm(d)) for d in directions) + 0.5)
-
-    out = stage(u, terms, p, K, table, pb)
+    out = stage(u, terms, lam, K, table, pb)
     u_t, pb_t = out.v, out.pullback
     moved, stage_defect_sup, support_ok = out.displacement, out.defect_sup, out.support_ok
     h_t = MetricField(chart, -(pb_t.values - pb.values - m0.values) / delta_star)

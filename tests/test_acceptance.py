@@ -41,7 +41,7 @@ from isoflex.induction import (
     rho_recursion_audit,
     run_global,
 )
-from isoflex.nash_step import StepParams, add_metric_2d, stage, step
+from isoflex.nash_step import add_metric_2d, stage, step
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +174,7 @@ def test_criterion_05_step_scaling(table):
     phi = PhaseField.linear_phase(c, (1.0, 0.0))
     defects, bands, supports = [], [], []
     for lam in (64.0, 128.0, 256.0):
-        p = StepParams(lam=lam, eps=eps, M=4.0, gamma=4.0)
-        out = step(u, rho, phi, p, table, pullback_metric(u))
+        out = step(u, rho, phi, lam, table, pullback_metric(u))
         defects.append(out.defect_sup)
         bands.append(out.gamma_bar)
         supports.append(out.meta["moved_outside_support"])
@@ -203,8 +202,7 @@ def test_criterion_06_stage_scaling(table):
     lam1 = 2 * np.pi * 5
     sups = []
     for K in (4.0, 8.0):
-        p = StepParams(lam=lam1, eps=0.1, M=2.0, gamma=2.0)
-        out = stage(u, terms, p, K, table, pullback_metric(u))
+        out = stage(u, terms, lam1, K, table, pullback_metric(u))
         sups.append(out.defect_sup)
     ratio = sups[0] / sups[1]
     ok = 2.0 / 1.5 <= ratio <= 2.0 * 1.5

@@ -1,10 +1,12 @@
 """Every top-level import of a package module is used in that module, every
 module-level private name is used somewhere in the package, every public
 function or method is read somewhere in the package or named, with its
-reader, in READ_OUTSIDE_SRC, and importing the package leaves out the
-heavy scipy subpackages it never needs."""
+reader, in READ_OUTSIDE_SRC, every target of the benchmark tracer
+resolves, and importing the package leaves out the heavy scipy
+subpackages it never needs."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -133,6 +135,31 @@ def test_public_checker_flags_unread_name():
 
 def test_every_public_name_has_a_reader():
     assert sorted(unread_public_names(PACKAGE)) == sorted(READ_OUTSIDE_SRC)
+
+
+TRACER = SRC.parents[1] / "bench" / "tracer.py"
+
+
+def _bound(module, qual):
+    """What module.qual names in the namespace that defines it, or None."""
+    *path, attr = qual.split(".")
+    owner = module
+    for part in path:
+        owner = getattr(owner, part, None)
+    return getattr(owner, "__dict__", {}).get(attr)
+
+
+def test_every_tracer_target_resolves():
+    # the benchmark tracer wraps its TARGETS by name where each is defined
+    # (Tracer.install reads owner.__dict__), so a renamed or removed
+    # function breaks the traced benchmark run
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = [
+        f"{layer}.{qual}" for layer, qual, _ in tracer.TARGETS
+        if not callable(_bound(importlib.import_module(f"{tracer.PACKAGE}.{layer}"), qual))]
+    assert unresolved == []
 
 
 # imported by no module of the package: scipy.signal, which pulls in

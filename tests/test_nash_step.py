@@ -19,7 +19,6 @@ from isoflex.grid import (
 )
 from isoflex.nash_step import (
     ShortnessLostError,
-    StepParams,
     StepPreconditionError,
     _band,
     _measure_defect,
@@ -37,10 +36,6 @@ def table():
     return build_corrugation()
 
 
-def flat_params(lam, eps=0.01, **kw):
-    return StepParams(lam=lam, eps=eps, M=4.0, gamma=4.0, **kw)
-
-
 def bump_field(chart, eps, radius=0.3):
     def fn(x, y):
         r2 = ((x - 0.5) ** 2 + (y - 0.5) ** 2) / radius ** 2
@@ -55,7 +50,7 @@ class TestStep:
         u = ImmersionField.flat(c)
         rho = ScalarField.constant(c, 0.0)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        out = step(u, rho, phi, flat_params(64.0), table, pullback_metric(u))
+        out = step(u, rho, phi, 64.0, table, pullback_metric(u))
         assert np.array_equal(out.v.values, u.values)
         assert out.support_ok
 
@@ -65,14 +60,14 @@ class TestStep:
         rho = bump_field(c, 0.01)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
         with pytest.raises(UnderResolvedError, match="wavelength"):
-            step(u, rho, phi, flat_params(256.0), table, pullback_metric(u))
+            step(u, rho, phi, 256.0, table, pullback_metric(u))
 
     def test_support_exact(self, table):
         c = GridChart((1.0, 1.0), (512, 512), CLAMPED)
         u = ImmersionField.flat(c)
         rho = bump_field(c, 0.01)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        out = step(u, rho, phi, flat_params(64.0), table, pullback_metric(u))
+        out = step(u, rho, phi, 64.0, table, pullback_metric(u))
         assert out.support_ok
         assert out.meta["moved_outside_support"] == 0.0
 
@@ -81,7 +76,7 @@ class TestStep:
         u = ImmersionField.flat(c)
         rho = bump_field(c, 0.01)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        out = step(u, rho, phi, flat_params(96.0), table, pullback_metric(u))
+        out = step(u, rho, phi, 96.0, table, pullback_metric(u))
         # defect against pullback(u) + rho^2 grad(phi) (x) grad(phi) is small
         assert out.defect_sup < 5e-4
         assert out.gamma_bar < 1.1
@@ -91,17 +86,25 @@ class TestStep:
         u = ImmersionField.flat(c)
         rho = ScalarField.constant(c, 1.2)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        p = StepParams(lam=64.0, eps=1.0, M=4.0, gamma=4.0)
-        with pytest.raises(CorrugationDomainError, match="eps"):
-            step(u, rho, phi, p, table, pullback_metric(u))
+        with pytest.raises(CorrugationDomainError, match="s_max"):
+            step(u, rho, phi, 64.0, table, pullback_metric(u))
 
-    def test_band_violation_named(self, table):
-        c = GridChart((1.0, 1.0), (256, 256), CLAMPED)
-        u = ImmersionField.flat(c, scale=5.0)  # pullback 25 Id, outside gamma=4
-        rho = bump_field(c, 0.01)
+    @pytest.mark.parametrize("lam", [0.0, -5.0, np.nan, np.inf])
+    def test_frequency_not_finite_and_positive_refused(self, table, lam):
+        c = GridChart((1.0, 1.0), (64, 64), CLAMPED)
+        u = ImmersionField.flat(c)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        with pytest.raises(StepPreconditionError, match="band"):
-            step(u, rho, phi, flat_params(64.0), table, pullback_metric(u))
+        with pytest.raises(StepPreconditionError, match=r"finite frequency lam > 0, got lam="):
+            step(u, bump_field(c, 0.01), phi, lam, table, pullback_metric(u))
+
+    def test_degenerate_input_pullback_refused(self, table):
+        # a rank-one map: d_y u = 0, so u#e = dx^2 has min eigenvalue 0
+        c = GridChart((1.0, 1.0), (64, 64), CLAMPED)
+        x, _ = c.mesh()
+        u = ImmersionField(c, np.stack([x, 0 * x, 0 * x], axis=-1))
+        phi = PhaseField.linear_phase(c, (1.0, 0.0))
+        with pytest.raises(StepPreconditionError, match="input pullback degenerate"):
+            step(u, bump_field(c, 0.01), phi, 16.0, table, pullback_metric(u))
 
     def test_incommensurate_phase_rejected_on_torus(self, table):
         c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
@@ -110,19 +113,19 @@ class TestStep:
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
         with pytest.raises(StepPreconditionError, match="wrap"):
             # 63.7/(2 pi) not integer
-            step(u, rho, phi, flat_params(63.7), table, pullback_metric(u))
+            step(u, rho, phi, 63.7, table, pullback_metric(u))
 
 
 # The whole-array step that the slab-fused step replaced, kept as the
 # reference: the fused step gives every node the same floating-point
 # operations, so the two must agree bit for bit whatever the slab size.
 
-def _ref_step(u, rho, phi, p, table):
+def _ref_step(u, rho, phi, lam, table):
     """Whole-array step after its precondition checks."""
     chart = u.chart
     pb_u = pullback_metric(u)
     gphi = phi.gradient()
-    ell = 1.0 / p.lam
+    ell = 1.0 / lam
     u_smooth = mollify(u, ell, clamped_mode="extrapolate") if ell >= 2 * max(chart.spacing) else u
     jx, jy = u_smooth.jacobian()
     gram, det, eig_lo, eig_hi = _gram(jx, jy)
@@ -143,16 +146,11 @@ def _ref_step(u, rho, phi, p, table):
     zeta = zeta_t / (zeta_norm * xi_norm)[..., None]
 
     amplitude = xi_norm * rho.values
-    try:
-        phase = p.lam * phi.values()
-        g1 = table.eval(amplitude, phase, "g1")
-        g2 = table.eval(amplitude, phase, "g2")
-    except CorrugationDomainError as exc:
-        raise CorrugationDomainError(
-            f"{exc}; lower eps (amplitude^2 scale, currently {p.eps:.4g}) or enlarge "
-            "the corrugation table") from exc
+    phase = lam * phi.values()
+    g1 = table.eval(amplitude, phase, "g1")
+    g2 = table.eval(amplitude, phase, "g2")
 
-    v = u.displaced((g1[..., None] * xi + g2[..., None] * zeta) / p.lam)
+    v = u.displaced((g1[..., None] * xi + g2[..., None] * zeta) / lam)
     target = pb_u.values + (rho.values ** 2)[..., None] * np.stack(
         [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
     pb_v = pullback_metric(v)
@@ -180,17 +178,16 @@ def _oblong_step_inputs(boundary, rho0=0.05):
     u = ImmersionField.flat(chart, scale=1.1).displaced(wave)
     rho = ScalarField(chart, np.where(x < 0.2, 0.0, rho0 + 0.1 * x))
     phi = PhaseField(chart, (1.0, 0.0), 0.05 * np.sin(2 * np.pi * y / 1.3))
-    p = StepParams(lam=4 * np.pi, eps=0.04, M=4.0, gamma=4.0)
-    return u, rho, phi, p
+    return u, rho, phi, 4 * np.pi
 
 
 class TestStepReference:
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
     def test_bit_identical_to_whole_array_step(self, table, slab_budget, boundary):
-        u, rho, phi, p = _oblong_step_inputs(boundary)
+        u, rho, phi, lam = _oblong_step_inputs(boundary)
         assert (u.linear is not None) == (boundary == PERIODIC)
-        out = step(u, rho, phi, p, table, pullback_metric(u))
-        ref = _ref_step(u, rho, phi, p, table)
+        out = step(u, rho, phi, lam, table, pullback_metric(u))
+        ref = _ref_step(u, rho, phi, lam, table)
         assert np.array_equal(out.v.values, ref["v"])
         assert out.v.linear is u.linear
         for name in ("defect_sup", "defect_c1", "support_ok", "gamma_bar", "displacement"):
@@ -210,30 +207,30 @@ class TestStepReference:
                            np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
         rho = ScalarField.constant(c, 0.5)
         phi = PhaseField.linear_phase(c, (0.0, 1.0))
-        p = flat_params(2 * np.pi * 4)
-        gram, det, _, _ = _gram(*mollify(u, 1.0 / p.lam, clamped_mode="extrapolate").jacobian())
+        lam = 2 * np.pi * 4
+        gram, det, _, _ = _gram(*mollify(u, 1.0 / lam, clamped_mode="extrapolate").jacobian())
         assert np.max(rho.values * np.sqrt(gram[..., 0] / det)) > table.s_max
         with pytest.raises(StepPreconditionError, match="near-singular") as got:
-            step(u, rho, phi, p, table, pullback_metric(u))
+            step(u, rho, phi, lam, table, pullback_metric(u))
         with pytest.raises(StepPreconditionError) as want:
-            _ref_step(u, rho, phi, p, table)
+            _ref_step(u, rho, phi, lam, table)
         assert str(got.value) == str(want.value)
 
     def test_domain_error_quotes_global_max_amplitude(self, table, slab_budget):
         # the amplitude leaves the table on the first rows already and peaks
         # on the last ones
-        u, rho, phi, p = _oblong_step_inputs(PERIODIC, rho0=1.2)
-        with pytest.raises(CorrugationDomainError, match="eps") as got:
-            step(u, rho, phi, p, table, pullback_metric(u))
+        u, rho, phi, lam = _oblong_step_inputs(PERIODIC, rho0=1.2)
+        with pytest.raises(CorrugationDomainError, match="s_max") as got:
+            step(u, rho, phi, lam, table, pullback_metric(u))
         with pytest.raises(CorrugationDomainError) as want:
-            _ref_step(u, rho, phi, p, table)
+            _ref_step(u, rho, phi, lam, table)
         assert str(got.value) == str(want.value)
 
     def test_degenerate_jacobian_refused_after_the_sweep(self, table, slab_budget):
         # d_y u vanishes on the last rows and the amplitude leaves the table
         # on the first ones: the whole-chart near-singular refusal still
         # comes first, with the whole array's condition number.  pb_u is the
-        # flat map's, so that the input band check lets the sweep run
+        # flat map's, so that the degenerate-input check lets the sweep run
         c = GridChart((1.0, 1.3), (75, 53), CLAMPED)
         x, y = c.mesh()
         u = ImmersionField(c, np.stack([x, y * np.clip((0.8 - x) / 0.3, 0.0, 1.0) ** 2, 0 * x],
@@ -243,11 +240,11 @@ class TestStepReference:
         assert lo[-1].max() <= 0 < lo[0].min()
         assert np.max(rho.values[0] * np.sqrt(1.0 / gram[0, :, 0])) > table.s_max
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        p = StepParams(lam=4 * np.pi, eps=0.04, M=4.0, gamma=4.0)
+        lam = 4 * np.pi
         with pytest.raises(StepPreconditionError, match="near-singular") as got:
-            step(u, rho, phi, p, table, pullback_metric(ImmersionField.flat(c)))
+            step(u, rho, phi, lam, table, pullback_metric(ImmersionField.flat(c)))
         with pytest.raises(StepPreconditionError) as want:
-            _ref_step(u, rho, phi, p, table)
+            _ref_step(u, rho, phi, lam, table)
         assert str(got.value) == str(want.value)
 
     def test_one_jacobian_sweep_per_corrugation(self, table, monkeypatch):
@@ -263,11 +260,11 @@ class TestStepReference:
             return slabs(u, s)
 
         monkeypatch.setattr(nash_step, "jacobian_slabs", counted)
-        u, rho, phi, p = _oblong_step_inputs(CLAMPED)
-        step(u, rho, phi, p, table, pullback_metric(u))
+        u, rho, phi, lam = _oblong_step_inputs(CLAMPED)
+        step(u, rho, phi, lam, table, pullback_metric(u))
         assert len(sweeps) == 1
         terms = [(rho, phi), (rho, PhaseField(u.chart, (0.0, 1.0), 0 * rho.values))]
-        stage(u, terms, p, 1.2, table, pullback_metric(u))
+        stage(u, terms, lam, 1.2, table, pullback_metric(u))
         assert len(sweeps) == 3
 
     def test_step_builds_no_whole_jacobian(self, table, monkeypatch):
@@ -280,8 +277,8 @@ class TestStepReference:
             return jacobian(self)
 
         monkeypatch.setattr(ImmersionField, "jacobian", counted)
-        u, rho, phi, p = _oblong_step_inputs(PERIODIC)
-        step(u, rho, phi, p, table, pullback_metric(u))
+        u, rho, phi, lam = _oblong_step_inputs(PERIODIC)
+        step(u, rho, phi, lam, table, pullback_metric(u))
         assert len(calls) == 0
 
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
@@ -296,7 +293,7 @@ class TestStepReference:
         u = ImmersionField.flat(c, scale=0.9).displaced(wave)
         rho = ScalarField(c, 0.08 * (1.0 + 0.3 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)))
         phi = PhaseField(c, (1.0, 0.0), 0.05 * np.sin(2 * np.pi * y))
-        _, peak = traced_peak(step, u, rho, phi, flat_params(2 * np.pi * 4), table,
+        _, peak = traced_peak(step, u, rho, phi, 2 * np.pi * 4, table,
                              pullback_metric(u))
         assert peak <= 42 * 256 * 256 * 8
 
@@ -328,8 +325,7 @@ class TestStage:
     def test_empty_terms_identity(self, table):
         c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
         u = ImmersionField.flat(c)
-        p = flat_params(64.0)
-        out = stage(u, [], p, 2.0, table, pullback_metric(u))
+        out = stage(u, [], 64.0, 2.0, table, pullback_metric(u))
         assert out.v is u
         assert out.defect_sup == 0.0
 
@@ -338,8 +334,7 @@ class TestStage:
         u = ImmersionField.flat(c)
         zero = ScalarField.constant(c, 0.0)
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
-        p = StepParams(lam=2 * np.pi * 8, eps=0.01, M=2.0, gamma=2.0)
-        out = stage(u, [(zero, phi), (zero, phi)], p, 2.0, table,
+        out = stage(u, [(zero, phi), (zero, phi)], 2 * np.pi * 8, 2.0, table,
                     pullback_metric(u))
         assert np.array_equal(out.v.values, u.values)
         assert out.meta["skipped_zero_terms"] == 2
@@ -349,8 +344,7 @@ class TestStage:
         u = ImmersionField.flat(c)
         fac = solve_conformal(MetricField.constant(c, 0.05 * np.eye(2)))
         amp = ScalarField(c, fac.theta.values)
-        p = StepParams(lam=2 * np.pi * 2, eps=0.05, M=2.0, gamma=2.0)
-        out = stage(u, [(amp, fac.phi1), (amp, fac.phi2)], p,
+        out = stage(u, [(amp, fac.phi1), (amp, fac.phi2)], 2 * np.pi * 2,
                     16.0, table, pullback_metric(u))
         pb = pullback_metric(out.v)
         target = np.eye(2) + 0.05 * np.eye(2)
@@ -663,7 +657,7 @@ class TestStepInvariants:
         phi = PhaseField.linear_phase(c, (1.0, 0.0))
         consts = []
         for lam in (48.0, 96.0, 192.0):
-            out = step(u, rho, phi, flat_params(lam), table, pullback_metric(u))
+            out = step(u, rho, phi, lam, table, pullback_metric(u))
             consts.append(out.v_norms.c2_norm / (np.sqrt(eps) * lam))
         assert max(consts) / min(consts) < 1.3
         assert max(consts) < 5.0
@@ -683,8 +677,7 @@ class TestEquiangularStage:
         assert np.allclose(coeffs, 0.1 * 2.0 / 3.0, atol=1e-15)
         terms = [(ScalarField.constant(c, np.sqrt(co)), PhaseField.linear_phase(c, d))
                  for co, d in zip(coeffs, frame.directions)]
-        p = StepParams(lam=6.2, eps=0.1, M=2.0, gamma=2.0)
-        out = stage(u, terms, p, 5.0, table, pullback_metric(u))
+        out = stage(u, terms, 6.2, 5.0, table, pullback_metric(u))
         pb = pullback_metric(out.v)
         collar = out.meta["collar"]
         inner = (slice(collar, -collar),) * 2

@@ -377,6 +377,22 @@ class TestCli:
         assert main(["step-bench", "--lambdas", "24", "--resolution", "64", "--eps", "0"]) == 3
         assert "need 0 < eps <= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["0", "-5", "nan"])
+    def test_step_bench_frequency_refused(self, capsys, lam):
+        # an engine refusal exits 2 from every command, not only from run
+        assert main(["step-bench", "--lambdas", lam, "--resolution", "64"]) == 2
+        assert "finite frequency lam > 0" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        import isoflex.cli
+
+        def broken(args):
+            raise RuntimeError("broken command")
+
+        monkeypatch.setattr(isoflex.cli, "cmd_conformal_check", broken)
+        assert main(["conformal-check", "--resolution", "64"]) == 4
+        assert "internal error: RuntimeError('broken command')" in capsys.readouterr().err
+
     def test_truncated_pass_leaves_its_record(self, tmp_path):
         # the flat map on a 256^2 torus: the bootstrap takes the whole band,
         # so the pass truncates at q = 0 on the frequency ceiling
