@@ -64,13 +64,14 @@ def _dump_json(payload, path):
     Path(path).write_text(_json(payload, indent=2) + "\n")
 
 
-# Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy, scipy.fft
-# and scipy.special) plus a cost per grid node.  Both are fitted to the
-# VmHWM of runs on the flat 256^2 and 512^2 tori with g = 1.44 I: 89.2 and
-# 148.0 MiB (medians of 3), the same at depth 1 and 4 to 0.3% (Linux
-# x86-64, numpy 2.4, scipy 1.17).
-RSS_FIXED_BYTES = 72_900_000
-RSS_BYTES_PER_NODE = 314
+# Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy and the
+# package; a run on a torus loads no scipy) plus a cost per grid node.
+# Both are fitted to the VmHWM of runs on the flat 256^2 and 512^2 tori
+# with g = 1.44 I: 63.0 and 120.0 MiB (64,508 and 122,848 kB, medians of
+# 3), the same at depth 1 and 4 to 0.3% (Linux x86-64, Python 3.11,
+# numpy 2.4).
+RSS_FIXED_BYTES = 46_100_000
+RSS_BYTES_PER_NODE = 304
 
 
 def _memory_estimate(resolution):

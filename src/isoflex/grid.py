@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 
 PERIODIC = "periodic"
 CLAMPED = "clamped"
@@ -473,6 +472,8 @@ def _clamped_conv(shape, w, valid=False):
     padded to a fast length; w is transformed once, here.  The result is
     the centred window of the input's shape, or of the nodes the kernel
     covers whole when valid is set."""
+    import scipy.fft  # loaded on clamped charts only
+
     full = [n + k - 1 for n, k in zip(shape, w.shape)]
     fshape = [scipy.fft.next_fast_len(n, True) for n in full]
     w_hat = scipy.fft.rfftn(w, fshape, axes=(0, 1))

@@ -172,6 +172,11 @@ def commensurate_base(chart: GridChart, base: float) -> float:
     return max(1.0, round(base / quantum)) * quantum
 
 
+def _check_frequency(lam: float):
+    if not (math.isfinite(lam) and lam > 0):
+        raise StepPreconditionError(f"need a finite frequency lam > 0, got lam={lam}")
+
+
 def commensurate_phase(phi: PhaseField, lam: float):
     """Round the linear part so lam * Phi wraps by multiples of 2 pi.
 
@@ -179,8 +184,10 @@ def commensurate_phase(phi: PhaseField, lam: float):
     linear part w is snapped to the lattice 2 pi Z^2 / (lam L).  The metric
     this phase carries shifts by O(|w' - w|), which the stage's measured
     defect absorbs.  Returns (phase, shift) with shift the rounding size;
-    a shift above MAX_PHASE_SHIFT of |w| is refused.
+    a shift above MAX_PHASE_SHIFT of |w| is refused, and so is a lam that
+    is not finite and positive.
     """
+    _check_frequency(lam)
     chart = phi.chart
     if not chart.periodic:
         return phi, 0.0
@@ -232,8 +239,7 @@ def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.nd
     not finite and positive, fewer than NODES_PER_WAVELENGTH nodes per
     wavelength, a degenerate u#e, a torus phase that does not wrap at lam,
     a near-singular mollified Gram matrix and an amplitude outside the table."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise StepPreconditionError(f"need a finite frequency lam > 0, got lam={lam}")
+    _check_frequency(lam)
     chart = u.chart
     h = max(chart.spacing)
 

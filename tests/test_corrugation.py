@@ -7,6 +7,7 @@ from scipy.special import j0, j1
 
 from isoflex.corrugation import (
     _BLOCK,
+    J0_FIRST_ZERO,
     CorrugationDomainError,
     _bessel_coefficients,
     build_corrugation,
@@ -37,6 +38,27 @@ class TestBessel:
         ours = _bessel_coefficients(xs)[1]
         ref = np.array([float(mpmath.besselj(1, x)) for x in xs])
         assert np.max(np.abs(ours - ref)) < 1e-14
+
+    def test_j0_against_mpmath_on_bisection_bracket(self):
+        # invert_j0 bisects with this J0 over all of [0, j_{0,1}]
+        import mpmath
+
+        xs = np.linspace(0.0, J0_FIRST_ZERO, 400)
+        ours = _bessel_coefficients(xs)[0]
+        ref = np.array([float(mpmath.besselj(0, x)) for x in xs])
+        assert np.max(np.abs(ours - ref)) < 1e-15
+
+    def test_table_matches_bisection_on_scipy_j0(self, table):
+        # the same bisection driven by an independent J0 lands within its
+        # 1e-13 stopping width on every amplitude row
+        t = 1.0 / np.sqrt(1.0 + table.s_vals ** 2)
+        lo, hi = np.zeros_like(t), np.full_like(t, J0_FIRST_ZERO)
+        while np.max(hi - lo) >= 1e-13:
+            mid = 0.5 * (lo + hi)
+            high_side = j0(mid) > t
+            lo, hi = np.where(high_side, mid, lo), np.where(high_side, hi, mid)
+        ref = np.where(t >= 1.0, 0.0, 0.5 * (lo + hi))
+        assert np.max(np.abs(table.amplitude_profile - ref)) < 1e-13
 
     def test_invert_j0_residual(self):
         targets = np.linspace(0.72, 1.0, 20)

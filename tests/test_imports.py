@@ -2,8 +2,8 @@
 module-level private name is used somewhere in the package, every public
 function or method is read somewhere in the package or named, with its
 reader, in READ_OUTSIDE_SRC, every target of the benchmark tracer
-resolves, and importing the package leaves out the heavy scipy
-subpackages it never needs."""
+resolves, importing the package leaves out the heavy scipy subpackages
+it never needs, and a periodic run loads no scipy at all."""
 
 import ast
 import importlib.util
@@ -168,13 +168,49 @@ def test_every_tracer_target_resolves():
 UNLOADED = ("scipy.signal", "scipy.stats")
 
 
-def test_package_import_leaves_out_heavy_scipy():
-    # a fresh interpreter: the test run itself has imported scipy.signal
+def _fresh_modules(code: str) -> list[str]:
+    """The modules loaded by code, run after importing every module of the
+    package in a fresh interpreter: the test run itself has imported scipy."""
     names = ", ".join(f"isoflex.{p.stem}" for p in MODULES)
-    code = (f"import sys\nimport {names}\n"
-            f"print(sorted(m for m in {UNLOADED!r} if m in sys.modules))")
+    code = f"import sys\nimport {names}\n{code}\nprint(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_package_import_leaves_out_heavy_scipy():
+    assert [m for m in _fresh_modules("") if m in UNLOADED] == []
+
+
+# one add_metric_2d on a 64^2 flat torus, with rho nonzero on the whole
+# chart, so the support check needs no distance transform
+PERIODIC_RUN = """\
+import numpy as np
+from isoflex.corrugation import build_corrugation
+from isoflex.grid import PERIODIC, GridChart, ImmersionField, MetricField, ScalarField
+from isoflex.nash_step import add_metric_2d
+c = GridChart((1.0, 1.0), (64, 64), PERIODIC)
+out = add_metric_2d(ImmersionField.flat(c, scale=0.9), ScalarField.constant(c, 0.2),
+                    MetricField.constant(c, np.eye(2)), MetricField.constant(c, np.zeros((2, 2))),
+                    delta=0.05, lam=4.0, kappa=1.5, table=build_corrugation())
+assert out.support_ok and len(out.meta["steps"]) == 2
+"""
+
+CLAMPED_MOLLIFY = """\
+from isoflex.grid import CLAMPED, GridChart, ScalarField, mollify
+mollify(ScalarField.constant(GridChart((1.0, 1.0), (64, 64), CLAMPED), 1.0), 0.1)
+"""
+
+
+def test_periodic_run_loads_no_scipy():
+    # FFTs on the torus are numpy's and the corrugation's J0 is its own
+    # series; scipy enters only through the clamped mollifier and the
+    # support inflation of a step whose support leaves part of the chart
+    loaded = _fresh_modules(PERIODIC_RUN)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_clamped_mollify_loads_scipy_fft():
+    assert "scipy.fft" in _fresh_modules(CLAMPED_MOLLIFY)

@@ -320,6 +320,13 @@ class TestCommensurate:
         with pytest.raises(StepPreconditionError, match="periodic"):
             commensurate_phase(phi, 3.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -3.0, float("nan")])
+    def test_non_positive_frequency_rejected(self, lam):
+        c = GridChart((1.0, 1.0), (64, 64), PERIODIC)
+        phi = PhaseField.linear_phase(c, (1.0, 0.0))
+        with pytest.raises(StepPreconditionError, match="finite frequency lam > 0"):
+            commensurate_phase(phi, lam)
+
 
 class TestStage:
     def test_empty_terms_identity(self, table):
@@ -338,6 +345,16 @@ class TestStage:
                     pullback_metric(u))
         assert np.array_equal(out.v.values, u.values)
         assert out.meta["skipped_zero_terms"] == 2
+
+    @pytest.mark.parametrize("base", [0.0, -3.0, float("nan")])
+    def test_non_positive_base_rejected(self, table, base):
+        # a zero base once reached a bare ZeroDivisionError in the phase
+        # snapping, and a negative one was called too low to wrap
+        c = GridChart((1.0, 1.0), (64, 64), PERIODIC)
+        u = ImmersionField.flat(c)
+        terms = [(bump_field(c, 0.01), PhaseField.linear_phase(c, (1.0, 0.0)))]
+        with pytest.raises(StepPreconditionError, match="finite frequency lam > 0"):
+            stage(u, terms, base, 2.0, table, pullback_metric(u))
 
     def test_two_term_stage_adds_sum(self, table):
         c = GridChart((1.0, 1.0), (512, 512), PERIODIC)
