@@ -232,8 +232,7 @@ def cmd_conformal_check(args) -> int:
         "resolution": args.resolution, "amplitude": args.amplitude,
         "residual_sup": fac.residual_sup,
         "residual_mean": float(np.mean(np.abs(fac.residual.values))),
-        "iterations": fac.iterations, "contraction": fac.contraction,
-        "min_det_jacobian": fac.min_det(), **fac.stats}))
+        "iterations": fac.iterations, "contraction": fac.contraction, **fac.stats}))
     return EXIT_OK
 
 

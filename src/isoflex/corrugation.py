@@ -141,10 +141,12 @@ class CorrugationTable:
     def check_amplitude(self, s):
         """Raise CorrugationDomainError unless every s lies in [0, s_max].
 
-        Tiny negative rounding passes (eval clamps it); the message quotes
-        the largest s.
+        Tiny negative rounding passes (eval clamps it); nan is refused; the
+        message quotes the largest s.
         """
-        if np.any(s > self.s_max * (1 + 1e-12) + 1e-300):
+        if not np.all(s <= self.s_max * (1 + 1e-12) + 1e-300):
+            if np.isnan(s).any():
+                raise CorrugationDomainError("corrugation amplitude is nan")
             raise CorrugationDomainError(
                 f"amplitude {float(np.max(s)):.6g} exceeds table s_max={self.s_max:.6g}; "
                 "build a larger table or lower the step amplitude")

@@ -233,9 +233,6 @@ class ConformalFactorization:
     def residual_sup(self) -> float:
         return _slab_sup_abs(self.residual.values)
 
-    def min_det(self) -> float:
-        return float(self.det_jacobian.min())
-
 
 def _taper_window(n_core, pad):
     """1 on the core, cosine fall to 0 across the outer half of each pad."""

@@ -19,7 +19,6 @@ freshly allocated, and a pullback handed on is shared, never written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -587,8 +586,7 @@ def _offsets(chart: GridChart, exhaustive: bool):
             d *= 2
 
 
-def holder_seminorm(f, theta: float, deriv_order: int = 0,
-                    exhaustive: bool | None = None) -> float:
+def holder_seminorm(f, theta: float, deriv_order: int = 0) -> float:
     """Max Hoelder quotient |f(x)-f(y)| / |x-y|^theta over sampled node pairs.
 
     Pairs are sampled at dyadic separations (axis and diagonal offsets
@@ -604,8 +602,6 @@ def holder_seminorm(f, theta: float, deriv_order: int = 0,
         raise ValueError("deriv_order must be 0 or 1")
     chart = f.chart
     hx, hy = chart.spacing
-    if exhaustive is None:
-        exhaustive = max(chart.resolution) <= 128
     vals = _component_view(f)
     if deriv_order == 1:
         p = chart.periodic
@@ -613,7 +609,7 @@ def holder_seminorm(f, theta: float, deriv_order: int = 0,
     # a max commutes with the division by the positive sep^theta, so one
     # division per offset gives the per-component quotients' max exactly
     best = 0.0
-    for dx, dy in _offsets(chart, exhaustive):
+    for dx, dy in _offsets(chart, max(chart.resolution) <= 128):
         q = _pair_max(vals, dx, dy, chart.periodic) / np.hypot(dx * hx, dy * hy) ** theta
         best = max(best, q)
     return best
@@ -624,7 +620,6 @@ class NormReport:
     sup_norm: float
     c1_norm: float
     c2_norm: float
-    holder_seminorms: tuple = ()
 
     def __post_init__(self):
         if min(self.sup_norm, self.c1_norm, self.c2_norm) < 0:
@@ -653,16 +648,15 @@ def c2_seminorm(f) -> float:
     return derivative_sup(_component_view(f), f.chart, ("xx", "xy", "yy"))
 
 
-def norm_report(f, thetas: Sequence[float] = ()) -> NormReport:
-    """Sup / C1 / C2 estimates plus optional Hoelder seminorms.
+def norm_report(f) -> NormReport:
+    """Sup / C1 / C2 estimates.
 
     Norms follow the summed convention |f|_m = sum of seminorms [f]_j.
     """
     sup = sup_norm(f)
     s1 = c1_seminorm(f)
     s2 = c2_seminorm(f)
-    hs = tuple((float(t), holder_seminorm(f, t)) for t in thetas)
-    return NormReport(sup, sup + s1, sup + s1 + s2, hs)
+    return NormReport(sup, sup + s1, sup + s1 + s2)
 
 
 # ---------------------------------------------------------------------------

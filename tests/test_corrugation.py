@@ -141,6 +141,14 @@ class TestEval:
         with pytest.raises(CorrugationDomainError):
             table.eval(1.01, 0.0, "g1")
 
+    def test_rejects_nan_amplitude(self, table):
+        # nan compares false against both ends of [0, s_max]; it must not
+        # reach the profile lookup, which casts it to an index
+        s = np.array([0.5, np.nan])
+        for which in ("g1", ("g1", "g2"), "dt_g1"):
+            with pytest.raises(CorrugationDomainError, match="nan"):
+                table.eval(s, 0.0, which)
+
     def test_rejects_unknown_table(self, table):
         with pytest.raises(ValueError):
             table.eval(0.5, 0.0, "g3")

@@ -585,8 +585,8 @@ class TestHolderReference:
     @pytest.mark.parametrize("exhaustive", [True, False])
     def test_slab_probe_bit_identical(self, slab_budget, boundary, kind, deriv_order,
                                       exhaustive):
-        # an exhaustive search on a small chart, dyadic offsets on a larger one
-        shape = (24, 17) if exhaustive else (75, 53)
+        # an exhaustive search on a small chart, dyadic offsets above 128 nodes
+        shape = (24, 17) if exhaustive else (150, 53)
         chart = GridChart((1.0, 1.3), shape, boundary)
         if kind == "scalar":
             x, y = chart.mesh()
@@ -595,7 +595,7 @@ class TestHolderReference:
         else:
             f = _wavy_map(chart).displaced(
                 1e-3 * np.random.default_rng(19).standard_normal((*shape, 3)))
-        got = holder_seminorm(f, 0.3, deriv_order=deriv_order, exhaustive=exhaustive)
+        got = holder_seminorm(f, 0.3, deriv_order=deriv_order)
         assert got == _ref_holder_seminorm(f, 0.3, deriv_order, exhaustive)
         assert got > 0.0
 
@@ -604,10 +604,10 @@ class TestHolderReference:
     def test_seam_pairs_dominate(self, slab_budget, axis, exhaustive):
         # a ramp along one axis of a torus jumps across the seam, so the
         # largest quotient comes from the pairs whose partner wrapped around
-        chart = GridChart((1.0, 1.3), (24, 17) if exhaustive else (75, 53), PERIODIC)
+        chart = GridChart((1.0, 1.3), (24, 17) if exhaustive else (150, 53), PERIODIC)
         f = ScalarField(chart, chart.mesh()[axis]
                         + 1e-3 * np.random.default_rng(31).standard_normal(chart.resolution))
-        got = holder_seminorm(f, 0.3, exhaustive=exhaustive)
+        got = holder_seminorm(f, 0.3)
         assert got == _ref_holder_seminorm(f, 0.3, 0, exhaustive)
         assert got > 0.5 / chart.spacing[axis] ** 0.3
 
@@ -621,10 +621,9 @@ class TestHolderReference:
 class TestNormReport:
     def test_report_invariants(self):
         f = ScalarField.from_function(square(65), lambda x, y: np.sin(2 * x + y))
-        rep = norm_report(f, thetas=(0.5,))
+        rep = norm_report(f)
         assert rep.c1_norm >= rep.sup_norm
         assert rep.c2_norm >= rep.c1_norm
-        assert rep.holder_seminorms[0][0] == 0.5
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

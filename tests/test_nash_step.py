@@ -409,15 +409,40 @@ class TestAddMetric2d:
         assert np.array_equal(out.v.values, u.values)
         assert out.defect_sup == 0.0
 
-    def test_hypotheses_named(self, table):
-        c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
+    @pytest.mark.parametrize("name", ["delta", "lam", "kappa"])
+    def test_nan_parameter_refused_by_name(self, table, name):
+        c = GridChart((1.0, 1.0), (64, 64), PERIODIC)
         u = ImmersionField.flat(c, scale=0.9)
         g = MetricField.constant(c, np.eye(2))
         h = MetricField.constant(c, np.zeros((2, 2)))
-        rho = ScalarField.constant(c, 0.5)  # exceeds delta^(1/2)
-        with pytest.raises(StepPreconditionError, match=r"\|rho\|_0"):
-            add_metric_2d(u, rho, g, h, delta=0.05, lam=8.0, kappa=1.5,
-                          table=table)
+        rho = ScalarField.constant(c, 0.9 * np.sqrt(0.05))
+        kw = {"delta": 0.05, "lam": 4.0, "kappa": 1.5, name: float("nan")}
+        with pytest.raises(StepPreconditionError, match=rf"need [^;]*\b{name}\b[^;]*got nan"):
+            add_metric_2d(u, rho, g, h, table=table, **kw)
+
+    def test_no_norm_sweeps_of_the_data(self, table, monkeypatch):
+        # a metric addition runs the frequencies its caller planned: it
+        # takes no sup, C1 or C2 norm of rho, u or h to check them against
+        import isoflex.grid as grid
+        import isoflex.nash_step as nash_step
+
+        calls = []
+        for name in ("sup_norm", "c1_seminorm", "c2_seminorm"):
+            def counting(f, _real=getattr(grid, name), _name=name):
+                calls.append(_name)
+                return _real(f)
+
+            for module in (grid, nash_step):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
+        u = ImmersionField.flat(c, scale=0.9)
+        g = MetricField.constant(c, np.eye(2))
+        h = MetricField.constant(c, np.zeros((2, 2)))
+        rho = ScalarField.constant(c, 0.9 * np.sqrt(0.05))
+        out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table)
+        assert len(out.meta["steps"]) == 2
+        assert calls == []
 
     def test_constant_increment_lands(self, table):
         c = GridChart((1.0, 1.0), (512, 512), PERIODIC)

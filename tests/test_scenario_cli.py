@@ -524,6 +524,12 @@ delta_star = 0.125
         header = (tmp_path / "gamma.csv").read_text().splitlines()[0]
         assert header.startswith("t,g1_s0.5")
 
+    def test_corrugation_dump_nan_amplitude_refused(self, tmp_path, capsys):
+        out = tmp_path / "gamma.csv"
+        assert main(["corrugation-dump", "--amplitudes", "0.5", "nan", "--out", str(out)]) == 2
+        assert "corrugation amplitude is nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conformal_check_reports_json(self, capsys):
         rc = main(["conformal-check", "--resolution", "64", "--amplitude", "0.1"])
         assert rc == 0
@@ -595,3 +601,29 @@ def test_run_pulls_back_each_immersion_once(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["bootstrap"]["terms"] == 4 and not summary["bootstrap"]["trivial"]
     assert len(calls) == len({id(u) for u in calls}) == 3
+
+
+def _float_options():
+    """(command, option, extra arguments) for every type=float option of
+    every subcommand, at the cheapest resolution a command takes."""
+    import argparse
+
+    from isoflex.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        extra = ["--resolution", "64"] if "--resolution" in options else []
+        for action in parser._actions:
+            if action.type is float:
+                yield command, action.option_strings[-1], extra
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,option,extra", list(_float_options()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_non_finite_float_options_are_refused(command, option, extra, value):
+    # a non-finite number on the command line is the caller's error (exit 2
+    # or 3), never an internal one
+    assert main([command, option, value, *extra]) in (2, 3)
