@@ -110,10 +110,12 @@ def cmd_run(args) -> int:
         }, out_dir / "summary.json")
         return EXIT_OK
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     table = build_corrugation()
     g = scenario.metric()
     u0 = scenario.initial_map()
+    # written first, so a refused or killed run keeps it; the final mesh,
+    # on the same chart, copies its face lines
     export_mesh(u0, out_dir / "initial.obj")
 
     try:
@@ -124,7 +126,7 @@ def cmd_run(args) -> int:
     except Exception as exc:
         refused = isinstance(exc, REFUSALS)
         record = {"scenario": resolved, "error": str(exc),
-                  "wall_time": time.time() - t0}
+                  "wall_time": time.perf_counter() - t0}
         if not refused:
             record["traceback"] = traceback.format_exc()
         _dump_json(record, out_dir / "summary.json")
@@ -134,7 +136,7 @@ def cmd_run(args) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    export_mesh(state.u, out_dir / "final.obj")
+    export_mesh(state.u, out_dir / "final.obj", faces_from=out_dir / "initial.obj")
     cert = report["final"]["certificate"]
     shortness = ShortnessReport.classify(cert["short_min_eig"], cert["strong_band_margin"])
 
@@ -161,7 +163,7 @@ def cmd_run(args) -> int:
 
     summary = {
         "scenario": resolved,
-        "wall_time": time.time() - t0,
+        "wall_time": time.perf_counter() - t0,
         "bootstrap": report["bootstrap"],
         "schedules": report["schedules"],
         "passes": [{k: v for k, v in p.items() if k != "stages"}
@@ -196,11 +198,11 @@ def cmd_step_bench(args) -> int:
     phi = PhaseField.linear_phase(chart, (1.0, 0.0))
     records = []
     for lam in args.lambdas:
-        t0 = time.time()
+        t0 = time.perf_counter()
         out = step(u, rho, phi, lam, table, pb_u)
         rec = {"lam": lam, "sup_defect": out.defect_sup, "c1_defect": out.defect_c1,
                "c2_norm": out.v_norms.c2_norm, "gamma_bar": out.gamma_bar,
-               "support_ok": out.support_ok, "wall_time": time.time() - t0}
+               "support_ok": out.support_ok, "wall_time": time.perf_counter() - t0}
         records.append(rec)
         print(_json(rec))
     if len(records) >= 2:

@@ -545,23 +545,23 @@ def mollify(f, ell: float, clamped_mode: str = "renormalize"):
 
 def _pair_max(a, dx, dy, periodic):
     """max |a(x + d) - a(x)| over all components and node pairs at offset d,
-    slab by slab; periodic partner rows wrap as two slices, columns by a roll."""
+    slab by slab; periodic partners wrap as two slices along each axis."""
     nx, ny = a.shape[:2]
     if periodic:
+        dy %= ny
         rows = ((0, nx - dx, dx), (nx - dx, nx, dx - nx))
-        c0, c1, sc = 0, ny, 0
+        cols = ((0, ny - dy, dy), (ny - dy, ny, dy - ny)) if dy else ((0, ny, 0),)
     else:
         rows = ((0, nx - dx, dx),)
-        c0, c1, sc = (0, ny - dy, dy) if dy >= 0 else (-dy, ny, dy)
+        cols = ((0, ny - dy, dy),) if dy >= 0 else ((-dy, ny, dy),)
     step = max(1, SLAB_BYTES // a[0].nbytes)
     best = 0.0
     for r0, r1, sr in rows:
         for i in range(r0, r1, step):
             j = min(i + step, r1)
-            partner = a[i + sr:j + sr, c0 + sc:c1 + sc]
-            if periodic and dy:
-                partner = np.roll(partner, -dy, axis=1)
-            best = max(best, float(np.max(np.abs(partner - a[i:j, c0:c1]))))
+            for c0, c1, sc in cols:
+                partner = a[i + sr:j + sr, c0 + sc:c1 + sc]
+                best = max(best, float(np.max(np.abs(partner - a[i:j, c0:c1]))))
     return best
 
 

@@ -465,7 +465,7 @@ def _node_derivatives(u: ImmersionField, rho: ScalarField, h: MetricField):
 
 def _certificate(u: ImmersionField, pb: MetricField, rho: ScalarField, h: MetricField,
                  g: MetricField, log_A: float, theta: float,
-                 rho_floor: float = RHO_FLOOR) -> dict:
+                 rho_floor: float = RHO_FLOOR, held: list | None = None) -> dict:
     """Node-wise checks of an adapted state at exponents (A, theta); pb is u#e.
 
     The residual of g - u#e = rho^2 (g + h) and shortness are hard facts;
@@ -473,7 +473,9 @@ def _certificate(u: ImmersionField, pb: MetricField, rho: ScalarField, h: Metric
     grad rho (A rho^(1 - 1/theta)) and grad h (A rho^(-1/theta)) are
     recorded.  The bounds compare logs, since A^(b^2) soon leaves float
     range; nodes with rho at or below rho_floor are skipped, matching the
-    off-Sigma scope of the bounds.
+    off-Sigma scope of the bounds.  held, a list, keeps the node fields of
+    the bounds for another certificate of the same u, rho and h: an empty
+    one is filled by this sweep, a filled one stands in for it.
     """
     chart = u.chart
     resid = g.values - pb.values - (rho.values ** 2)[..., None] * (g.values + h.values)
@@ -490,7 +492,16 @@ def _certificate(u: ImmersionField, pb: MetricField, rho: ScalarField, h: Metric
         keys = ("hess_u_ok", "grad_rho_ok", "grad_h_ok")
         powers = (1.0 - 1.0 / theta, 1.0 - 1.0 / theta, -1.0 / theta)
         out.update(dict.fromkeys(keys, True))
-        for s, *fields in _node_derivatives(u, rho, h):
+        if held is None:
+            sweep = _node_derivatives(u, rho, h)
+        else:
+            if not held:
+                held.extend(np.empty(chart.resolution) for _ in keys)
+                for s, *fields in _node_derivatives(u, rho, h):
+                    for whole, part in zip(held, fields):
+                        whole[s] = part
+            sweep = ((s, *(whole[s] for whole in held)) for s in _slabs(u.values))
+        for s, *fields in sweep:
             m = mask[s]
             log_rho = np.log(rho.values[s][m])
             for key, d, p in zip(keys, fields, powers):
@@ -500,11 +511,12 @@ def _certificate(u: ImmersionField, pb: MetricField, rho: ScalarField, h: Metric
 
 
 def certify_adapted(state: AdaptedState, g: MetricField,
-                    rho_floor: float = RHO_FLOOR) -> dict:
-    """The certificate of an adapted state at its own exponents (A, theta)."""
+                    rho_floor: float = RHO_FLOOR, held: list | None = None) -> dict:
+    """The certificate of an adapted state at its own exponents (A, theta);
+    held keeps its node fields, as in _certificate."""
     pb = pullback_metric(state.u) if state.pullback is None else state.pullback
     return _certificate(state.u, pb, state.rho, state.h, g, math.log(state.A),
-                        state.theta, rho_floor)
+                        state.theta, rho_floor, held)
 
 
 @dataclass
@@ -514,7 +526,8 @@ class PassConfig:
 
 def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                    ladder: DeskLadder, depth: int, g: MetricField,
-                   config: PassConfig, incoming_top: float = 0.0):
+                   config: PassConfig, incoming_top: float = 0.0,
+                   held: list | None = None):
     """Run the cut-off / add-metric / amplitude-update loop for q = 0..depth-1.
 
     Each stage's base frequency and growth K are planned here, against the
@@ -525,7 +538,9 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
     delivering an aliased state.  A kept stage is verified by the driver's
     certificate at the pass exponents A^(b^2), theta / b^2 (factorization,
     shortness, strong band, rho-power bounds) and by its level's rho-lemma
-    record.  Returns (new state, history, truncation).
+    record.  held, node fields a caller keeps of the state's u, rho and h
+    (see _certificate), is emptied before a stage runs, since the stage
+    may change them.  Returns (new state, history, truncation).
     """
     chart = state.u.chart
     hmax = max(chart.spacing)
@@ -609,6 +624,8 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
             break
         kappa_eff = max(ladder.kappa, math.log(base / 1.02) / math.log(max(lam_nom, 2.0)))
 
+        if held:
+            held.clear()
         pb_u = pullback_metric(u) if pb_u is None else pb_u
         try:
             out = add_metric_2d(
@@ -755,7 +772,10 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
     state = AdaptedState(u_t, rho0, h_t, SkeletonSet.empty(),
                          A=a0, theta=float(theta), alpha=float(alpha))
     object.__setattr__(state, "pullback", pb_t)
-    report["initial_certificate"] = certify_adapted(state, g)
+    # the node fields of the bounds, held for the closing certificate until
+    # a stage runs (emptied, it is not filled again)
+    held = []
+    report["initial_certificate"] = certify_adapted(state, g, held=held)
 
     # exact exponent chain across the planned passes
     theta_j, alpha_j = theta, alpha
@@ -790,7 +810,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
         prev_u = state.u
         state, history, truncation = inductive_pass(
             state, sigma, sched, ladder, depth, g, config,
-            incoming_top=current_top)
+            incoming_top=current_top, held=held)
         current_top = state.certificate["top_frequency"]
         pass_disp = float(np.max(np.linalg.norm(state.u.values - prev_u.values, axis=-1)))
         total_disp += pass_disp
@@ -805,7 +825,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
 
     defect = np.abs(g.values - state.pullback.values)
     g_scale = float(np.max(np.abs(g.values)))
-    certificate = certify_adapted(state, g)
+    certificate = certify_adapted(state, g, held=held or None)
     report["final"] = {
         "defect_sup": float(defect.max()),
         "defect_relative": float(defect.max()) / g_scale,

@@ -618,6 +618,46 @@ class TestHolderReference:
         assert holder_seminorm(f, 0.1, deriv_order=1) == _ref_holder_seminorm(f, 0.1, 1, False)
 
 
+def _roll_pair_max(a, dx, dy, periodic):
+    """The slab probe's pair maximum as it was: periodic partner columns by
+    a roll of each slab."""
+    from isoflex.grid import SLAB_BYTES
+
+    nx, ny = a.shape[:2]
+    if periodic:
+        rows = ((0, nx - dx, dx), (nx - dx, nx, dx - nx))
+        c0, c1, sc = 0, ny, 0
+    else:
+        rows = ((0, nx - dx, dx),)
+        c0, c1, sc = (0, ny - dy, dy) if dy >= 0 else (-dy, ny, dy)
+    step = max(1, SLAB_BYTES // a[0].nbytes)
+    best = 0.0
+    for r0, r1, sr in rows:
+        for i in range(r0, r1, step):
+            j = min(i + step, r1)
+            partner = a[i + sr:j + sr, c0 + sc:c1 + sc]
+            if periodic and dy:
+                partner = np.roll(partner, -dy, axis=1)
+            best = max(best, float(np.max(np.abs(partner - a[i:j, c0:c1]))))
+    return best
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_pair_max_matches_roll(slab_budget, boundary, exhaustive):
+    # partner columns as two slices give the maxima the roll gave, bit for
+    # bit, at every offset, dy < 0 included
+    from isoflex.grid import _offsets, _pair_max
+
+    shape = (24, 17) if exhaustive else (150, 53)
+    chart = GridChart((1.0, 1.3), shape, boundary)
+    a = np.random.default_rng(23).standard_normal((*shape, 3))
+    offsets = list(_offsets(chart, exhaustive))
+    assert any(dy < 0 for _, dy in offsets) and any(dy > 0 for _, dy in offsets)
+    for dx, dy in offsets:
+        assert _pair_max(a, dx, dy, chart.periodic) == _roll_pair_max(a, dx, dy, chart.periodic)
+
+
 class TestNormReport:
     def test_report_invariants(self):
         f = ScalarField.from_function(square(65), lambda x, y: np.sin(2 * x + y))

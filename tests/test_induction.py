@@ -392,6 +392,41 @@ class TestPipeline:
         probes = report["final"]["holder_probes"]
         assert len(probes) == 2 and probes[0] == probes[1] > 0
 
+    def test_stage_drops_the_held_node_fields(self, table, monkeypatch):
+        # the trivial-bootstrap torus keeps a stage at q = 0: the node fields
+        # the initial certificate holds are dropped before the stage runs, and
+        # the closing certificate sweeps the state the stage made
+        import isoflex.induction as induction
+
+        certify, add, sweep = (induction.certify_adapted, induction.add_metric_2d,
+                               induction._node_derivatives)
+        helds, held_at_stage, sweeps = [], [], []
+
+        def certifying(state, g, *args, **kwargs):
+            helds.append(kwargs.get("held"))
+            return certify(state, g, *args, **kwargs)
+
+        def adding(*args, **kwargs):
+            held_at_stage.append(list(helds[0]))
+            return add(*args, **kwargs)
+
+        def counting(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(induction, "certify_adapted", certifying)
+        monkeypatch.setattr(induction, "add_metric_2d", adding)
+        monkeypatch.setattr(induction, "_node_derivatives", counting)
+        c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
+        g = MetricField.constant(c, 1.44 * np.eye(2))
+        state, report = run_global(g, ImmersionField.flat(c, scale=math.sqrt(1.44 * 0.875)),
+                                   theta0=0.15, alpha0=0.1, a0=4.0, depth=3, table=table,
+                                   bootstrap_delta_star=0.125)
+        assert report["passes"][2]["stages"][0]["active"]
+        assert held_at_stage == [[]] and helds[1] is None
+        assert len(sweeps) == 3  # initial, kept stage, closing
+        assert report["final"]["certificate"] == certify(state, g)
+
     def test_refuses_isometric_start(self, table):
         c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
         g = MetricField.constant(c, np.eye(2))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import isoflex.io
+
 from isoflex.grid import CLAMPED, PERIODIC, GridChart, ImmersionField
 from isoflex.io import _BLOCK, edge_face_counts, export_mesh, import_mesh, weld_vertices
 
@@ -68,6 +70,59 @@ class TestMesh:
         assert got.read_bytes() == ref.read_bytes()
         if case == "clamped":
             assert got.read_text().startswith("v -0 4.94065646e-324 1e+17\n")
+
+    @pytest.mark.parametrize("case", ["periodic_flat", "clamped_flat", "planted_minus_zero",
+                                      "moved_node"])
+    def test_flat_vertices_from_axes(self, tmp_path, monkeypatch, case):
+        # a flat map's vertex lines are joined from its axes; a map whose
+        # x, y or z breaks the pattern by a single bit falls back to blocks
+        if case == "periodic_flat":
+            # zero periodic part and a linear part; 129 + 1 rows and columns
+            u = ImmersionField.flat(GridChart((1.0, 0.75), (128, 64), PERIODIC), scale=1.15)
+        else:
+            u = ImmersionField.flat(GridChart((2.0, 1.0), (40, 24), CLAMPED), scale=0.3)
+        if case == "planted_minus_zero":
+            vals = u.values.copy()
+            vals[3, 5, 2] = -0.0  # == 0.0, but printed "-0"
+            u = ImmersionField(u.chart, vals)
+        elif case == "moved_node":
+            vals = u.values.copy()
+            vals[3, 5, 0] = np.nextafter(vals[3, 5, 0], 1.0)
+            u = ImmersionField(u.chart, vals)
+        blocks = []
+        write_blocks = isoflex.io._write_blocks
+        monkeypatch.setattr(isoflex.io, "_write_blocks",
+                            lambda fh, vals: (blocks.append(vals), write_blocks(fh, vals)))
+        got, ref = tmp_path / "got.obj", tmp_path / "ref.obj"
+        export_mesh(u, got)
+        _reference_export(u, ref)
+        assert got.read_bytes() == ref.read_bytes()
+        assert len(blocks) == (0 if case.endswith("flat") else 1)
+        if case == "planted_minus_zero":
+            assert got.read_bytes().count(b" -0\n") == 1
+
+    def test_faces_copied_from_a_mesh_of_the_chart(self, tmp_path, monkeypatch):
+        # reads that split the face lines, and their first one, anywhere
+        c = GridChart((1.0, 0.75), (24, 40), PERIODIC)
+        u = _wavy(c)
+        first, got, ref = tmp_path / "first.obj", tmp_path / "got.obj", tmp_path / "ref.obj"
+        export_mesh(ImmersionField.flat(c), first)
+        _reference_export(u, ref)
+        for size in (7, 1000, 1 << 19):
+            monkeypatch.setattr(isoflex.io, "_COPY_BYTES", size)
+            export_mesh(u, got, faces_from=first)
+            assert got.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("shape", [(25, 40), (30, 41)])
+    def test_faces_of_another_chart_refused(self, tmp_path, shape):
+        # a mesh of 25 x 41 vertices lends no faces to one of 25 x 40 (the
+        # first face line differs) or of 30 x 41 (the last)
+        first = tmp_path / "first.obj"
+        export_mesh(_wavy(GridChart((1.0, 1.0), (24, 40), PERIODIC)), first)
+        with pytest.raises(ValueError, match="holds no faces of a mesh of"):
+            export_mesh(_wavy(GridChart((1.0, 1.0), shape, CLAMPED)), tmp_path / "u.obj",
+                        faces_from=first)
+        assert not (tmp_path / "u.obj").exists()
 
     def test_flat_patch_counts(self, tmp_path):
         c = _minimal_chart_2x2_like()

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,7 +13,10 @@ import isoflex
 import isoflex.induction
 from isoflex.cli import main
 from isoflex.grid import check_short
+from isoflex.io import export_mesh
 from isoflex.scenario import ScenarioError, depth_problem, parse_scenario
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 MINIMAL_TORUS = """
 [chart]
@@ -602,6 +606,80 @@ def test_run_pulls_back_each_immersion_once(tmp_path, monkeypatch):
     assert summary["bootstrap"]["terms"] == 4 and not summary["bootstrap"]["trivial"]
     assert len(calls) == len({id(u) for u in calls}) == 3
 
+
+
+def test_refused_run_keeps_its_initial_mesh(tmp_path):
+    # the flat map on a 64^2 torus: the bootstrap refuses after the
+    # initial mesh is written
+    p = write(tmp_path, MINIMAL_TORUS)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(p), "--out", str(out)]) == 2
+    assert "|h~| reaches 2.304" in json.loads((out / "summary.json").read_text())["error"]
+    assert not (out / "final.obj").exists()
+    export_mesh(parse_scenario(p).initial_map(), tmp_path / "u0.obj")
+    assert (out / "initial.obj").read_bytes() == (tmp_path / "u0.obj").read_bytes()
+
+
+def test_unchanged_state_is_swept_once(tmp_path, monkeypatch):
+    # the flat 256^2 torus, whose pass keeps no stage: the closing
+    # certificate reads the node bounds of the initial one, and the final
+    # mesh, whose face lines come from the initial mesh, is the one
+    # export_mesh writes on its own
+    run_global, sweep = isoflex.induction.run_global, isoflex.induction._node_derivatives
+    seen, sweeps = {}, []
+
+    def keeping(g, *args, **kwargs):
+        seen["g"] = g
+        seen["state"], seen["report"] = run_global(g, *args, **kwargs)
+        return seen["state"], seen["report"]
+
+    def counting(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(isoflex.induction, "run_global", keeping)
+    monkeypatch.setattr(isoflex.induction, "_node_derivatives", counting)
+    p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "256 256")
+              + "\n[schedule]\ndepth = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(p), "--out", str(out)]) == 0
+    state, report = seen["state"], seen["report"]
+    assert [s for q in report["passes"] for s in q.get("stages", [])
+            if s["active"] and not s.get("truncated")] == []
+    assert len(sweeps) == 1
+    assert report["final"]["certificate"] == isoflex.induction.certify_adapted(state, seen["g"])
+    assert len(sweeps) == 2
+    export_mesh(state.u, tmp_path / "u.obj")
+    assert (out / "final.obj").read_bytes() == (tmp_path / "u.obj").read_bytes()
+
+
+def test_run_meshes_pass_the_benchmark_checks(tmp_path):
+    # the benchmark reads both meshes of a torus run back with its own
+    # parser (bench/checks.py, loaded here, not changed); a 128^2 torus
+    # whose bootstrap corrugates the flat map, so the final mesh is not flat
+    spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "128 128") + """
+[map]
+kind = flat
+scale = 1.15
+
+[schedule]
+a = 4.0
+depth = 2
+delta_star = 0.05
+""")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(p), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["bootstrap"]["terms"] > 0
+    final = checks.read_mesh_grid(out / "final.obj", 129, 129)
+    initial = checks.read_mesh_grid(out / "initial.obj", 129, 129)
+    assert np.max(np.abs(final - initial)) > 1e-3
+    problems, _ = checks.check_torus_run(final, initial, (1.44, 0.0, 1.44), summary,
+                                         (1.0, 1.0), 4.0)
+    assert problems == []
 
 def _float_options():
     """(command, option, extra arguments) for every type=float option of
