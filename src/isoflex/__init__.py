@@ -2,10 +2,10 @@
 
 The package builds immersions of 2-D metrics into R^3 by staged
 high-frequency corrugation: a metric defect is decomposed into primitive
-rank-one pieces (by a linear frame or by conformal coordinates from a
-Beltrami solve), each piece is added by a corrugation step, and an adapted
-induction drives the defect down along a parameter ladder while tracking
-the quantitative estimates at every stage.
+rank-one pieces (by conformal coordinates from a Beltrami solve), each
+piece is added by a corrugation step, and an adapted induction drives the
+defect down along a parameter ladder while tracking the quantitative
+estimates at every stage.
 """
 
 from .grid import (

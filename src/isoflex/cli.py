@@ -2,7 +2,7 @@
 
 Exit codes, one policy for every command: 0 success; 2 assertion failure
 inside a run, or the engine refusing its input (a precondition, shortness,
-resolution, domain, chart, frame, Beltrami or schedule error); 3 any other
+resolution, domain, chart, Beltrami or schedule error); 3 any other
 ValueError, a configuration error; 4 any other exception, an internal
 error, whose traceback a run writes to summary.json and the other commands
 to stderr.  Reports are JSON (summaries), JSON lines (per-stage history)
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import induction
 from .corrugation import CorrugationDomainError, build_corrugation
-from .decomposition import BeltramiError, FrameError, PhaseField, solve_conformal
+from .decomposition import BeltramiError, PhaseField, solve_conformal
 from .grid import (CLAMPED, PERIODIC, ChartError, GridChart, ImmersionField, MetricField,
                    ScalarField, ShortnessReport, UnderResolvedError, pullback_metric)
 from .io import export_mesh
@@ -38,7 +38,7 @@ EXIT_INTERNAL = 4
 
 # the engine refusing its input: exit EXIT_ASSERTION from every command
 REFUSALS = (StepPreconditionError, ShortnessLostError, UnderResolvedError,
-            CorrugationDomainError, ChartError, FrameError, BeltramiError,
+            CorrugationDomainError, ChartError, BeltramiError,
             induction.ScheduleError)
 
 
@@ -67,11 +67,11 @@ def _dump_json(payload, path):
 # Peak RSS of `isoflex run` is a fixed cost (interpreter, numpy and the
 # package; a run on a torus loads no scipy) plus a cost per grid node.
 # Both are fitted to the VmHWM of runs on the flat 256^2 and 512^2 tori
-# with g = 1.44 I: 63.0 and 120.0 MiB (64,508 and 122,848 kB, medians of
+# with g = 1.44 I: 57.7 and 102.0 MiB (59,036 and 104,480 kB, medians of
 # 3), the same at depth 1 and 4 to 0.3% (Linux x86-64, Python 3.11,
 # numpy 2.4).
-RSS_FIXED_BYTES = 46_100_000
-RSS_BYTES_PER_NODE = 304
+RSS_FIXED_BYTES = 44_900_000
+RSS_BYTES_PER_NODE = 237
 
 
 def _memory_estimate(resolution):

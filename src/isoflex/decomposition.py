@@ -1,11 +1,14 @@
 """Decomposition of metric increments into primitive rank-one pieces.
 
-Two routes are provided.  The linear-frame route realizes a symmetric 2x2
-matrix G as sum_i L_i(G) xi_i (x) xi_i over the three equiangular unit
-directions pushed through a base point, with coefficients positive on a
-certified ball around it.  The 2-D conformal route factorizes an SPD field H as
+The 2-D conformal route, the one every run takes (the bootstrap and each
+metric addition), factorizes an SPD field H as
 theta^2 (grad Phi_1 (x) grad Phi_1 + grad Phi_2 (x) grad Phi_2) by solving
 the linear Beltrami equation dz_bar Phi = mu dz Phi spectrally on a torus.
+The linear-frame route realizes a symmetric 2x2 matrix G as
+sum_i L_i(G) xi_i (x) xi_i over the three equiangular unit directions
+pushed through a base point, with coefficients positive on a certified ball
+around it; no run reads it, it is the lemma that acceptance criterion 3
+checks.
 """
 
 from __future__ import annotations

@@ -168,15 +168,6 @@ class MetricField:
     def from_components(cls, chart, a11, a12, a22):
         return cls(chart, np.stack(np.broadcast_arrays(a11, a12, a22), axis=-1).astype(float))
 
-    def as_matrices(self) -> np.ndarray:
-        a, b, c = self.values[..., 0], self.values[..., 1], self.values[..., 2]
-        m = np.empty((*a.shape, 2, 2))
-        m[..., 0, 0] = a
-        m[..., 0, 1] = b
-        m[..., 1, 0] = b
-        m[..., 1, 1] = c
-        return m
-
     def eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form symmetric 2x2 eigenvalues, (min, max) per node."""
         return _eigenvalues(self.values)

@@ -10,9 +10,9 @@ normal of u~ scaled by 1/|xi~|, and rho~ = |xi~| rho.  This adds the
 primitive metric rho^2 grad(Phi) (x) grad(Phi) up to a defect that decays
 like 1/lam.  A stage applies N steps with geometrically escalating
 frequencies; the 2-D metric-addition op feeds a stage with the two phases
-of a conformal factorization; the strong-short bootstrap drives a frame
-decomposition through a stage to put a strictly short immersion into the
-factorized form g - u#e = delta (g + h).
+of a conformal factorization; the strong-short bootstrap drives the same
+two-term factorization through a stage to put a strictly short immersion
+into the factorized form g - u#e = delta (g + h).
 
 Each layer measures one defect, against the metric it was asked to add:
 a step against pb_u + rho^2 grad(Phi) (x) grad(Phi), a stage against
@@ -61,6 +61,7 @@ from .grid import (
     UnderResolvedError,
     _gram,
     _slabs,
+    c1_seminorm,
     derivative_sup,
     jacobian_slabs,
     mollify,
@@ -398,6 +399,52 @@ def _support_inflation(moved_mask, supp_mask, chart):
     return float(dist[moved_mask].max())
 
 
+def _conformal_terms(target: MetricField):
+    """(Phi_1, Phi_2, theta, stats, residual sup) of the conformal
+    factorization of target, whose residual may reach 1e-6 on the torus and
+    1e-2 max|target| on a clamped chart.  The steps read only the phases and
+    theta; the factorization's other fields (mu, residual, gradients, det J)
+    are dropped here, before any step runs."""
+    tol = 1e-6 if target.chart.periodic else 1e-2 * float(np.max(np.abs(target.values)))
+    fac = solve_conformal(target, residual_tol=tol)
+    return fac.phi1, fac.phi2, fac.theta, fac.stats, fac.residual_sup
+
+
+def _torus_terms(phi1: PhaseField, phi2: PhaseField, theta: ScalarField, lam: float):
+    """The two stage terms of a conformal factorization, Phi_1 to run at lam.
+
+    On the torus the pair is turned and scaled by the complex constant c
+    that puts the linear part of Re(c Phi) on the shortest lattice step at
+    lam along the axis nearest to it; with theta / |c| the metric is the
+    same, and Phi_1 wraps with no rounding and runs at lam times the
+    length of that step.  Im(c Phi) is divided by the length r of its
+    linear part and its amplitude multiplied by r, so that it runs at its
+    wave's own frequency.  A Phi_1 already on that step is not turned.
+    """
+    chart = phi1.chart
+    if not chart.periodic:
+        return [(theta, phi1), (theta, phi2)]
+    a, b = np.asarray(phi1.linear), np.asarray(phi2.linear)
+    quanta = 2.0 * np.pi / (lam * np.asarray(chart.extent))
+    i = int(np.argmax(np.abs(a / quanta)))
+    step = np.zeros(2)
+    step[i] = math.copysign(quanta[i], a[i])
+    if not np.array_equal(a, step):
+        # Re(c Phi) = c_r Phi_1 - c_i Phi_2 and Im(c Phi) = c_i Phi_1 + c_r Phi_2
+        cr, ci = np.linalg.solve(np.column_stack([a, -b]), step)
+        p1, p2 = (s * phi1.periodic_values + t * phi2.periodic_values
+                  for s, t in ((cr, -ci), (ci, cr)))
+        phi1 = PhaseField(chart, (float(step[0]), float(step[1])), p1)
+        phi2 = PhaseField(chart, tuple(float(v) for v in ci * a + cr * b), p2)
+        theta = ScalarField(chart, theta.values / math.hypot(cr, ci))
+    r = math.hypot(*phi2.linear)
+    if r == 1.0:
+        return [(theta, phi1), (theta, phi2)]
+    return [(theta, phi1), (ScalarField(chart, r * theta.values),
+                            PhaseField(chart, (phi2.linear[0] / r, phi2.linear[1] / r),
+                                       phi2.periodic_values / r))]
+
+
 def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
                   h: MetricField, delta: float, lam: float, kappa: float,
                   table: CorrugationTable, pb_u: MetricField | None = None, *,
@@ -445,15 +492,10 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
         raise StepPreconditionError(
             f"smoothed g + h lost ellipticity (min eigenvalue {sm_lo:.4g})")
 
-    conformal_tol = 1e-6 if chart.periodic else 1e-2 * float(np.max(np.abs(target_sm.values)))
-    fac = solve_conformal(target_sm, residual_tol=conformal_tol)
+    phi1, phi2, theta, conformal_stats, conformal_residual = _conformal_terms(target_sm)
     del target_sm
-    # the steps read only the phases and theta rho~; the factorization's
-    # fields (mu, residual, gradients, det J) are dropped before they run
-    phi1, phi2, amp = fac.phi1, fac.phi2, fac.theta.values
-    conformal_stats, conformal_residual = fac.stats, fac.residual_sup
-    del fac
-    amp = ScalarField(chart, amp * mollify(rho, ell).values)
+    amp = ScalarField(chart, theta.values * mollify(rho, ell).values)
+    del theta
     terms = [(amp, phi1), (amp, phi2)]
 
     if base is None:
@@ -484,48 +526,27 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
 # ---------------------------------------------------------------------------
 # strong-short bootstrap
 
-_TORUS_DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
-
-
-def torus_primitive_coefficients(m: MetricField):
-    """Pointwise coefficients of M over the integer direction set
-    {e1, e2, e1+e2, e1-e2}: M = c1 e1e1 + c2 e2e2 + c+ (1,1)(x)2 + c- (1,-1)(x)2.
-
-    The diagonal loading t = sqrt(M12^2 + (hm/4)^2) (hm the harmonic mean of
-    the diagonal) keeps every coefficient smooth and positive for SPD M with
-    moderate off-diagonal; integer directions are what let corrugation
-    phases wrap a torus exactly.
-    """
-    m11, m12, m22 = m.values[..., 0], m.values[..., 1], m.values[..., 2]
-    hm = 2.0 * m11 * m22 / (m11 + m22)
-    sup_off = float(np.max(np.abs(m12)))
-    if sup_off == 0.0:
-        t = np.zeros_like(m12)
-    else:
-        scale = 2.0 * sup_off / max(float(np.min(hm)), 1e-300)
-        t = np.sqrt(m12 ** 2 + (0.25 * min(scale, 1.0) * hm) ** 2)
-    coeffs = np.stack([m11 - t, m22 - t, 0.5 * (t + m12), 0.5 * (t - m12)], axis=-1)
-    if coeffs.min() < 0:
-        raise StepPreconditionError(
-            f"torus primitive decomposition infeasible: coefficient floor "
-            f"{coeffs.min():.4g} < 0 (off-diagonal too strong)")
-    return coeffs
+# alpha* of the bootstrap's budgets a0^-alpha*, delta* a0^-alpha* and
+# a0^(1 - alpha*): 1/(8 n) for n = 4 primitive terms.  The stage adds two
+# conformal terms, but 1/(8 * 2) would shrink the displacement budget below
+# what the flat torus meets (0.111 > 0.105 at a0 = 16); which term count
+# the exponent should use is open.
+BOOTSTRAP_ALPHA_STAR = 1.0 / 32.0
 
 
 def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
                      table: CorrugationTable, delta_star: float | None = None):
     """Put a strictly short immersion into the form g - u#e = delta*(g + h).
 
-    Decomposes g - u#e - delta* g into primitive metrics (integer torus
-    frame on periodic charts, the lemma frame on clamped ones) and adds the
-    sum through one stage, from the lowest wave the chart carries with a
-    growth factor that takes all remaining frequency budget (the error of
-    the stage shrinks like 1/K).  Returns (u~, u~#e, h~, delta*, report);
-    h~ = -E/delta* with E the measured stage defect.
+    Factorizes m0 = g - u#e - delta* g in conformal coordinates, as the
+    metric addition does, and adds its two terms through one stage (on the
+    torus first turned onto the lattice by _torus_terms): from the lowest
+    wave the chart carries (2 pi / L on the torus, twice that when
+    clamped) with a growth factor K = max(2, 0.98 ceiling / base) that
+    takes all remaining frequency budget (the error of the stage shrinks
+    like 1/K).  Returns (u~, u~#e, h~, delta*, report); h~ = -E/delta* with
+    E the measured stage defect.
     """
-    from .decomposition import build_frame
-    from .grid import c1_seminorm
-
     chart = u.chart
     pb = pullback_metric(u)
     defect0 = MetricField(chart, g.values - pb.values)
@@ -545,8 +566,6 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
     else:
         if delta_star > 0.125 or delta_star <= 0:
             raise StepPreconditionError(f"delta* must lie in (0, 1/8], got {delta_star}")
-        if MetricField(chart, defect0.values - delta_star * g.values).spd_band()[0] < -1e-12:
-            raise StepPreconditionError("supplied delta* exceeds the shortness margin")
 
     m0 = MetricField(chart, defect0.values - delta_star * g.values)
 
@@ -555,52 +574,31 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
         report = {"delta_star": delta_star, "terms": 0, "trivial": True,
                   "u_moved": 0.0, "h_sup": 0.0}
         return u, pb, h_t, delta_star, report
-
-    if chart.periodic:
-        coeffs = torus_primitive_coefficients(m0)
-        directions = _TORUS_DIRECTIONS
-    else:
-        mats = m0.as_matrices()
-        g0 = mats.reshape(-1, 2, 2).mean(axis=0)
-        ev = np.linalg.eigvalsh(g0)
-        frame = build_frame(2, g0=g0, gamma=1.2 * max(ev.max(), 1.0 / ev.min()))
-        osc = float(np.abs(np.linalg.eigvalsh(mats - g0)).max())
-        if osc > frame.radius:
-            raise StepPreconditionError(
-                f"metric increment oscillation {osc:.4g} exceeds the frame "
-                f"validity radius {frame.radius:.4g}; it measures the metric's "
-                f"variation across the chart, not the resolution: shrink the "
-                f"chart's extent {max(chart.extent):.4g}")
-        coeffs = frame.coefficients(mats)
-        if coeffs.min() <= 0:
-            raise StepPreconditionError("frame coefficients lost positivity")
-        directions = frame.directions
-
-    n_terms = directions.shape[0]
-    terms = []
-    for j in range(n_terms):
-        amp = ScalarField(chart, np.sqrt(np.maximum(coeffs[..., j], 0.0)))
-        terms.append((amp, PhaseField.linear_phase(chart, directions[j])))
-    n_active = max(1, sum(1 for a, _ in terms if float(np.max(a.values)) > 0.0))
+    lo_m0 = m0.spd_band()[0]
+    if lo_m0 <= 0:  # only a supplied delta* can leave m0 degenerate
+        raise StepPreconditionError(
+            f"supplied delta* exceeds the shortness margin: g - u#e - delta* g has "
+            f"min eigenvalue {lo_m0:.4g}, and its conformal factorization needs it positive")
 
     hmax = max(chart.spacing)
     ceiling = frequency_ceiling(chart)
-    lam = 2.0 * np.pi / max(chart.extent) * (1.0 if chart.periodic else 2.0)
-    K = max(2.0, (0.98 * ceiling / lam) ** (1.0 / max(n_active - 1, 1)))
-    top = lam * K ** max(n_active - 1, 0)
+    base = 2.0 * np.pi / max(chart.extent) * (1.0 if chart.periodic else 2.0)
+    K = max(2.0, 0.98 * ceiling / base)
+    top = base * K
     if 2.0 * np.pi / (top * hmax) < NODES_PER_WAVELENGTH * (1.0 - 1e-9):  # as step() tests
         fit = [math.ceil(NODES_PER_WAVELENGTH * top * e / (2.0 * np.pi) - 1e-9)
                + (not chart.periodic) for e in chart.extent]
         raise UnderResolvedError(
-            f"bootstrap frequency ceiling: top frequency {top:.6g} (base {lam:.6g}, "
+            f"bootstrap frequency ceiling: top frequency {top:.6g} (base {base:.6g}, "
             f"K={K:.4g}) exceeds the resolvable {ceiling:.6g}; the smallest "
             f"resolution that fits is {fit[0]}x{fit[1]}")
 
-    out = stage(u, terms, lam, K, table, pb)
+    terms = _torus_terms(*_conformal_terms(m0)[:3], base)
+    out = stage(u, terms, base, K, table, pb)
     u_t, pb_t = out.v, out.pullback
     moved, stage_defect_sup, support_ok = out.displacement, out.defect_sup, out.support_ok
     h_t = MetricField(chart, -(pb_t.values - pb.values - m0.values) / delta_star)
-    del out, terms, coeffs, pb, m0, defect0  # the closing checks below are the peak
+    del out, terms, pb, m0, defect0  # the closing checks below are the peak
 
     half_band_ok = bool(MetricField(chart, pb_t.values - 0.5 * g.values).spd_band()[0] >= -1e-9
                         and MetricField(chart, g.values - pb_t.values).spd_band()[0] >= -1e-9)
@@ -611,20 +609,19 @@ def bootstrap_strong(u: ImmersionField, g: MetricField, a0: float,
             f"bootstrap error term violates the strong-short band: |h~| reaches "
             f"{np.max(np.abs(h_t.values)):.4g}")
 
-    alpha_star = 1.0 / (8.0 * n_terms)
     report = {
-        "delta_star": delta_star, "terms": n_terms, "trivial": False,
-        "base_frequency": lam, "K": K,
+        "delta_star": delta_star, "terms": 2, "trivial": False,
+        "base_frequency": base, "K": K,
         "top_frequency": top,
         "u_moved": moved,
-        "u_moved_budget": delta_star * a0 ** -alpha_star,
+        "u_moved_budget": delta_star * a0 ** -BOOTSTRAP_ALPHA_STAR,
         "h_sup": float(np.max(np.abs(h_t.values))),
-        "h_sup_budget": a0 ** -alpha_star,
+        "h_sup_budget": a0 ** -BOOTSTRAP_ALPHA_STAR,
         "h_c1": c1_seminorm(h_t),
-        "h_c1_budget": a0 ** (1.0 - alpha_star),
+        "h_c1_budget": a0 ** (1.0 - BOOTSTRAP_ALPHA_STAR),
         "u_c2": norm_report(u_t).c2_norm,
         "u_c2_budget": a0,
-        "alpha_star": alpha_star,
+        "alpha_star": BOOTSTRAP_ALPHA_STAR,
         "half_band_ok": half_band_ok,
         "strong_ok": strong_ok,
         "stage_defect_sup": stage_defect_sup,

@@ -97,6 +97,7 @@ def test_no_unused_private_name():
 READ_OUTSIDE_SRC = {
     "corrugation.CorrugationTable.identity_residual": "acceptance criterion 1",
     "decomposition.PrimitiveFrame.reconstruct": "acceptance criterion 3",
+    "decomposition.build_frame": "acceptance criterion 3 and bench/tracer.py TARGETS",
     "induction.rho_recursion_audit": "acceptance criteria 8 and 10, bench clamped_skeleton",
     "io.import_mesh": "the mesh read-back of tests/test_io.py",
     "io.weld_vertices": "the mesh read-back of tests/test_io.py",

@@ -25,9 +25,9 @@ from isoflex.nash_step import (
     add_metric_2d,
     bootstrap_strong,
     commensurate_phase,
+    frequency_ceiling,
     stage,
     step,
-    torus_primitive_coefficients,
 )
 
 
@@ -370,33 +370,6 @@ class TestStage:
         assert out.defect_sup < 0.02
 
 
-class TestTorusCoefficients:
-    def test_diagonal_metric_uses_two_terms(self):
-        c = GridChart((1.0, 1.0), (32, 32), PERIODIC)
-        m = MetricField.constant(c, np.diag([0.3, 0.2]))
-        coeffs = torus_primitive_coefficients(m)
-        assert np.allclose(coeffs[..., 0], 0.3)
-        assert np.allclose(coeffs[..., 1], 0.2)
-        assert np.allclose(coeffs[..., 2:], 0.0)
-
-    def test_reconstruction_with_offdiagonal(self):
-        c = GridChart((1.0, 1.0), (32, 32), PERIODIC)
-        m = MetricField.constant(c, np.array([[0.3, 0.05], [0.05, 0.25]]))
-        coeffs = torus_primitive_coefficients(m)
-        assert coeffs.min() >= 0
-        dirs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
-        back = np.einsum("...i,ik,il->...kl", coeffs, dirs, dirs)
-        assert np.allclose(back[..., 0, 0], 0.3, atol=1e-12)
-        assert np.allclose(back[..., 0, 1], 0.05, atol=1e-12)
-        assert np.allclose(back[..., 1, 1], 0.25, atol=1e-12)
-
-    def test_too_strong_offdiagonal_rejected(self):
-        c = GridChart((1.0, 1.0), (32, 32), PERIODIC)
-        m = MetricField.constant(c, np.array([[1.0, 0.99], [0.99, 1.0]]))
-        with pytest.raises(StepPreconditionError, match="off-diagonal"):
-            torus_primitive_coefficients(m)
-
-
 class TestAddMetric2d:
     def test_zero_rho_identity(self, table):
         c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
@@ -570,9 +543,8 @@ class TestAddMetric2d:
 class TestMeasuredOnce:
     def test_each_layer_measures_only_its_own_defect(self, table, monkeypatch):
         # the steps of a stage are not measured: a two-term metric addition
-        # measures against rho^2 (g + h) alone, and the four-term bootstrap
-        # stage of a flat torus (two terms live) against the sum of its
-        # primitives alone
+        # measures against rho^2 (g + h) alone, and the two-term bootstrap
+        # stage of a flat torus against the sum of its primitives alone
         import isoflex.nash_step as nash_step
 
         calls = []
@@ -595,7 +567,7 @@ class TestMeasuredOnce:
         c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
         g = MetricField.constant(c, 1.44 * np.eye(2))
         _, pb_t, _, _, rep = bootstrap_strong(ImmersionField.flat(c), g, 4.0, table)
-        assert rep["terms"] == 4 and rep["stage_defect_sup"] > 0.0
+        assert rep["terms"] == 2 and rep["stage_defect_sup"] > 0.0
         assert len(calls) == 1 and calls[0] is pb_t
 
 
@@ -649,37 +621,76 @@ class TestBootstrap:
         assert rep["h_sup"] <= rep["h_sup_budget"]
 
     def test_frequency_ceiling_refused_up_front(self, table, monkeypatch):
-        # the clamped cap at 128^2: three frame terms from base 8 pi need
-        # K >= 2, and 8 pi 2^2 = 32 pi tops the ceiling 99.7 by a hair; the
-        # refusal comes before any step runs and names the resolution
-        # (129^2) whose ceiling is exactly 32 pi
+        # the clamped cap at 64^2: from base 4 pi the stage needs K >= 2,
+        # and 4 pi 2 = 8 pi tops the ceiling 24.74; the refusal comes before
+        # any step runs and names the resolution (65^2) whose ceiling is
+        # exactly 8 pi
         import isoflex.nash_step as nash_step
 
         calls = []
         monkeypatch.setattr(nash_step, "_corrugate", lambda *a, **k: calls.append(a))
-        u, g = _cap(128, 0.5)
+        u, g = _cap(64, 1.0)
         with pytest.raises(UnderResolvedError, match="frequency ceiling") as exc:
             bootstrap_strong(u, g, 4.0, table)
-        assert "129x129" in str(exc.value) and calls == []
+        assert "65x65" in str(exc.value) and calls == []
         monkeypatch.undo()
-        u, g = _cap(129, 0.5)
+        u, g = _cap(65, 1.0)
         with pytest.raises(ShortnessLostError):  # the ceiling check passes
             bootstrap_strong(u, g, 4.0, table)
 
-    def test_oscillation_refusal_names_the_extent(self, table):
-        # the oscillation of the metric increment is a property of the
-        # metric over the chart: refining leaves it, shrinking the chart
-        # lowers it below the frame radius
-        quoted = []
+    def test_cap_error_term_follows_one_over_k(self, table):
+        # the cap's conformal factorization always exists; what refuses it
+        # is the resolution: |h~| falls like 1/K as the grid is refined
+        h_sup, growth = [], []
         for n in (128, 256):
-            with pytest.raises(StepPreconditionError, match="oscillation") as exc:
-                bootstrap_strong(*_cap(n, 1.0), 4.0, table)
-            msg = str(exc.value)
-            assert "refine" not in msg and "extent" in msg
-            quoted.append(float(msg.split("oscillation ")[1].split()[0]))
-        assert quoted[1] == pytest.approx(quoted[0], rel=0.01)
-        with pytest.raises(UnderResolvedError, match="frequency ceiling"):
-            bootstrap_strong(*_cap(128, 0.5), 4.0, table)
+            u, g = _cap(n, 1.0)
+            with pytest.raises(ShortnessLostError, match="strong-short band") as exc:
+                bootstrap_strong(u, g, 4.0, table)
+            h_sup.append(float(str(exc.value).split("reaches ")[1]))
+            growth.append(0.98 * frequency_ceiling(u.chart) / (4.0 * np.pi))
+        assert h_sup[0] / h_sup[1] == pytest.approx(growth[1] / growth[0], rel=0.25)
+
+    def test_off_diagonal_torus(self, table):
+        # the conformal phases of an off-diagonal metric are turned onto the
+        # torus lattice: a small g12 passes the strong band, and a large one
+        # is refused by the band rather than by rounding a phase at the base
+        c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
+        g = MetricField.constant(c, np.array([[1.44, 0.05], [0.05, 1.44]]))
+        _, _, _, _, rep = bootstrap_strong(ImmersionField.flat(c), g, 4.0, table)
+        assert rep["strong_ok"] and rep["terms"] == 2
+        g = MetricField.constant(c, np.array([[1.44, 0.2], [0.2, 1.44]]))
+        with pytest.raises(ShortnessLostError, match="strong-short band"):
+            bootstrap_strong(ImmersionField.flat(c), g, 4.0, table)
+
+    def test_anisotropic_diagonal_torus_passes_the_band(self, table):
+        # g = diag(1.44, 1.21) has a constant Beltrami coefficient mu ~ 0.235,
+        # so Phi_1 = (1 + mu) x: rounded at the base 2 pi it would lose 19% of
+        # its metric, and Phi_2 = (1 - mu) y would run below its frequency
+        c = GridChart((1.0, 1.0), (512, 512), PERIODIC)
+        g = MetricField.constant(c, np.diag([1.44, 1.21]))
+        _, _, _, _, rep = bootstrap_strong(ImmersionField.flat(c), g, 4.0, table)
+        assert rep["strong_ok"] and rep["h_sup"] < 0.5
+
+    @pytest.mark.parametrize("m12, wave", [(0.0, 0.0), (0.1, 0.0), (0.1, 0.05)])
+    def test_torus_terms_keep_the_metric(self, m12, wave):
+        # the turned terms add the metric of the factorization's own terms,
+        # the first wraps at the base with no rounding and the second's
+        # linear part has unit length
+        from isoflex.nash_step import _conformal_terms, _primitive, _torus_terms
+
+        c = GridChart((1.0, 1.0), (64, 64), PERIODIC)
+        x, y = c.mesh()
+        m11 = 0.35 + wave * np.cos(2.0 * np.pi * (x + 2.0 * y))
+        target = MetricField.from_components(c, m11, m12 + 0.0 * x, 0.134 + 0.0 * x)
+        phi1, phi2, theta, _, _ = _conformal_terms(target)
+        assert commensurate_phase(phi1, 2.0 * np.pi)[1] > 0.1
+        terms = _torus_terms(phi1, phi2, theta, 2.0 * np.pi)
+        assert commensurate_phase(terms[0][1], 2.0 * np.pi)[1] == 0.0
+        assert np.hypot(*terms[1][1].linear) == pytest.approx(1.0, abs=1e-15)
+        total = sum(_primitive(r, p.gradient()) for r, p in terms)
+        given = sum(_primitive(theta, p.gradient()) for p in (phi1, phi2))
+        assert np.max(np.abs(total - given)) < 1e-12
+        assert np.max(np.abs(given - target.values)) < 1e-5
 
     def test_supplied_delta_star_validated(self, table):
         c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
@@ -687,6 +698,18 @@ class TestBootstrap:
         u = ImmersionField.flat(c, scale=0.99)  # margin 0.02 < 1/8
         with pytest.raises(StepPreconditionError, match="delta"):
             bootstrap_strong(u, g, 4.0, table, delta_star=0.125)
+
+    def test_supplied_delta_star_at_the_margin_refused(self, table):
+        # delta* = 1/8 is exactly the margin where f^2 = 8/7: m0 is singular
+        # there (min eigenvalue -5.6e-17), which the factorization cannot
+        # take, and the bootstrap refuses it by name rather than letting the
+        # Beltrami coefficient fail
+        c = GridChart((1.0, 1.0), (64, 64), PERIODIC)
+        x, _ = c.mesh()
+        f2 = 8.0 / 7.0 + 0.1 * (1.0 - np.cos(2.0 * np.pi * x))
+        g = MetricField.from_components(c, f2, 0.0 * f2, f2)
+        with pytest.raises(StepPreconditionError, match="exceeds the shortness margin"):
+            bootstrap_strong(ImmersionField.flat(c), g, 4.0, table, delta_star=0.125)
 
 
 class TestStepInvariants:

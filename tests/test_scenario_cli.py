@@ -603,9 +603,42 @@ def test_run_pulls_back_each_immersion_once(tmp_path, monkeypatch):
     p = write(tmp_path, MINIMAL_TORUS.replace("64 64", "256 256"))
     assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["bootstrap"]["terms"] == 4 and not summary["bootstrap"]["trivial"]
+    assert summary["bootstrap"]["terms"] == 2 and not summary["bootstrap"]["trivial"]
     assert len(calls) == len({id(u) for u in calls}) == 3
 
+
+
+def test_run_reaches_the_clamped_skeleton_pass(tmp_path):
+    # a 512^2 clamped chart with a triangle skeleton: the bootstrap's
+    # conformal stage passes the strong band, so each skeleton level
+    # (vertices, edges, the whole chart) runs its pass, whose q = 0 stage
+    # the grid truncates
+    p = write(tmp_path, """
+[chart]
+resolution = 512 512
+boundary = clamped
+
+[metric]
+kind = constant
+matrix = 1.21 0.0 1.21
+
+[schedule]
+depth = 2
+
+[skeleton]
+kind = triangulation
+vertices = 0.35 0.35; 0.65 0.35; 0.5 0.62
+edges = 0-1; 1-2; 2-0
+""")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(p), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["bootstrap"]["strong_ok"] and summary["bootstrap"]["terms"] == 2
+    assert [(q["level"], q["truncation"]["q"], q["truncation"]["reason"])
+            for q in summary["passes"]] == [(level, 0, "frequency ceiling") for level in range(3)]
+    history = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
+    assert [(r["level"], r["q"], r["truncated"]) for r in history] == [
+        (level, 0, True) for level in range(3)]
 
 
 def test_refused_run_keeps_its_initial_mesh(tmp_path):
