@@ -26,6 +26,7 @@ from .grid import (
     MetricField,
     ScalarField,
     UnderResolvedError,
+    _eigenvalues,
     _slabs,
     c1_seminorm,
     c2_seminorm,
@@ -34,12 +35,14 @@ from .grid import (
     slab_derivatives,
 )
 from .nash_step import (
+    STAGE_LAW_SCATTER,
     ShortnessLostError,
     StepPreconditionError,
     add_metric_2d,
     bootstrap_strong,
     commensurate_base,
     frequency_ceiling,
+    predicted_stage_defect,
 )
 
 RHO_FLOOR = 1e-6               # rho-power bounds skip nodes with rho below this
@@ -524,6 +527,18 @@ class PassConfig:
     table: CorrugationTable
 
 
+def _stage_reserve(g: MetricField, pb_u: MetricField, amp_sq: np.ndarray, h_t: MetricField):
+    """(D, reserve) of a stage that adds rho~^2 (g + h~), amp_sq = rho~^2, to
+    u#e = pb_u: D = sup |rho~^2 (g + h~)| over the components and the
+    shortness reserve min eig(g - u#e - rho~^2 (g + h~)), in one slab sweep."""
+    added_sup, reserve = 0.0, np.inf
+    for s in _slabs(g.values):
+        added = amp_sq[s][..., None] * (g.values[s] + h_t.values[s])
+        added_sup = max(added_sup, float(np.max(np.abs(added))))
+        reserve = min(reserve, float(_eigenvalues(g.values[s] - pb_u.values[s] - added)[0].min()))
+    return added_sup, reserve
+
+
 def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                    ladder: DeskLadder, depth: int, g: MetricField,
                    config: PassConfig, incoming_top: float = 0.0,
@@ -533,14 +548,19 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
     Each stage's base frequency and growth K are planned here, against the
     grid ceiling, and add_metric_2d runs that plan; the new state's
     certificate carries the top frequency of its map as "top_frequency".
-    Shortness, locality and displacement-budget failures roll the iterate
-    back and truncate the pass with an explicit reason instead of
-    delivering an aliased state.  A kept stage is verified by the driver's
-    certificate at the pass exponents A^(b^2), theta / b^2 (factorization,
-    shortness, strong band, rho-power bounds) and by its level's rho-lemma
-    record.  held, node fields a caller keeps of the state's u, rho and h
-    (see _certificate), is emptied before a stage runs, since the stage
-    may change them.  Returns (new state, history, truncation).
+    Before a stage runs, the stage law (nash_step.predicted_stage_defect)
+    predicts its defect, recorded as "predicted_defect"; a stage whose
+    shortness reserve lies below (1 - 2 s) times that prediction, s the
+    law's scatter, is not run, and the pass truncates ("predicted
+    shortness loss").  Shortness, locality and displacement-budget
+    failures of a stage that ran roll the iterate back and truncate the
+    pass with an explicit reason instead of delivering an aliased state.
+    A kept stage is verified by the driver's certificate at the pass
+    exponents A^(b^2), theta / b^2 (factorization, shortness, strong band,
+    rho-power bounds) and by its level's rho-lemma record.  held, node
+    fields a caller keeps of the state's u, rho and h (see _certificate),
+    is emptied before a stage runs, since the stage may change them.
+    Returns (new state, history, truncation).
     """
     chart = state.u.chart
     hmax = max(chart.spacing)
@@ -624,9 +644,20 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
             break
         kappa_eff = max(ladder.kappa, math.log(base / 1.02) / math.log(max(lam_nom, 2.0)))
 
+        pb_u = pullback_metric(u) if pb_u is None else pb_u
+        added_sup, reserve = _stage_reserve(g, pb_u, amp_sq, h_t)
+        rec["predicted_defect"] = predicted = predicted_stage_defect(chart, added_sup, growth)
+        if reserve < (1.0 - 2.0 * STAGE_LAW_SCATTER) * predicted:
+            keeps = (f"from K = {predicted * growth / reserve:.3g}" if reserve > 0
+                     else "at no K")
+            truncation = {"q": q, "reason": "predicted shortness loss",
+                          "detail": f"predicted stage defect {predicted:.4g} at K = "
+                                    f"{growth:.3g} against a shortness reserve "
+                                    f"{reserve:.4g}; the stage law keeps shortness {keeps}"}
+            break
+
         if held:
             held.clear()
-        pb_u = pullback_metric(u) if pb_u is None else pb_u
         try:
             out = add_metric_2d(
                 u, rho_t, g, h_t, delta_eff, lam_nom, kappa_eff, config.table,
@@ -636,6 +667,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
             break
 
         v, pb_v = out.v, out.pullback
+        rec["defect_sup"] = out.defect_sup
         short_lo = MetricField(chart, g.values - pb_v.values).spd_band()[0]
         if short_lo <= 0:
             truncation = {
@@ -682,7 +714,6 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         rec.update((k, cert[k]) for k in ("factorization_residual", "short_min_eig",
                                           "strong_band_ok"))
         rec["h_sup"] = float(np.max(np.abs(h_next_vals)))
-        rec["defect_sup"] = out.defect_sup
         rec["stage_meta"] = {k: out.meta[k] for k in
                              ("base_frequency", "K", "ell", "support_inflation",
                               "stage_constant", "conformal_residual")}

@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 import isoflex.grid as grid
+import isoflex.nash_step as nash_step
 
 # SLAB_BYTES budgets: one row per slab, 7 rows of a 3-component (75, 53)
 # field, and the default
@@ -31,3 +32,20 @@ def traced_peak():
     yield peak
     if started:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def law_band():
+    """check(records) -> the number of records whose stage ran.
+
+    Every pass stage record carrying a measured defect_sup (its stage ran,
+    kept or rolled back) carries predicted_defect, and its defect lies
+    within the stage law's scatter of that prediction."""
+    def check(records):
+        ran = [rec for rec in records if "defect_sup" in rec]
+        for rec in ran:
+            ratio = rec["defect_sup"] / rec["predicted_defect"]
+            assert abs(ratio - 1.0) <= nash_step.STAGE_LAW_SCATTER, (rec["q"], ratio)
+        return len(ran)
+
+    return check

@@ -255,7 +255,7 @@ def test_criterion_07_metric_addition_scaling(table):
     assert inflation <= budget
 
 
-def test_criterion_08_rho_recursion_depth5(table):
+def test_criterion_08_rho_recursion_depth5(table, law_band):
     # The recursion lemma is certified node-wise to depth 5 on the pure
     # amplitude recursion; the corrugated ladder runs as deep as the grid
     # resolves and must keep the factorization exact and shortness intact,
@@ -295,6 +295,7 @@ def test_criterion_08_rho_recursion_depth5(table):
     assert resid < 1e-9
     assert short_ok
     assert executed >= 1
+    assert law_band(main["stages"]) >= executed
     if executed < 5:
         assert truncation is not None and truncation["reason"] in (
             "frequency ceiling", "amplitude floor", "shortness would be lost")
@@ -337,7 +338,7 @@ def test_criterion_09_full_pipeline(table):
         f"{[t['reason'] for t in truncs]}); unattainable as specified")
 
 
-def test_criterion_10_skeleton_scenario(table):
+def test_criterion_10_skeleton_scenario(table, law_band):
     # disc with one triangle: an adapted state whose amplitude vanishes
     # toward the vertices, upgraded over the edge skeleton
     n = 2048
@@ -397,6 +398,7 @@ def test_criterion_10_skeleton_scenario(table):
     assert moved_on_s < 1e-12
     assert audits_ok
     assert rec_ok
+    law_band(history)
     cert_resid = np.max(np.abs(
         g.values - pullback_metric(new_state.u).values
         - (new_state.rho.values ** 2)[..., None] * (g.values + new_state.h.values)))

@@ -38,6 +38,7 @@ from isoflex.induction import (
     smoothstep,
     update_rho,
 )
+from isoflex.nash_step import add_metric_2d
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +317,7 @@ class TestSmoothstep:
 
 
 class TestPipeline:
-    def test_trivial_bootstrap_single_stage(self, table):
+    def test_trivial_bootstrap_single_stage(self, table, law_band):
         n = 512
         c = GridChart((1.0, 1.0), (n, n), PERIODIC)
         g = MetricField.constant(c, 1.44 * np.eye(2))
@@ -332,6 +333,7 @@ class TestPipeline:
         assert s0["factorization_residual"] < 1e-9
         assert s0["short_min_eig"] > 0
         assert s0["h_update_consistency"] < 1e-10
+        assert law_band(main["stages"]) == 1
         assert all(r["ok"] for r in main["rho_lemma"])
         # truncation carries an explicit reason once the grid is exhausted
         if main["truncation"] is not None:
@@ -340,7 +342,7 @@ class TestPipeline:
         assert report["final"]["defect_relative"] < report["bootstrap"]["delta_star"]
         assert report["final"]["short_min_eig"] > 0
 
-    def test_torus_pass_runs_the_snapped_base(self, table):
+    def test_torus_pass_runs_the_snapped_base(self, table, law_band):
         # a ladder base of 9.5 is snapped to 4 pi on the unit torus before
         # the growth is planned from it, so the planned top fits the grid
         c = GridChart((1.0, 1.0), (512, 512), PERIODIC)
@@ -356,7 +358,7 @@ class TestPipeline:
         _, history, truncation = inductive_pass(state, SkeletonSet(2, whole=True), sched,
                                                 ladder, 1, g, PassConfig(table=table))
         assert truncation is None
-        assert history[0]["active"]
+        assert history[0]["active"] and law_band(history) == 1
         assert history[0]["stage_meta"]["base_frequency"] == 4 * np.pi
 
     def test_literal_flat_start_runs_bootstrap(self, table):
@@ -392,7 +394,7 @@ class TestPipeline:
         probes = report["final"]["holder_probes"]
         assert len(probes) == 2 and probes[0] == probes[1] > 0
 
-    def test_stage_drops_the_held_node_fields(self, table, monkeypatch):
+    def test_stage_drops_the_held_node_fields(self, table, law_band, monkeypatch):
         # the trivial-bootstrap torus keeps a stage at q = 0: the node fields
         # the initial certificate holds are dropped before the stage runs, and
         # the closing certificate sweeps the state the stage made
@@ -423,6 +425,7 @@ class TestPipeline:
                                    theta0=0.15, alpha0=0.1, a0=4.0, depth=3, table=table,
                                    bootstrap_delta_star=0.125)
         assert report["passes"][2]["stages"][0]["active"]
+        assert law_band(report["passes"][2]["stages"]) == 1
         assert held_at_stage == [[]] and helds[1] is None
         assert len(sweeps) == 3  # initial, kept stage, closing
         assert report["final"]["certificate"] == certify(state, g)
@@ -434,7 +437,7 @@ class TestPipeline:
         with pytest.raises(Exception, match="not strictly short"):
             run_global(g, u0, theta0=0.15, alpha0=0.1, a0=4.0, depth=1, table=table)
 
-    def test_synthetic_vertex_state_preserves_s(self, table):
+    def test_synthetic_vertex_state_preserves_s(self, table, law_band):
         # an adapted-by-construction state whose rho dips at the vertices:
         # the pass over the edge skeleton must leave the vertices untouched
         n = 512
@@ -476,10 +479,12 @@ class TestPipeline:
         new_state, history, truncation = inductive_pass(
             state, sigma, sched, ladder, 2, g, config)
         active = [h for h in history if h.get("active")]
-        # at this resolution the stage either survives or rolls back with a
-        # clean certificate; the state stays exact either way
+        # at this resolution the stage survives, rolls back or is not run
+        # (predicted shortness loss) with a clean certificate; the state
+        # stays exact either way
         if not active:
             assert truncation is not None
+        law_band(history)
         for rec in active:
             assert rec.get("moved_on_S", 0.0) < 1e-12
             assert rec["factorization_residual"] < 1e-9
@@ -632,10 +637,10 @@ def torus512(table):
     return g, state, report, rho0, desk_ladder(sched, delta1, c, 3)
 
 
-def test_kept_stage_record_is_the_certificate_at_pass_exponents(torus512):
+def test_kept_stage_record_is_the_certificate_at_pass_exponents(torus512, law_band):
     g, state, report, _, ladder = torus512
     kept = [s for s in report["passes"][2]["stages"] if s.get("active")]
-    assert len(kept) == 1
+    assert len(kept) == 1 and law_band(kept) == 1
     rec = kept[0]
     # the final state is the kept stage's (v, v#e, rho_(q+1), h_(q+1))
     b2 = ladder.b ** 2
@@ -670,10 +675,10 @@ def test_certificate_takes_log_a_past_float_range():
     assert all(small[name] is False for name in COND3.values())
 
 
-def _clamped_triangle_pass(table, sigma_kind):
-    """One skeleton pass on the 256^2 clamped triangle state; with the
-    ladder and the (rho_0, sigma, S) it ran on."""
-    n, tri = 256, ((0.35, 0.35), (0.65, 0.35), (0.5, 0.62))
+def _triangle_state(n, sigma_kind="edges"):
+    """The clamped triangle state of the skeleton benchmark on an n^2 chart:
+    (g, state, sigma, schedule, ladder), sigma the edges or one vertex."""
+    tri = ((0.35, 0.35), (0.65, 0.35), (0.5, 0.62))
     c = GridChart((1.0, 1.0), (n, n), CLAMPED)
     g = MetricField.constant(c, 1.21 * np.eye(2))
     u0 = ImmersionField.flat(c, scale=np.sqrt(1.21 * 0.875))
@@ -691,9 +696,17 @@ def _clamped_triangle_pass(table, sigma_kind):
                            theta, alpha, 0.125)
     ladder = desk_ladder(sched, 0.125, c, depth=2, base_frequency=4 * np.pi,
                          tube_radius=0.09 if sigma_kind == "edges" else 0.05)
+    return g, state, sigma, sched, ladder
+
+
+def _clamped_triangle_pass(table, sigma_kind):
+    """One skeleton pass on the 256^2 clamped triangle state; with the
+    ladder and the (rho_0, sigma, S) it ran on."""
+    g, state, sigma, sched, ladder = _triangle_state(256, sigma_kind)
     new_state, history, _ = inductive_pass(state, sigma, sched, ladder, 2, g,
                                            PassConfig(table=table))
-    return new_state.certificate["rho_lemma"], history, ladder, (rho0, sigma, s_set)
+    return (new_state.certificate["rho_lemma"], history, ladder,
+            (state.rho, sigma, state.s_set))
 
 
 def _completed_levels(history):
@@ -720,3 +733,40 @@ class TestPassRhoLemma:
         _, audit = rho_recursion_audit(rho0, sigma, s_set, ladder, 2)
         assert len(lemma) == _completed_levels(history) == levels
         assert lemma == audit[:levels]
+
+
+class TestStageLaw:
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_skipped_stage_would_lose_shortness(self, table, law_band, n, monkeypatch):
+        # the skeleton benchmark's q = 0 stage: the law predicts a defect
+        # far above the shortness reserve delta_2 g, so the pass does not
+        # run it; forced (s = 1/2 makes the rule vacuous), add_metric_2d
+        # runs the planned base and K and leaves shortness, as predicted
+        import isoflex.induction as induction
+
+        g, state, sigma, sched, ladder = _triangle_state(n)
+        calls = []
+        monkeypatch.setattr(induction, "add_metric_2d", lambda *a, **k: calls.append(k))
+        kept, history, skip = inductive_pass(state, sigma, sched, ladder, 2, g,
+                                             PassConfig(table=table))
+        assert calls == [] and kept.u is state.u
+        assert (skip["q"], skip["reason"]) == (0, "predicted shortness loss")
+        skipped = history[-1]
+        assert skipped["truncated"] and "defect_sup" not in skipped
+
+        monkeypatch.setattr(induction, "STAGE_LAW_SCATTER", 0.5)
+        outs = []
+
+        def forced(*args, **kwargs):
+            outs.append((kwargs, add_metric_2d(*args, **kwargs)))
+            return outs[-1][1]
+
+        monkeypatch.setattr(induction, "add_metric_2d", forced)
+        _, history, truncation = inductive_pass(state, sigma, sched, ladder, 2, g,
+                                                PassConfig(table=table))
+        (plan, out), = outs
+        assert f"at K = {plan['K']:.3g} " in skip["detail"]
+        assert history[-1]["predicted_defect"] == skipped["predicted_defect"]
+        assert MetricField(g.chart, g.values - out.pullback.values).spd_band()[0] < 0
+        assert truncation["reason"] == "shortness would be lost"
+        assert law_band(history) == 1

@@ -21,7 +21,9 @@ from isoflex.nash_step import (
     ShortnessLostError,
     StepPreconditionError,
     _band,
+    _displacement,
     _measure_defect,
+    _support_inflation,
     add_metric_2d,
     bootstrap_strong,
     commensurate_phase,
@@ -525,6 +527,50 @@ class TestAddMetric2d:
         assert [st["lam"] for st in out.meta["steps"]] == [base, base * K]
         assert out.meta["top_frequency"] == base * K
 
+    @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
+    def test_slab_reductions_match_whole_array(self, table, slab_budget, boundary):
+        # the defect target pb_u + rho^2 (g + h), the moved mask and sup
+        # |v - u| are formed slab by slab: each gives the whole array's value
+        c = GridChart((1.0, 1.0), (96, 128), boundary)
+        u = ImmersionField.flat(c, scale=0.9)
+        g = MetricField.constant(c, np.eye(2))
+        h = MetricField.constant(c, np.zeros((2, 2)))
+        rho = ScalarField(c, 0.9 * np.sqrt(0.05) * bump_field(c, 1.0).values)
+        out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table)
+        target = pullback_metric(u).values + (rho.values ** 2)[..., None] * (g.values + h.values)
+        assert _measure_defect(out.pullback, target, out.meta["ell"]) == (
+            out.meta["collar"], out.defect_sup, out.defect_c1)
+        moved = np.abs(out.v.values - u.values).max(axis=-1) > 1e-14
+        assert moved.any() and not moved.all()
+        assert _support_inflation(moved, rho.values != 0.0, c) == out.meta["support_inflation"]
+        whole = float(np.max(np.linalg.norm(out.v.values - u.values, axis=-1)))
+        assert out.displacement == _displacement(out.v.values, u.values) == whole
+
+    def test_chain_drops_each_steps_pullback(self, table, monkeypatch):
+        # a step's v#e is read by no later step: it is freed before the next
+        # step runs, and the last one is the outcome's
+        import weakref
+
+        import isoflex.nash_step as nash_step
+
+        corrugate, made, alive = nash_step._corrugate, [], []
+
+        def tracking(*args):
+            alive.append([ref() is not None for ref in made])
+            c = corrugate(*args)
+            made.append(weakref.ref(c.pullback))
+            return c
+
+        monkeypatch.setattr(nash_step, "_corrugate", tracking)
+        c = GridChart((1.0, 1.0), (128, 128), PERIODIC)
+        u = ImmersionField.flat(c, scale=0.9)
+        g = MetricField.constant(c, np.eye(2))
+        h = MetricField.constant(c, np.zeros((2, 2)))
+        rho = ScalarField.constant(c, 0.9 * np.sqrt(0.05))
+        out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table)
+        assert alive == [[], [False]]
+        assert made[-1]() is out.pullback
+
     def test_support_inflation_bounded(self, table):
         c = GridChart((1.0, 1.0), (768, 768), CLAMPED)
         u = ImmersionField.flat(c, scale=0.9)
@@ -619,6 +665,8 @@ class TestBootstrap:
         assert rep["h_sup_budget"] == pytest.approx(16.0 ** -rep["alpha_star"])
         assert rep["u_moved"] <= rep["u_moved_budget"]
         assert rep["h_sup"] <= rep["h_sup_budget"]
+        # no verdict on |h~|_C1 or |u~|_C2: nothing read it
+        assert not {"budgets_ok", "h_c1", "h_c1_budget", "u_c2", "u_c2_budget"} & set(rep)
 
     def test_frequency_ceiling_refused_up_front(self, table, monkeypatch):
         # the clamped cap at 64^2: from base 4 pi the stage needs K >= 2,

@@ -490,7 +490,7 @@ a = 4.0
         lam = summary["exact_ladder"]["lam"]
         assert "inf" in lam and all(v == "inf" or np.isfinite(v) for v in lam)
 
-    def test_small_run_end_to_end(self, tmp_path):
+    def test_small_run_end_to_end(self, tmp_path, law_band):
         scenario = """
 [chart]
 resolution = 128 128
@@ -519,7 +519,8 @@ delta_star = 0.125
         assert summary["final"]["short_min_eig"] > 0
         assert summary["failed_assertions"] == []
         assert (out / "final.obj").exists()
-        assert (out / "history.jsonl").exists()
+        history = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
+        assert law_band(history) == 1  # the q = 0 stage, rolled back
 
     def test_corrugation_dump(self, tmp_path, capsys):
         rc = main(["corrugation-dump", "--amplitudes", "0.5",
@@ -551,7 +552,7 @@ delta_star = 0.125
         assert "slope" in lines[-1]
 
 
-def test_history_deterministic_across_runs(tmp_path):
+def test_history_deterministic_across_runs(tmp_path, law_band):
     scenario = """
 [chart]
 resolution = 128 128
@@ -582,6 +583,7 @@ delta_star = 0.125
         outs.append((out / "final.obj").read_bytes())
     assert outs[0] == outs[2]
     assert outs[1] == outs[3]
+    assert law_band([json.loads(line) for line in outs[0].decode().splitlines()]) == 1
 
 
 def test_run_pulls_back_each_immersion_once(tmp_path, monkeypatch):
