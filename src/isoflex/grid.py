@@ -280,13 +280,17 @@ def _gram(x, y):
 # Every derivative is evaluated over slabs of rows (axis 0) of about
 # SLAB_BYTES, so that a slab's input, output and the stencil's temporaries
 # stay in cache instead of streaming whole fields through memory once per
-# term.  Along axis 0 a slab reads its rows plus two halo rows on each side;
-# along axis 1 each slab is differentiated whole.  The centered stencils run
-# over the interior rows of either chart; the two edge rows on each side
-# come from the one-sided formulas of a clamped frame, or on a periodic axis
-# from the centered stencil over an 8-row wrapped copy.  Each stencil is
-# evaluated in the term order of its formula, so every node gets the same
-# floats as the formula itself, whatever the slab size.
+# term.  Along axis 0 a slab reads its rows plus two halo rows on each side.
+# Along axis 1 a slab is flattened to (rows * ny, ...), so that a shift of one
+# along the flat axis 0 is a shift of one column and the centered stencil
+# reads contiguous memory; it mixes neighbouring rows at the two edge columns
+# on each side, which the edge formulas then overwrite.  The centered
+# stencils run over the interior rows (columns) of either chart; the two
+# edge rows on each side come from the one-sided formulas of a clamped
+# frame, or on a periodic axis from the centered stencil over an 8-row
+# wrapped copy.  Each stencil is evaluated in the term order of its formula,
+# so every node gets the same floats as the formula itself, whatever the
+# slab size.
 
 def _slabs(values):
     """Slices of axis 0 that cut values into slabs of about SLAB_BYTES."""
@@ -349,16 +353,21 @@ def _rows(f, out, a, b, h, order, periodic):
 
 
 def _slab(values, s, axis, h, order, periodic, out):
-    """Derivative along axis of the rows s of values, written to out."""
+    """Derivative along axis of the rows s of values, written to out (C-contiguous)."""
     if axis == 0:
         _rows(values, out, s.start, s.stop, h, order, periodic)
-    else:
-        f = values[s].swapaxes(0, 1)
-        _rows(f, out.swapaxes(0, 1), 0, f.shape[0], h, order, periodic)
+        return
+    f = values[s]
+    k, n = f.shape[:2]
+    flat = f.reshape(k * n, *f.shape[2:])  # a copy only of a non-contiguous slab
+    centered, hh = (_centered1, h) if order == 1 else (_centered2, h * h)
+    centered(flat, np.reshape(out, flat.shape, copy=False)[2:-2], hh)
+    for j, col in zip((0, 1, n - 2, n - 1), _edge_rows(f.swapaxes(0, 1), h, order, periodic)):
+        out[:, j] = col
 
 
 def _diff(values, axis, h, order, periodic):
-    out = np.empty_like(values)
+    out = np.empty(values.shape)  # C-contiguous whatever the layout of values
     for s in _slabs(values):
         _slab(values, s, axis, h, order, periodic, out[s])
     return out

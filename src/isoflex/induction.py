@@ -256,20 +256,24 @@ class SkeletonSet:
         return not self.whole and not self.points and not self.segments
 
     def distance_field(self, chart: GridChart) -> np.ndarray:
-        """Exact euclidean distance per node (inf for the empty set)."""
+        """Exact euclidean distance per node (inf for the empty set), one
+        slab of rows at a time."""
         if self.whole:
             return np.zeros(chart.resolution)
         if self.is_empty:
             return np.full(chart.resolution, np.inf)
-        x, y = np.ix_(*chart.axes())  # node coordinates, broadcast
-        best = np.full(chart.resolution, np.inf)
-        for px, py in self.points:
-            np.minimum(best, np.hypot(x - px, y - py), out=best)
-        for (ax, ay), (bx, by) in self.segments:
-            vx, vy = bx - ax, by - ay
-            vv = vx * vx + vy * vy
-            t = np.clip(((x - ax) * vx + (y - ay) * vy) / vv, 0.0, 1.0)
-            np.minimum(best, np.hypot(x - (ax + t * vx), y - (ay + t * vy)), out=best)
+        xs, ys = chart.axes()
+        y, best = ys[None, :], np.empty(chart.resolution)
+        for s in _slabs(best):
+            x, near = xs[s, None], best[s]  # node coordinates, broadcast
+            near.fill(np.inf)
+            for px, py in self.points:
+                np.minimum(near, np.hypot(x - px, y - py), out=near)
+            for (ax, ay), (bx, by) in self.segments:
+                vx, vy = bx - ax, by - ay
+                vv = vx * vx + vy * vy
+                t = np.clip(((x - ax) * vx + (y - ay) * vy) / vv, 0.0, 1.0)
+                np.minimum(near, np.hypot(x - (ax + t * vx), y - (ay + t * vy)), out=near)
         return best
 
     def feature_separation(self) -> float:
@@ -288,6 +292,9 @@ class SkeletonSet:
                 if d > 0:
                     best = min(best, d)
         return best
+
+
+R_STAR = 0.75  # psi's plateau radius r*, as a fraction of the tube radius r_(q+1)
 
 
 def smoothstep(s):
@@ -335,43 +342,59 @@ def _skeleton_distances(sigma: SkeletonSet, s_set: SkeletonSet, chart: GridChart
 
 
 def cutoffs(rho: ScalarField, sigma: SkeletonSet, s_set: SkeletonSet, q: int,
-            ladder, r_star: float = 0.75, distances=None) -> CutoffPair:
+            ladder, distances=None) -> CutoffPair:
     """chi_q = phi(rho / delta_(q+2)^(1/2)) psi(dist(., Sigma) / r_(q+1)).
 
-    psi falls from 1 inside r* r_(q+1) to 0 at r~* = r_(q+1).  The audit
-    measures the geometric quantities the construction relies on: the
-    largest S-tube radius r_** avoided by {rho > (3/2) delta^(1/2)}, the
-    feature-separation constant, whether the used tube respects
-    r~* <= r_bar r_**, the cut-off gradients, and the profile nesting.
-    Violated geometry raises; everything else is recorded.  `distances`
-    takes _skeleton_distances(sigma, s_set, chart) computed once by a caller
-    that cuts off repeatedly on one chart.
+    psi falls from 1 inside r* r_(q+1) (r* = R_STAR) to 0 at r~* = r_(q+1).
+    The audit measures the geometric quantities the construction relies on:
+    the largest S-tube radius r_** avoided by {rho > (3/2) delta^(1/2)}, the
+    feature-separation constant, whether the used tube respects r~* <= r_bar
+    r_**, the cut-off gradients, and the profile nesting.  Violated geometry
+    raises; everything else is recorded.  `distances` takes
+    _skeleton_distances(sigma, s_set, chart) computed once by a caller that
+    cuts off repeatedly on one chart.
+
+    chi, chi~, the inner tube and the audit's reductions are formed one slab
+    of rows at a time.  A slab whose every node has dist(., Sigma) / r_(q+1)
+    >= 1 lies outside the tube: there psi = psi~ = 1 - 1 = +0.0 and, with
+    delta_(q+2) > 0, phi is finite and >= 0, so the slab gets chi = chi~ =
+    +0.0 and no inner node without evaluating either ramp.
     """
     chart = rho.chart
     d2 = ladder.delta_q(q + 2)
     r_q1 = ladder.r_q(q + 1)
     dist_sigma, dist_s = distances or _skeleton_distances(sigma, s_set, chart)
+    root = math.sqrt(d2)
+    check_s = not (s_set.is_empty or sigma.whole)
 
-    ratio = rho.values / math.sqrt(d2)
-    audit = {"q": q, "r_q1": r_q1}
-    if sigma.whole:
-        psi_v = np.ones(chart.resolution)
-        psit_v = np.ones(chart.resolution)
-        inner = np.ones(chart.resolution, dtype=bool)
-    else:
-        psi_v = _psi(dist_sigma / r_q1, r_star, 1.0)
-        psit_v = _psi_tilde(dist_sigma / r_q1, r_star, 1.0)
-        inner = dist_sigma < r_star * r_q1
-
-    if not (s_set.is_empty or sigma.whole):
-        live = ratio > 1.5
-        if live.any():
-            r_starstar = 0.9 * float(dist_s[live].min()) / r_q1
-            if r_starstar <= 0:
-                raise StepPreconditionError(
-                    f"q={q}: a node with rho > (3/2) delta^(1/2) sits on S")
+    chi_v, chit_v = np.empty(chart.resolution), np.empty(chart.resolution)
+    inner = np.empty(chart.resolution, dtype=bool)
+    nearest, nested, support = np.inf, True, 0  # nearest: min dist(., S) where live
+    for s in _slabs(chi_v):
+        ratio = rho.values[s] / root
+        if check_s:
+            live = ratio > 1.5
+            if live.any():
+                nearest = min(nearest, float(dist_s[s][live].min()))
+        if sigma.whole:
+            chi_v[s], chit_v[s], inner[s] = _phi(ratio), _phi_tilde(ratio), True
         else:
-            r_starstar = np.inf
+            dist = dist_sigma[s] / r_q1
+            if root > 0 and dist.min() >= 1.0:  # outside the tube
+                chi_v[s], chit_v[s], inner[s] = 0.0, 0.0, False
+                continue
+            np.multiply(_phi(ratio), _psi(dist, R_STAR, 1.0), out=chi_v[s])
+            np.multiply(_phi_tilde(ratio), _psi_tilde(dist, R_STAR, 1.0), out=chit_v[s])
+            inner[s] = dist_sigma[s] < R_STAR * r_q1
+        nested &= bool(np.all(chit_v[s][chi_v[s] > 0] >= 1.0 - 1e-12))
+        support += int(np.count_nonzero(chit_v[s] > 0))
+
+    audit = {"q": q, "r_q1": r_q1}
+    if check_s:
+        r_starstar = np.inf if nearest == np.inf else 0.9 * nearest / r_q1
+        if r_starstar <= 0:
+            raise StepPreconditionError(
+                f"q={q}: a node with rho > (3/2) delta^(1/2) sits on S")
         sep = s_set.feature_separation()
         r_bar = 0.5 * sep / r_q1 if np.isfinite(sep) else np.inf
         audit["r_starstar"] = r_starstar
@@ -382,21 +405,16 @@ def cutoffs(rho: ScalarField, sigma: SkeletonSet, s_set: SkeletonSet, q: int,
                 f"q={q}: geometric condition violated: used tube radius "
                 f"exceeds r_bar x r_** = {r_bar * r_starstar:.4g} x r_(q+1)")
 
-    chi = ScalarField(chart, _phi(ratio) * psi_v)
-    chit = ScalarField(chart, _phi_tilde(ratio) * psit_v)
-
-    supp_chi = chi.values > 0
-    plateau = chit.values >= 1.0 - 1e-12
-    nesting_ok = bool(np.all(plateau[supp_chi])) if supp_chi.any() else True
+    chi, chit = ScalarField(chart, chi_v), ScalarField(chart, chit_v)
+    if not nested:
+        raise StepPreconditionError(f"q={q}: supp chi escapes the chi~ plateau")
     grad_chi = max(c1_seminorm(chi), c1_seminorm(chit))
     audit.update({
-        "nesting_ok": nesting_ok,
+        "nesting_ok": nested,
         "grad_chi": grad_chi,
         "grad_chi_times_r": grad_chi * r_q1,
-        "support_fraction": float(np.mean(chit.values > 0)),
+        "support_fraction": support / chi.values.size,
     })
-    if not nesting_ok:
-        raise StepPreconditionError(f"q={q}: supp chi escapes the chi~ plateau")
     return CutoffPair(chi, chit, audit, inner)
 
 
@@ -611,7 +629,8 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         h_t = MetricField(chart, chit.values[..., None] * ratio[..., None] * h.values)
         del rr, ratio  # not read again, and the stage below is the pass's peak
 
-        added_lo = float(MetricField(chart, g.values + h_t.values).eigenvalues()[0][live].min())
+        added_lo = min(float(_eigenvalues(g.values[s] + h_t.values[s])[0][live[s]].min(
+            initial=np.inf)) for s in _slabs(g.values))
         if added_lo <= 0:
             truncation = {"q": q, "reason": "added metric lost ellipticity",
                           "detail": f"min eig(g + h~) = {added_lo:.4g}"}
@@ -843,11 +862,14 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
             state, sigma, sched, ladder, depth, g, config,
             incoming_top=current_top, held=held)
         current_top = state.certificate["top_frequency"]
-        pass_disp = float(np.max(np.linalg.norm(state.u.values - prev_u.values, axis=-1)))
-        total_disp += pass_disp
         # a pass that kept no stage hands back the same immersion object
-        probes.append(probes[-1] if state.u is prev_u
-                      else holder_seminorm(state.u, probe_theta, deriv_order=1))
+        if state.u is prev_u:
+            pass_disp = 0.0
+            probes.append(probes[-1])
+        else:
+            pass_disp = float(np.max(np.linalg.norm(state.u.values - prev_u.values, axis=-1)))
+            probes.append(holder_seminorm(state.u, probe_theta, deriv_order=1))
+        total_disp += pass_disp
         report["passes"].append({
             "level": level, "stages": history, "truncation": truncation,
             "displacement": pass_disp,

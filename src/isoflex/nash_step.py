@@ -157,20 +157,33 @@ def _primitive(rho: ScalarField, gphi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _measure_defect(pb: MetricField, target: np.ndarray, ell: float):
-    """(collar, sup, C1) of the defect pb - target away from the boundary collar.
+def _collar(chart: GridChart, ell: float) -> int:
+    """The rows and columns a defect measured at mollification scale ell
+    leaves out on each side: none on the torus; on a clamped chart the
+    mollifier's reach ceil(ell / h) plus the two one-sided stencil rows.  A
+    collar that leaves no interior node is refused."""
+    if chart.periodic:
+        return 0
+    collar = int(np.ceil(ell / max(chart.spacing))) + 2
+    nx, ny = chart.resolution
+    if 2 * collar >= min(nx, ny):
+        raise UnderResolvedError(
+            f"measuring collar of {collar} nodes (ell = {ell:.4g} plus 2 stencil rows) "
+            f"leaves no interior node of the {nx} x {ny} chart")
+    return collar
 
-    The defect is written over target.  The collar on clamped charts covers
-    the mollifier's reach ell plus the one-sided stencil rows; the C1 part
-    adds first differences.
+
+def _measure_defect(pb: MetricField, target: np.ndarray, collar: int):
+    """(sup, C1) of the defect pb - target away from the boundary collar of
+    collar rows and columns (_collar).  The defect is written over target;
+    the C1 part adds first differences.
     """
     chart = pb.chart
-    collar = 0 if chart.periodic else int(np.ceil(ell / max(chart.spacing))) + 2
     nx, ny = chart.resolution
     vals = MetricField(chart, np.subtract(pb.values, target, out=target)).values
     sup = float(np.max(np.abs(vals[collar:nx - collar, collar:ny - collar])))
     dc1 = derivative_sup(vals, chart, ("x", "y"), collar)
-    return collar, sup, sup + dc1
+    return sup, sup + dc1
 
 
 def commensurate_base(chart: GridChart, base: float) -> float:
@@ -246,12 +259,12 @@ def _corrugate(u: ImmersionField, rho: ScalarField, phi: PhaseField, gphi: np.nd
                lam: float, table: CorrugationTable) -> _Corrugated:
     """One unmeasured step at frequency lam adding rho^2 grad(Phi) (x)
     grad(Phi); gphi is grad(Phi).  u#e is checked by the caller
-    (_input_band), once per chain: each step's v#e is checked here.  It
-    refuses a lam that is not finite and positive, fewer than
-    NODES_PER_WAVELENGTH nodes per wavelength, a torus phase that does not
-    wrap at lam, a near-singular mollified Gram matrix and an amplitude
-    outside the table."""
-    _check_frequency(lam)
+    (_input_band), once per chain: each step's v#e is checked here, and lam
+    is checked finite and positive by the caller (step, or the chain's
+    commensurate_phase).  It refuses fewer than NODES_PER_WAVELENGTH nodes
+    per wavelength, a torus phase that does not wrap at lam, a
+    near-singular mollified Gram matrix and an amplitude outside the
+    table."""
     chart = u.chart
     h = max(chart.spacing)
 
@@ -344,9 +357,10 @@ def _chain(u: ImmersionField, terms, base: float, K: float,
         "skipped_zero_terms": len(terms) - len(live_terms)}), live_terms
 
 
-def _measured(c: _Corrugated, target: np.ndarray, ell: float) -> StepOutcome:
-    """The outcome of c, its defect measured against target (written over)."""
-    collar, defect_sup, defect_c1 = _measure_defect(c.pullback, target, ell)
+def _measured(c: _Corrugated, target: np.ndarray, collar: int) -> StepOutcome:
+    """The outcome of c, its defect measured against target (written over)
+    away from the collar."""
+    defect_sup, defect_c1 = _measure_defect(c.pullback, target, collar)
     return StepOutcome(c.v, c.pullback, defect_sup, defect_c1, c.displacement,
                        c.meta["moved_outside_support"] < 1e-14, c.gamma_bar,
                        {"collar": collar, **c.meta})
@@ -356,17 +370,21 @@ def step(u: ImmersionField, rho: ScalarField, phi: PhaseField, lam: float,
          table: CorrugationTable, pb_u: MetricField) -> StepOutcome:
     """One corrugation step at frequency lam adding rho^2 grad(Phi) (x)
     grad(Phi); pb_u is u#e.  lam is all a step reads besides its data; its
-    refusals are those of _corrugate.
+    refusals are, before it runs, a lam that is not finite and positive and
+    a measuring collar at 1/lam that leaves no interior node (_collar), and
+    then those of _corrugate.
 
     The defect is measured against pb_u + rho^2 grad(Phi) (x) grad(Phi).
     """
     _input_band(pb_u)
+    _check_frequency(lam)
+    collar = _collar(u.chart, 1.0 / lam)
     gphi = phi.gradient()
     c = _corrugate(u, rho, phi, gphi, lam, table)
     target = _primitive(rho, gphi)
     del gphi
     target += pb_u.values
-    return _measured(c, target, 1.0 / lam)
+    return _measured(c, target, collar)
 
 
 def stage(u: ImmersionField, terms, base: float, K: float,
@@ -377,14 +395,17 @@ def stage(u: ImmersionField, terms, base: float, K: float,
     The defect is measured once, on the final pullback, against
     pullback(u) + sum_k rho_k^2 grad(Phi_k) (x) grad(Phi_k) with the phases
     as given; phase rounding on the torus and every intermediate error land
-    in it.
+    in it.  A base that is not finite and positive, or whose measuring
+    collar at 1/base leaves no interior node, is refused before any step.
     """
+    _check_frequency(base)
+    collar = _collar(u.chart, 1.0 / base)
     c, live_terms = _chain(u, terms, base, K, table, pb_u)
     # the target is summed after the steps, which it would outlive
     target = pb_u.values.copy()
     for rho_k, phi_k in live_terms:
         target += _primitive(rho_k, phi_k.gradient())
-    return _measured(c, target, 1.0 / base)
+    return _measured(c, target, collar)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +489,10 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     rho^2 (g + h); the mollification difference, the conformal residual
     and any torus phase rounding land there.  It refuses delta outside
     (0, 1), lam <= 1, kappa < 1 (each nan included), a g that is not SPD,
-    an ell under two grid cells and a smoothed g + h whose least eigenvalue
-    falls below 1/(2 gamma), gamma the band radius of g and u#e; the
-    factorization and the stage refuse on their own terms.
+    an ell under two grid cells or whose measuring collar leaves no
+    interior node (both before any pullback), and a smoothed g + h whose
+    least eigenvalue falls below 1/(2 gamma), gamma the band radius of g
+    and u#e; the factorization and the stage refuse on their own terms.
     """
     chart = u.chart
     hmax = max(chart.spacing)
@@ -487,13 +509,13 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
         problems.append("target metric g is not SPD")
     if problems:
         raise StepPreconditionError(problems)
-    pb_u = pullback_metric(u) if pb_u is None else pb_u
-    gamma = max(g_hi, 1.0 / max(g_lo, 1e-300), _band(pb_u)[0])
-
     ell = lam ** -kappa
     if ell < 2 * hmax:
         raise UnderResolvedError(
             f"mollification scale lam^-kappa = {ell:.4g} below 2*spacing = {2 * hmax:.4g}")
+    collar = _collar(chart, ell)  # refused before any pullback or solve
+    pb_u = pullback_metric(u) if pb_u is None else pb_u
+    gamma = max(g_hi, 1.0 / max(g_lo, 1e-300), _band(pb_u)[0])
 
     target_sm = MetricField(chart, mollify(g, ell).values + mollify(h, ell).values)
     sm_lo, _ = target_sm.spd_band()
@@ -518,7 +540,7 @@ def add_metric_2d(u: ImmersionField, rho: ScalarField, g: MetricField,
     for s in _slabs(target):
         target[s] = pb_u.values[s] + (rho.values[s] ** 2)[..., None] * (g.values[s] + h.values[s])
         moved[s] = np.abs(c.v.values[s] - u.values[s]).max(axis=-1) > 1e-14
-    collar, dsup, dc1 = _measure_defect(c.pullback, target, ell)
+    dsup, dc1 = _measure_defect(c.pullback, target, collar)
     inflation = _support_inflation(moved, rho.values != 0.0, chart)
     support_ok = inflation <= ell + 1.5 * hmax
 

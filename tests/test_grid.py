@@ -29,7 +29,7 @@ from isoflex.grid import (
     slab_derivatives,
     sup_norm,
 )
-from isoflex.nash_step import _measure_defect
+from isoflex.nash_step import _collar, _measure_defect
 
 
 def square(n=64, boundary=CLAMPED):
@@ -255,12 +255,23 @@ class TestKernelReference:
     # SLAB_BUDGETS cut into several slabs with a ragged last one, and on the
     # 8 x 8 minimum chart.
 
-    @pytest.mark.parametrize("shape", SLAB_SHAPES)
+    @pytest.mark.parametrize("shape", SLAB_SHAPES + [(75, 8)])
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
     @pytest.mark.parametrize("components", [(), (3,)])
-    def test_slab_stencils_bit_identical(self, slab_budget, shape, boundary, components):
+    @pytest.mark.parametrize("layout", ["contiguous", "real_view", "fortran"])
+    def test_slab_stencils_bit_identical(self, slab_budget, shape, boundary, components, layout):
+        # the axis-1 kernel flattens each slab to (rows * ny, ...): a .real
+        # view of a complex field (as PhaseField.periodic_values may be) and
+        # an F-ordered field get the reference floats too, on the 8-column
+        # chart and with 1-row slabs
         chart = GridChart((1.0, 1.3), shape, boundary)
-        values = np.random.default_rng(11).standard_normal((*shape, *components))
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((*shape, *components))
+        if layout == "real_view":
+            values = (values + 1j * rng.standard_normal(values.shape)).real
+        elif layout == "fortran":
+            values = np.asfortranarray(values)
+        assert values.flags.c_contiguous == (layout == "contiguous")
         hx, hy = chart.spacing
         p = chart.periodic
         for axis, h in ((0, hx), (1, hy)):
@@ -273,6 +284,9 @@ class TestKernelReference:
             assert np.array_equal(got, want)
         f = ImmersionField(chart, values) if components else ScalarField(chart, values)
         v = values if components else values[..., None]
+        if not components:
+            assert np.array_equal(f.gradient(), np.stack([_ref_diff1(values, 0, hx, p),
+                                                          _ref_diff1(values, 1, hy, p)], -1))
         assert c1_seminorm(f) == _ref_sup(_ref_diff1(v, 0, hx, p), _ref_diff1(v, 1, hy, p))
         assert c2_seminorm(f) == _ref_sup(_ref_diff2(v, 0, hx, p),
                                           _ref_diff1(_ref_diff1(v, 0, hx, p), 1, hy, p),
@@ -336,8 +350,9 @@ class TestKernelReference:
         sup = _ref_sup(d.values[inner])
         dc1 = _ref_sup(_ref_diff1(d.values, 0, hx, p)[inner],
                        _ref_diff1(d.values, 1, hy, p)[inner])
+        assert _collar(chart, ell) == c
         # the defect pb - 0 is written over the zero target
-        assert _measure_defect(d, np.zeros((*shape, 3)), ell) == (c, sup, sup + dc1)
+        assert _measure_defect(d, np.zeros((*shape, 3)), c) == (sup, sup + dc1)
 
 
 class TestMetricField:

@@ -15,6 +15,7 @@ from isoflex.grid import (
     ScalarField,
     _diff,
     _diff1,
+    c1_seminorm,
     holder_seminorm,
     pullback_metric,
 )
@@ -26,6 +27,11 @@ from isoflex.induction import (
     SkeletonSet,
     _certificate,
     _node_derivatives,
+    _phi,
+    _phi_tilde,
+    _psi,
+    _psi_tilde,
+    _skeleton_distances,
     build_schedule,
     certify_adapted,
     cutoffs,
@@ -260,7 +266,7 @@ class TestSkeleton:
             SkeletonSet(1, segments=(segment,))
 
     @pytest.mark.parametrize("boundary", [CLAMPED, PERIODIC])
-    def test_distance_field_matches_whole_mesh_reference(self, boundary):
+    def test_distance_field_matches_whole_mesh_reference(self, slab_budget, boundary):
         c = GridChart((1.0, 1.3), (75, 53), boundary)
         tri = ((0.35, 0.35), (0.65, 0.35), (0.5, 0.62))
         for sk in (SkeletonSet(0, points=tri),
@@ -285,6 +291,41 @@ def _ref_distance_field(sk, chart):
         t = np.clip(((x - ax) * vx + (y - ay) * vy) / vv, 0.0, 1.0)
         best = np.minimum(best, np.hypot(x - (ax + t * vx), y - (ay + t * vy)))
     return best
+
+
+def _ref_cutoffs(rho, sigma, s_set, q, ladder, r_star=0.75):
+    """The whole-array cut-offs: (chi, chi~, inner tube, audit)."""
+    chart = rho.chart
+    d2, r_q1 = ladder.delta_q(q + 2), ladder.r_q(q + 1)
+    ratio = rho.values / math.sqrt(d2)
+    audit = {"q": q, "r_q1": r_q1}
+    if sigma.whole:
+        psi_v = psit_v = np.ones(chart.resolution)
+        inner = np.ones(chart.resolution, dtype=bool)
+    else:
+        dist_sigma = _ref_distance_field(sigma, chart)
+        psi_v = _psi(dist_sigma / r_q1, r_star, 1.0)
+        psit_v = _psi_tilde(dist_sigma / r_q1, r_star, 1.0)
+        inner = dist_sigma < r_star * r_q1
+    if not (s_set.is_empty or sigma.whole):
+        live = ratio > 1.5
+        dist_s = _ref_distance_field(s_set, chart)
+        r_starstar = 0.9 * float(dist_s[live].min()) / r_q1 if live.any() else np.inf
+        sep = s_set.feature_separation()
+        r_bar = 0.5 * sep / r_q1 if np.isfinite(sep) else np.inf
+        audit.update(r_starstar=r_starstar, r_bar=r_bar,
+                     geometric_condition_ok=bool(1.0 <= r_bar * r_starstar + 1e-12))
+    chi = ScalarField(chart, _phi(ratio) * psi_v)
+    chit = ScalarField(chart, _phi_tilde(ratio) * psit_v)
+    supp_chi = chi.values > 0
+    grad_chi = max(c1_seminorm(chi), c1_seminorm(chit))
+    audit.update({
+        "nesting_ok": bool(np.all((chit.values >= 1.0 - 1e-12)[supp_chi])),
+        "grad_chi": grad_chi,
+        "grad_chi_times_r": grad_chi * r_q1,
+        "support_fraction": float(np.mean(chit.values > 0)),
+    })
+    return chi.values, chit.values, inner, audit
 
 
 def _ref_smoothstep(s):
@@ -314,6 +355,55 @@ class TestSmoothstep:
         for s in ((d - 0.05) / 0.1, (d - 0.1) * 2.5, 1.0 - d / 0.2):
             assert 0 < np.count_nonzero((s > 0) & (s < 1)) < s.size
             assert smoothstep(s).tobytes() == _ref_smoothstep(s).tobytes()
+
+
+class TestCutoffsReference:
+    # the slab-resident cut-offs against the whole-array ones, on a chart
+    # that the slab budgets cut into slabs on both sides of the outer tube
+    TRI = ((0.35, 0.35), (0.65, 0.35), (0.5, 0.62))
+    SIGMAS = {
+        "whole": SkeletonSet(2, whole=True),
+        "empty": SkeletonSet.empty(),
+        "triangle": SkeletonSet(1, points=TRI, segments=((TRI[0], TRI[1]), (TRI[1], TRI[2]),
+                                                         (TRI[2], TRI[0]))),
+    }
+
+    @pytest.mark.parametrize("boundary", [CLAMPED, PERIODIC])
+    @pytest.mark.parametrize("kind", sorted(SIGMAS))
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_bit_identical_to_whole_array(self, slab_budget, monkeypatch, boundary, kind, q):
+        import isoflex.induction as induction
+
+        c = GridChart((1.0, 1.3), (75, 53), boundary)
+        sigma, s_set = self.SIGMAS[kind], SkeletonSet(0, points=self.TRI)
+        rho = ScalarField(c, np.minimum(np.sqrt(0.125), 0.9 * np.sqrt(s_set.distance_field(c))))
+        ladder = quarter_ladder(base=4 * np.pi)  # r_1 = 0.04, r_2 = 0.02
+        ramps = []
+        monkeypatch.setattr(induction, "_psi", lambda *a: ramps.append(1) or _psi(*a))
+        cut = cutoffs(rho, sigma, s_set, q, ladder)
+        chi, chit, inner, audit = _ref_cutoffs(rho, sigma, s_set, q, ladder)
+        assert cut.chi.values.tobytes() == chi.tobytes()
+        assert cut.chi_tilde.values.tobytes() == chit.tobytes()
+        assert np.array_equal(cut.inner_tube, inner)
+        assert cut.audit == audit
+        slabs = len(induction._slabs(rho.values))
+        if kind == "empty":
+            assert ramps == []
+        elif kind == "triangle" and slabs > 1:
+            # slabs outside the tube skip the ramps, those inside run them
+            assert 0 < len(ramps) < slabs
+        assert kind != "triangle" or 0.0 < audit["support_fraction"] < 1.0
+
+    def test_memory_above_entry(self, traced_peak):
+        # beside chi, chi~ and the inner tube (2.1 fields of nx * ny float64)
+        # the cut-offs hold slab temporaries only: 2.6 fields at 1024^2
+        # against 9.0 for the whole-array cut-offs
+        _, state, sigma, _, ladder = _triangle_state(1024)
+        distances = _skeleton_distances(sigma, state.s_set, state.rho.chart)
+        cut, peak = traced_peak(lambda: cutoffs(state.rho, sigma, state.s_set, 0, ladder,
+                                                distances=distances))
+        assert peak <= 3 * 1024 * 1024 * 8
+        assert 0.0 < cut.audit["support_fraction"] < 1.0
 
 
 class TestPipeline:

@@ -156,7 +156,8 @@ def _ref_step(u, rho, phi, lam, table):
     target = pb_u.values + (rho.values ** 2)[..., None] * np.stack(
         [gphi[..., 0] ** 2, gphi[..., 0] * gphi[..., 1], gphi[..., 1] ** 2], axis=-1)
     pb_v = pullback_metric(v)
-    collar, defect_sup, defect_c1 = _measure_defect(pb_v, target, ell)
+    collar = 0 if chart.periodic else int(np.ceil(ell / max(chart.spacing))) + 2
+    defect_sup, defect_c1 = _measure_defect(pb_v, target, collar)
     outside = rho.values == 0.0
     moved = np.max(np.abs(v.values[outside] - u.values[outside])) if outside.any() else 0.0
     gb_v, lo_v, hi_v = _band(pb_v)
@@ -372,6 +373,63 @@ class TestStage:
         assert out.defect_sup < 0.02
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("ran past the collar refusal")
+
+
+class TestMeasuringCollar:
+    # a clamped defect leaves out ceil(ell / h) + 2 rows and columns on each
+    # side; where that leaves no interior node the op is refused up front,
+    # not by a max over an empty window after its steps ran
+
+    def test_step_refused_before_it_runs(self, table, monkeypatch):
+        import isoflex.nash_step as nash_step
+
+        c = GridChart((1.0, 1.0), (64, 64), CLAMPED)
+        u = ImmersionField.flat(c)
+        pb_u = pullback_metric(u)
+        monkeypatch.setattr(nash_step, "_corrugate", _never)
+        with pytest.raises(UnderResolvedError,
+                           match=r"collar of 44 nodes \(ell = 0\.6667 .* 64 x 64 chart"):
+            step(u, bump_field(c, 0.01), PhaseField.linear_phase(c, (1.0, 0.0)), 1.5,
+                 table, pb_u)
+
+    def test_stage_refused_before_its_steps(self, table, monkeypatch):
+        import isoflex.nash_step as nash_step
+
+        c = GridChart((1.0, 1.0), (64, 64), CLAMPED)
+        u = ImmersionField.flat(c)
+        terms = [(bump_field(c, 0.01), PhaseField.linear_phase(c, (1.0, 0.0)))]
+        monkeypatch.setattr(nash_step, "_chain", _never)
+        with pytest.raises(UnderResolvedError, match=r"collar of 44 nodes .* 64 x 64 chart"):
+            stage(u, terms, 1.5, 2.0, table, pullback_metric(u))
+
+    @pytest.mark.parametrize("n, lam, kappa, collar", [(16, 2.0, 1.3, 9), (24, 1.5, 2.0, 13),
+                                                       (32, 1.2, 3.0, 20)])
+    def test_metric_addition_refused_before_any_pullback(self, table, monkeypatch,
+                                                         n, lam, kappa, collar):
+        import isoflex.nash_step as nash_step
+
+        c = GridChart((1.0, 1.0), (n, n), CLAMPED)
+        u = ImmersionField.flat(c)
+        g = MetricField.constant(c, 2.0 * np.eye(2))
+        h = MetricField.constant(c, np.zeros((2, 2)))
+        for name in ("pullback_metric", "mollify", "solve_conformal"):
+            monkeypatch.setattr(nash_step, name, _never)
+        with pytest.raises(UnderResolvedError,
+                           match=rf"collar of {collar} nodes .* {n} x {n} chart"):
+            add_metric_2d(u, ScalarField.constant(c, 0.3), g, h, 0.1, lam, kappa, table)
+
+    def test_one_interior_row_is_measured(self, table):
+        # 2 * collar = n - 1 (ell / h = 41.5): one interior node per axis is enough
+        c = GridChart((1.0, 1.0), (89, 89), CLAMPED)
+        u = ImmersionField.flat(c)
+        out = step(u, ScalarField.constant(c, 0.0), PhaseField.linear_phase(c, (1.0, 0.0)),
+                   88 / 41.5, table, pullback_metric(u))
+        assert out.meta["collar"] == 44
+        assert out.defect_sup == 0.0
+
+
 class TestAddMetric2d:
     def test_zero_rho_identity(self, table):
         c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
@@ -538,8 +596,8 @@ class TestAddMetric2d:
         rho = ScalarField(c, 0.9 * np.sqrt(0.05) * bump_field(c, 1.0).values)
         out = add_metric_2d(u, rho, g, h, delta=0.05, lam=4.0, kappa=1.5, table=table)
         target = pullback_metric(u).values + (rho.values ** 2)[..., None] * (g.values + h.values)
-        assert _measure_defect(out.pullback, target, out.meta["ell"]) == (
-            out.meta["collar"], out.defect_sup, out.defect_c1)
+        assert _measure_defect(out.pullback, target, out.meta["collar"]) == (
+            out.defect_sup, out.defect_c1)
         moved = np.abs(out.v.values - u.values).max(axis=-1) > 1e-14
         assert moved.any() and not moved.all()
         assert _support_inflation(moved, rho.values != 0.0, c) == out.meta["support_inflation"]
@@ -595,9 +653,9 @@ class TestMeasuredOnce:
 
         calls = []
 
-        def counting(pb, target, ell):
+        def counting(pb, target, collar):
             calls.append(pb)
-            return _measure_defect(pb, target, ell)
+            return _measure_defect(pb, target, collar)
 
         monkeypatch.setattr(nash_step, "_measure_defect", counting)
         c = GridChart((1.0, 1.0), (128, 128), PERIODIC)

@@ -387,6 +387,12 @@ class TestCli:
         assert main(["step-bench", "--lambdas", lam, "--resolution", "64"]) == 2
         assert "finite frequency lam > 0" in capsys.readouterr().err
 
+    def test_step_bench_collar_refused(self, capsys):
+        # at lam = 1.5 on 64^2 the measuring collar (44 nodes a side) leaves
+        # no interior node: an engine refusal, not a configuration error
+        assert main(["step-bench", "--lambdas", "1.5", "--resolution", "64"]) == 2
+        assert "leaves no interior node of the 64 x 64 chart" in capsys.readouterr().err
+
     def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
         import isoflex.cli
 
