@@ -18,6 +18,7 @@ import json
 import sys
 import time
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -99,9 +100,11 @@ def cmd_run(args) -> int:
     print(_json({"scenario": resolved}))
 
     if args.dry_run:
-        a_min = induction.minimal_adequate_a(scenario.theta, scenario.alpha, 0.125)
-        sched = induction.build_schedule(max(scenario.a_base, a_min), scenario.theta,
-                                         scenario.alpha, 0.125, depth=depth + 2)
+        # run_global's first ladder, from delta* (1/8 where the bootstrap picks it)
+        sched = induction.plan_schedule(
+            scenario.a_base, Fraction(scenario.theta).limit_denominator(10 ** 9),
+            Fraction(scenario.alpha).limit_denominator(10 ** 9),
+            0.125 if scenario.delta_star is None else scenario.delta_star, depth)
         _dump_json({
             "dry_run": True, "scenario": resolved,
             "memory_bytes_estimate": _memory_estimate(scenario.resolution),

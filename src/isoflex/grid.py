@@ -679,19 +679,18 @@ class ShortnessReport:
         return cls(kind, min_eig, None if margin is None else bool(margin >= -tol), margin)
 
 
-def check_short(u: ImmersionField, g: MetricField, rho: ScalarField | None = None,
-                h: MetricField | None = None, tol: float = 1e-12, *,
-                pb: MetricField) -> ShortnessReport:
+def check_short(u: ImmersionField, g: MetricField, h: MetricField | None = None,
+                tol: float = 1e-12, *, pb: MetricField) -> ShortnessReport:
     """Classify g - u#e by its pointwise smallest eigenvalue; pb is u#e.
 
-    With a (rho, h) factorization supplied, additionally reports whether
-    -g/2 <= h <= g/2 holds at every node (the strong-short bound).
+    With the h of a factorization g - u#e = rho^2 (g + h), also reports
+    whether -g/2 <= h <= g/2 holds at every node (the strong-short bound).
     """
     _require_same_chart(u, g)
     _require_same_chart(pb, g)
     m = MetricField(g.chart, g.values - pb.values).spd_band()[0]
     margin = None
-    if rho is not None and h is not None:
+    if h is not None:
         _require_same_chart(g, h)
         upper = MetricField(g.chart, 0.5 * g.values - h.values)
         lower = MetricField(g.chart, 0.5 * g.values + h.values)

@@ -161,6 +161,13 @@ def build_schedule(A: float, theta, alpha, delta1: float, n: int = 2,
     return Schedule(A, theta, alpha, n, b, deltas, lams)
 
 
+def plan_schedule(A: float, theta: Fraction, alpha: Fraction, delta1: float,
+                  depth: int) -> Schedule:
+    """A pass level's exact schedule, at delta_1 = max rho^2 and A raised to adequacy."""
+    return build_schedule(max(A, minimal_adequate_a(theta, alpha, delta1)), theta, alpha,
+                          delta1, depth=max(depth + 3, 4))
+
+
 # ---------------------------------------------------------------------------
 # executed desk ladder
 
@@ -183,7 +190,7 @@ class DeskLadder:
     alpha: float
     kappa: float
     b: float
-    radii: tuple | None = None   # explicit tube radii r_q; 1/lam_(q+2) if None
+    radii: tuple | None = None   # explicit tube radii r_q; 1/lam_(q+1) if None
 
     def delta_q(self, q: int) -> float:
         return self.delta[q - 1] if q <= len(self.delta) else self.delta[0] * 0.25 ** (q - 1)
@@ -485,44 +492,31 @@ def _node_derivatives(u: ImmersionField, rho: ScalarField, h: MetricField):
 
 
 def _certificate(u: ImmersionField, pb: MetricField, rho: ScalarField, h: MetricField,
-                 g: MetricField, log_A: float, theta: float,
-                 rho_floor: float = RHO_FLOOR, held: list | None = None) -> dict:
+                 g: MetricField, log_A: float, theta: float) -> dict:
     """Node-wise checks of an adapted state at exponents (A, theta); pb is u#e.
 
     The residual of g - u#e = rho^2 (g + h) and shortness are hard facts;
     the strong band -g/2 <= h <= g/2 and the rho-power bounds on D^2 u,
     grad rho (A rho^(1 - 1/theta)) and grad h (A rho^(-1/theta)) are
     recorded.  The bounds compare logs, since A^(b^2) soon leaves float
-    range; nodes with rho at or below rho_floor are skipped, matching the
-    off-Sigma scope of the bounds.  held, a list, keeps the node fields of
-    the bounds for another certificate of the same u, rho and h: an empty
-    one is filled by this sweep, a filled one stands in for it.
+    range; nodes with rho at or below RHO_FLOOR are skipped, matching the
+    off-Sigma scope of the bounds.
     """
-    chart = u.chart
     resid = g.values - pb.values - (rho.values ** 2)[..., None] * (g.values + h.values)
-    strong = min(MetricField(chart, 0.5 * g.values - h.values).spd_band()[0],
-                 MetricField(chart, 0.5 * g.values + h.values).spd_band()[0])
+    strong = min(MetricField(u.chart, 0.5 * g.values - h.values).spd_band()[0],
+                 MetricField(u.chart, 0.5 * g.values + h.values).spd_band()[0])
     out = {
         "factorization_residual": float(np.max(np.abs(resid))),
-        "short_min_eig": MetricField(chart, g.values - pb.values).spd_band()[0],
+        "short_min_eig": MetricField(u.chart, g.values - pb.values).spd_band()[0],
         "strong_band_ok": bool(strong >= -1e-9),
         "strong_band_margin": strong,
     }
-    mask = rho.values > rho_floor
+    mask = rho.values > RHO_FLOOR
     if mask.any() and theta > 0:
         keys = ("hess_u_ok", "grad_rho_ok", "grad_h_ok")
         powers = (1.0 - 1.0 / theta, 1.0 - 1.0 / theta, -1.0 / theta)
         out.update(dict.fromkeys(keys, True))
-        if held is None:
-            sweep = _node_derivatives(u, rho, h)
-        else:
-            if not held:
-                held.extend(np.empty(chart.resolution) for _ in keys)
-                for s, *fields in _node_derivatives(u, rho, h):
-                    for whole, part in zip(held, fields):
-                        whole[s] = part
-            sweep = ((s, *(whole[s] for whole in held)) for s in _slabs(u.values))
-        for s, *fields in sweep:
+        for s, *fields in _node_derivatives(u, rho, h):
             m = mask[s]
             log_rho = np.log(rho.values[s][m])
             for key, d, p in zip(keys, fields, powers):
@@ -531,13 +525,10 @@ def _certificate(u: ImmersionField, pb: MetricField, rho: ScalarField, h: Metric
     return out
 
 
-def certify_adapted(state: AdaptedState, g: MetricField,
-                    rho_floor: float = RHO_FLOOR, held: list | None = None) -> dict:
-    """The certificate of an adapted state at its own exponents (A, theta);
-    held keeps its node fields, as in _certificate."""
+def certify_adapted(state: AdaptedState, g: MetricField) -> dict:
+    """The certificate of an adapted state at its own exponents (A, theta)."""
     pb = pullback_metric(state.u) if state.pullback is None else state.pullback
-    return _certificate(state.u, pb, state.rho, state.h, g, math.log(state.A),
-                        state.theta, rho_floor, held)
+    return _certificate(state.u, pb, state.rho, state.h, g, math.log(state.A), state.theta)
 
 
 @dataclass
@@ -559,8 +550,7 @@ def _stage_reserve(g: MetricField, pb_u: MetricField, amp_sq: np.ndarray, h_t: M
 
 def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                    ladder: DeskLadder, depth: int, g: MetricField,
-                   config: PassConfig, incoming_top: float = 0.0,
-                   held: list | None = None):
+                   config: PassConfig, incoming_top: float = 0.0):
     """Run the cut-off / add-metric / amplitude-update loop for q = 0..depth-1.
 
     Each stage's base frequency and growth K are planned here, against the
@@ -575,10 +565,8 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
     pass with an explicit reason instead of delivering an aliased state.
     A kept stage is verified by the driver's certificate at the pass
     exponents A^(b^2), theta / b^2 (factorization, shortness, strong band,
-    rho-power bounds) and by its level's rho-lemma record.  held, node
-    fields a caller keeps of the state's u, rho and h (see _certificate),
-    is emptied before a stage runs, since the stage may change them.
-    Returns (new state, history, truncation).
+    rho-power bounds) and by its level's rho-lemma record.  Returns (new
+    state, history, truncation).
     """
     chart = state.u.chart
     hmax = max(chart.spacing)
@@ -675,8 +663,6 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
                                     f"{reserve:.4g}; the stage law keeps shortness {keeps}"}
             break
 
-        if held:
-            held.clear()
         try:
             out = add_metric_2d(
                 u, rho_t, g, h_t, delta_eff, lam_nom, kappa_eff, config.table,
@@ -767,8 +753,7 @@ def inductive_pass(state: AdaptedState, sigma: SkeletonSet, schedule: Schedule,
         A=state.A ** float(schedule.b ** 2),
         theta=float(schedule.theta_prime),
         alpha=float(schedule.alpha_prime),
-        certificate={"history": history, "rho_lemma": lemma,
-                     "truncation": truncation, "top_frequency": incoming_top})
+        certificate={"rho_lemma": lemma, "top_frequency": incoming_top})
     object.__setattr__(new_state, "pullback", pb_u)
     return new_state, history, truncation
 
@@ -822,33 +807,26 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
     state = AdaptedState(u_t, rho0, h_t, SkeletonSet.empty(),
                          A=a0, theta=float(theta), alpha=float(alpha))
     object.__setattr__(state, "pullback", pb_t)
-    # the node fields of the bounds, held for the closing certificate until
-    # a stage runs (emptied, it is not filled again)
-    held = []
-    report["initial_certificate"] = certify_adapted(state, g, held=held)
 
     # exact exponent chain across the planned passes
     theta_j, alpha_j = theta, alpha
     exponent_chain = []
     for _ in skeleta:
         b_j = growth_exponent(theta_j, alpha_j, 2)
-        exponent_chain.append((theta_j, alpha_j, b_j))
+        exponent_chain.append((theta_j, alpha_j))
         theta_j, alpha_j = theta_j / b_j ** 2, alpha_j / (2 * b_j ** 2)
-    theta_final = theta_j
-    report["theta_final"] = float(theta_final)
-    probe_theta = 0.9 * float(theta_final)
+    probe_theta = 0.9 * float(theta_j)
 
     probes = [holder_seminorm(state.u, probe_theta, deriv_order=1)]
 
     total_disp = float(boot.get("u_moved", 0.0))
     current_top = float(boot.get("top_frequency", 0.0))
     for level, sigma in enumerate(skeleta):
-        theta_p, alpha_p, b_p = exponent_chain[level]
+        theta_p, alpha_p = exponent_chain[level]
         delta1 = float(np.max(state.rho.values) ** 2)
-        a_sched = max(state.A, minimal_adequate_a(theta_p, alpha_p, delta1))
-        sched = build_schedule(a_sched, theta_p, alpha_p, delta1, depth=max(depth + 3, 4))
+        sched = plan_schedule(state.A, theta_p, alpha_p, delta1, depth)
         report["schedules"].append({
-            "level": level, "A_exact_ladder": a_sched, "A_executed": state.A,
+            "level": level, "A_exact_ladder": sched.A, "A_executed": state.A,
             "b": str(sched.b), "theta": str(theta_p), "alpha": str(alpha_p),
             "lam1_exact": sched.lam_q(1),
             "exact_ladder_resolvable": sched.lam_q(1) <= frequency_ceiling(chart),
@@ -860,7 +838,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
         prev_u = state.u
         state, history, truncation = inductive_pass(
             state, sigma, sched, ladder, depth, g, config,
-            incoming_top=current_top, held=held)
+            incoming_top=current_top)
         current_top = state.certificate["top_frequency"]
         # a pass that kept no stage hands back the same immersion object
         if state.u is prev_u:
@@ -878,7 +856,7 @@ def run_global(g: MetricField, u0: ImmersionField, theta0, alpha0, a0: float,
 
     defect = np.abs(g.values - state.pullback.values)
     g_scale = float(np.max(np.abs(g.values)))
-    certificate = certify_adapted(state, g, held=held or None)
+    certificate = certify_adapted(state, g)
     report["final"] = {
         "defect_sup": float(defect.max()),
         "defect_relative": float(defect.max()) / g_scale,

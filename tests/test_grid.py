@@ -717,11 +717,11 @@ class TestShortness:
         c = square(32)
         g = MetricField.constant(c, np.eye(2))
         u = ImmersionField.flat(c, scale=0.7)
-        rho = ScalarField.constant(c, 0.5)
         h_ok = MetricField.constant(c, 0.3 * np.eye(2))
         h_bad = MetricField.constant(c, 0.7 * np.eye(2))
-        assert check_short(u, g, rho, h_ok, pb=pullback_metric(u)).strong_short
-        assert not check_short(u, g, rho, h_bad, pb=pullback_metric(u)).strong_short
+        assert check_short(u, g, h_ok, pb=pullback_metric(u)).strong_short
+        assert not check_short(u, g, h_bad, pb=pullback_metric(u)).strong_short
+        assert check_short(u, g, pb=pullback_metric(u)).strong_short is None
 
     def test_pullback_on_other_chart_refused(self):
         c = square(32, PERIODIC)

@@ -459,7 +459,8 @@ class TestPipeline:
         state, report = run_global(g, u0, theta0=0.15, alpha0=0.1, a0=4.0,
                                    depth=2, table=table)
         assert not report["bootstrap"]["trivial"]
-        assert report["initial_certificate"]["factorization_residual"] < 1e-9
+        # the pass keeps no stage: this is the bootstrapped state's residual
+        assert report["final"]["certificate"]["factorization_residual"] < 1e-9
         assert report["final"]["short_min_eig"] > 0
         assert report["final"]["displacement_total"] <= 4.0 ** -0.5
 
@@ -484,30 +485,19 @@ class TestPipeline:
         probes = report["final"]["holder_probes"]
         assert len(probes) == 2 and probes[0] == probes[1] > 0
 
-    def test_stage_drops_the_held_node_fields(self, table, law_band, monkeypatch):
-        # the trivial-bootstrap torus keeps a stage at q = 0: the node fields
-        # the initial certificate holds are dropped before the stage runs, and
-        # the closing certificate sweeps the state the stage made
+    def test_kept_stage_and_closing_certificate_sweep_once_each(self, table, law_band,
+                                                                 monkeypatch):
+        # the trivial-bootstrap torus keeps a stage at q = 0: its certificate
+        # and the closing one are the run's only node-derivative sweeps
         import isoflex.induction as induction
 
-        certify, add, sweep = (induction.certify_adapted, induction.add_metric_2d,
-                               induction._node_derivatives)
-        helds, held_at_stage, sweeps = [], [], []
-
-        def certifying(state, g, *args, **kwargs):
-            helds.append(kwargs.get("held"))
-            return certify(state, g, *args, **kwargs)
-
-        def adding(*args, **kwargs):
-            held_at_stage.append(list(helds[0]))
-            return add(*args, **kwargs)
+        certify, sweep = induction.certify_adapted, induction._node_derivatives
+        sweeps = []
 
         def counting(*args):
             sweeps.append(args)
             return sweep(*args)
 
-        monkeypatch.setattr(induction, "certify_adapted", certifying)
-        monkeypatch.setattr(induction, "add_metric_2d", adding)
         monkeypatch.setattr(induction, "_node_derivatives", counting)
         c = GridChart((1.0, 1.0), (256, 256), PERIODIC)
         g = MetricField.constant(c, 1.44 * np.eye(2))
@@ -516,8 +506,7 @@ class TestPipeline:
                                    bootstrap_delta_star=0.125)
         assert report["passes"][2]["stages"][0]["active"]
         assert law_band(report["passes"][2]["stages"]) == 1
-        assert held_at_stage == [[]] and helds[1] is None
-        assert len(sweeps) == 3  # initial, kept stage, closing
+        assert len(sweeps) == 2  # kept stage, closing
         assert report["final"]["certificate"] == certify(state, g)
 
     def test_refuses_isometric_start(self, table):
@@ -556,7 +545,7 @@ class TestPipeline:
         h0 = MetricField(c, h0_vals)
         state = AdaptedState(u0, rho0, h0, s_set, A=4.0, theta=0.15, alpha=0.1)
 
-        cert = certify_adapted(state, g, rho_floor=1e-4)
+        cert = certify_adapted(state, g)
         assert cert["factorization_residual"] < 1e-9
         assert cert["short_min_eig"] > 0
 
@@ -579,7 +568,7 @@ class TestPipeline:
             assert rec.get("moved_on_S", 0.0) < 1e-12
             assert rec["factorization_residual"] < 1e-9
             assert rec["short_min_eig"] > 0
-        cert = certify_adapted(new_state, g, rho_floor=1e-4)
+        cert = certify_adapted(new_state, g)
         assert cert["factorization_residual"] < 1e-9
         assert cert["short_min_eig"] > 0
         ix = [(int(round(v[0] * (n - 1))), int(round(v[1] * (n - 1)))) for v in verts]
@@ -638,7 +627,8 @@ _DOMINANT = {"hess_u_ok": (1e-4, 1e-6, 1e-3), "grad_rho_ok": (1e-7, 1e-3, 1e-3),
 class TestCertificateReference:
     @pytest.mark.parametrize("boundary", [PERIODIC, CLAMPED])
     @pytest.mark.parametrize("check", sorted(_DOMINANT))
-    def test_slab_certificate_matches_whole_array(self, slab_budget, boundary, check):
+    def test_slab_certificate_matches_whole_array(self, slab_budget, monkeypatch,
+                                                   boundary, check):
         # random fields make the largest node ratio unique; A just below it
         # fails the check at exactly one node, A just above it passes every
         # check
@@ -653,6 +643,7 @@ class TestCertificateReference:
         h = MetricField(c, a_h * rng.standard_normal((75, 53, 3)))
         g = MetricField.constant(c, 1.21 * np.eye(2))
         theta, floor = 0.15, 0.29
+        monkeypatch.setattr("isoflex.induction.RHO_FLOOR", floor)
         mask = rho.values > floor
         assert 0 < np.count_nonzero(mask) < mask.size
         hess, grad_rho, gh = _ref_node_fields(
@@ -671,7 +662,7 @@ class TestCertificateReference:
             state = AdaptedState(u, rho, h, SkeletonSet.empty(), A=a, theta=theta, alpha=0.1)
             failing = fields[check][mask] > a * factor[check][mask] + 1e-9
             assert np.count_nonzero(failing) == (0 if want_ok else 1)
-            got = certify_adapted(state, g, rho_floor=floor)
+            got = certify_adapted(state, g)
             want = _ref_certify_adapted(state, g, floor)
             assert got == want
             assert got[check] is want_ok

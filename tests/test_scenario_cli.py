@@ -298,7 +298,7 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(p), "--out", str(out)]) == 0
         state = seen["state"]
-        want = check_short(state.u, seen["g"], state.rho, state.h, pb=state.pullback)
+        want = check_short(state.u, seen["g"], state.h, pb=state.pullback)
         got = json.loads((out / "summary.json").read_text())["shortness"]
         assert got == {"classification": want.classification,
                        "min_eigenvalue": want.min_eigenvalue,
@@ -475,6 +475,29 @@ class TestCli:
         assert summary["dry_run"]
         assert summary["memory_bytes_estimate"] > 0
         assert "exact_ladder" in summary
+
+    def test_dry_run_plans_the_runs_ladder(self, tmp_path):
+        # delta* = 1/16 and a trivial bootstrap: the dry run plans the first
+        # level's exact ladder from delta*, as the run does, not from 1/8
+        p = write(tmp_path, MINIMAL_TORUS + f"""
+[map]
+kind = flat
+scale = {(1.44 * 0.9375) ** 0.5!r}
+
+[schedule]
+depth = 2
+delta_star = 0.0625
+""")
+        assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "dry"),
+                     "--dry-run"]) == 0
+        assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "run")]) == 0
+        planned = json.loads((tmp_path / "dry" / "summary.json").read_text())["exact_ladder"]
+        run = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert run["bootstrap"]["trivial"]
+        first = run["schedules"][0]
+        assert planned["A"] == pytest.approx(first["A_exact_ladder"], rel=1e-12)
+        assert planned["lam"][0] == pytest.approx(first["lam1_exact"], rel=1e-12)
+        assert planned["delta"][0] == pytest.approx(run["bootstrap"]["delta_star"], rel=1e-12)
 
     def test_dry_run_summary_is_strict_json(self, tmp_path):
         # the exact ladder leaves float range at this depth: its lam entries
